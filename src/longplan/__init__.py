@@ -77,7 +77,6 @@ from .qp import (
     QpSolution,
     kkt_report,
     solve_qp,
-    solve_qp_maximize,
 )
 from .report import RunConfig, parse_config, run_pipeline
 
@@ -127,7 +126,6 @@ __all__ = [
     "run_pipeline",
     "solve_lifecycle",
     "solve_qp",
-    "solve_qp_maximize",
     "spread_linear_coefficient",
     "spread_variance_coefficient",
     "strike_time_from_latent",

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def strike_time_from_latent(y, h: float):
     """
     if not h > 0:
         raise ValueError("hazard rate h must be positive")
-    t = -np.log(norm.sf(y)) / h
+    t = -np.log(ndtr(-np.asarray(y, dtype=float))) / h
     return float(t) if np.isscalar(y) else t
 
 
@@ -97,7 +97,7 @@ def _draw_strike_times(model: HazardModel, n_draws: int, seed: int) -> np.ndarra
     # Inverse-CDF normals: deterministic for a fixed seed, and the same
     # stream backs both the discount factor and the strike-year estimate.
     rng = np.random.default_rng(seed)
-    y = norm.ppf(rng.random(n_draws))
+    y = ndtri(rng.random(n_draws))
     return strike_time_from_latent(y, model.h)
 
 

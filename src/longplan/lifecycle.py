@@ -42,7 +42,7 @@ from .qp import (
     QpProblem,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
-    solve_qp_maximize,
+    solve_qp,
 )
 
 # Reported plan values below this are solver dust and are clamped to zero.
@@ -406,9 +406,10 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
         if year is not None:
             lb[3 * m + year - 1] = 1.0
             ub[3 * m + year - 1] = 1.0
-        problem = QpProblem(Q=q, c=c, a_in=a, b_in=b, lb=lb, ub=ub)
+        # Maximize c'x + 0.5 x'qx as the minimization of its negation.
+        problem = QpProblem(Q=-q, c=-c, a_in=a, b_in=b, lb=lb, ub=ub)
         try:
-            sol = solve_qp_maximize(problem)
+            sol = solve_qp(problem)
         except QpError as exc:
             raise LifecycleBranchError(
                 f"branch {_branch_label(year)}: {exc}") from exc
@@ -419,9 +420,10 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
             raise LifecycleBranchError(
                 f"branch {_branch_label(year)}: solver status {sol.status!r}"
             )
-        branch_objectives.append((_branch_label(year), sol.objective))
-        if sol.objective > best_objective:
-            best_objective = sol.objective
+        objective = -sol.objective
+        branch_objectives.append((_branch_label(year), objective))
+        if objective > best_objective:
+            best_objective = objective
             best_x = sol.x
             best_year = year
 

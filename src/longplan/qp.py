@@ -20,10 +20,19 @@ dense problems produced by the portfolio and lifetime-planning layers
 * the remaining bounded problem is made strictly convex with a Tikhonov
   term eps = 1e-10 * trace(Q)/n and solved by primal active-set iterations
   with null-space KKT solves.  Constraint rows are normalized internally,
-  so solutions are invariant under positive rescaling of any row.
+  so solutions are invariant under positive rescaling of any row;
+* a bound enters the active set by fixing its variable at the bound, not
+  as a constraint row, so the null-space solves only see the equality rows
+  and the working general rows restricted to the free variables.  Every
+  bound multiplier, for pinned and fixed variables alike, is read off the
+  stationarity residual Qx + c - a_eq'lam - a_in'mu.
 
-Ties in constraint selection are broken by lowest index; together with the
-deterministic phase-1 this makes results reproducible run to run.
+Ties are broken deterministically.  The ratio test scans general rows,
+then lower bounds, then upper bounds, each in index order, and takes the
+first near-minimal candidate; a drop takes the first most negative
+multiplier in the order working rows (as added), lower bounds, upper
+bounds.  Together with the deterministic phase-1 this makes results
+reproducible run to run.
 """
 
 from __future__ import annotations
@@ -301,7 +310,7 @@ def _phase1(red: _Reduced, tol: float):
 def _null_space(q: np.ndarray):
     """Orthonormal basis of the (numerical) null space of PSD matrix q."""
     if q.shape[0] == 0:
-        return np.zeros((0, 0)), 0.0
+        return np.zeros((0, 0))
     eigvals, eigvecs = np.linalg.eigh(q)
     lam_max = float(eigvals[-1])
     if lam_max < -1e-8 * max(1.0, abs(lam_max)):
@@ -309,7 +318,7 @@ def _null_space(q: np.ndarray):
     if eigvals[0] < -1e-8 * max(1.0, lam_max):
         raise QpInputError("Q is not positive semidefinite")
     null_mask = eigvals <= max(1e-14, 1e-10 * lam_max)
-    return eigvecs[:, null_mask], lam_max
+    return eigvecs[:, null_mask]
 
 
 def _unbounded_ray(red: _Reduced, null_basis: np.ndarray):
@@ -346,150 +355,123 @@ def _unbounded_ray(red: _Reduced, null_basis: np.ndarray):
     raise QpError(f"unboundedness certificate LP failed: {res.message}")
 
 
-class _ActiveSet:
-    """Primal active-set iterations for a strictly convex reduced problem."""
+def _null_basis(a_w: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {p : a_w p = 0}."""
+    if 0 in a_w.shape:
+        return np.eye(a_w.shape[1])
+    # Column-pivoted QR: the working set is often rank-deficient (rows
+    # dependent on each other or on the fixed variables), and without
+    # pivoting the R-diagonal does not reveal rank, which would leak
+    # null-space directions that violate working constraints.
+    qfull, r, _ = scipy.linalg.qr(a_w.T, mode="full", pivoting=True)
+    diag = np.abs(np.diag(r))
+    thresh = max(a_w.shape) * np.finfo(float).eps * diag.max(initial=0.0)
+    rank = int((diag > max(thresh, 1e-13)).sum())
+    return qfull[:, rank:]
 
-    def __init__(self, red: _Reduced, q_eps: np.ndarray, max_iter: int):
-        self.red = red
-        self.q = q_eps
-        self.max_iter = max_iter
-        self.a_eq, self.b_eq = _normalize_rows(red.a_eq, red.b_eq)
-        # Inequality rows: general rows first, then lower then upper bound rows.
-        n = red.n
-        g_rows = [red.a_in / np.linalg.norm(red.a_in, axis=1)[:, None]] \
-            if red.a_in.shape[0] else []
-        g_rhs = [red.b_in / np.linalg.norm(red.a_in, axis=1)] \
-            if red.a_in.shape[0] else []
-        self.n_general = red.a_in.shape[0]
-        lower_idx = np.flatnonzero(np.isfinite(red.lb))
-        upper_idx = np.flatnonzero(np.isfinite(red.ub))
-        for i in lower_idx:
-            row = np.zeros(n)
-            row[i] = 1.0
-            g_rows.append(row[None, :])
-            g_rhs.append(np.array([red.lb[i]]))
-        for i in upper_idx:
-            row = np.zeros(n)
-            row[i] = -1.0
-            g_rows.append(row[None, :])
-            g_rhs.append(np.array([-red.ub[i]]))
-        self.lower_idx = lower_idx
-        self.upper_idx = upper_idx
-        self.g = np.vstack(g_rows) if g_rows else np.zeros((0, n))
-        self.g_rhs = np.concatenate(g_rhs) if g_rhs else np.zeros(0)
 
-    def _null_basis_of_working(self, working: list[int]):
-        a_w = np.vstack([self.a_eq, self.g[working]]) if (
-            self.a_eq.shape[0] or working) else np.zeros((0, self.red.n))
-        if a_w.shape[0] == 0:
-            return a_w, np.eye(self.red.n)
-        # Column-pivoted QR: the working set is usually rank-deficient
-        # (dependent bound and budget rows), and without pivoting the
-        # R-diagonal does not reveal rank, which would leak null-space
-        # directions that violate working constraints.
-        qfull, r, _ = scipy.linalg.qr(a_w.T, mode="full", pivoting=True)
-        diag = np.abs(np.diag(r)) if min(r.shape) else np.zeros(0)
-        thresh = max(a_w.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-        rank = int((diag > max(thresh, 1e-13)).sum())
-        return a_w, qfull[:, rank:]
+def _active_set(red: _Reduced, q: np.ndarray, x0: np.ndarray, max_iter: int):
+    """Primal active-set iterations for a strictly convex reduced problem.
 
-    def run(self, x0: np.ndarray):
-        red, q, g, g_rhs = self.red, self.q, self.g, self.g_rhs
-        x = x0.copy()
-        m_eq = self.a_eq.shape[0]
-        # Warm start: all inequality rows active at x0.
-        slack0 = g @ x - g_rhs if g.shape[0] else np.zeros(0)
-        working = [int(i) for i in np.flatnonzero(slack0 <= 1e-8)]
-        nu = np.zeros(m_eq)
-        for iteration in range(1, self.max_iter + 1):
-            grad = q @ x + red.c
-            a_w, z = self._null_basis_of_working(working)
-            if z.shape[1]:
-                h_red = z.T @ q @ z
-                rhs = -(z.T @ grad)
-                try:
-                    p_z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(h_red), rhs)
-                except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-                    p_z = np.linalg.lstsq(h_red, rhs, rcond=None)[0]
-                p = z @ p_z
+    A bound becomes active by fixing its variable (at_lower / at_upper) and
+    snapping it to the bound; only general inequality rows enter the
+    working list.  Returns (x, working, nu, at_lower, at_upper, iterations)
+    where nu holds the multipliers of [a_eq; a_in[working]] (normalized rows).
+    """
+    a_eq, _ = _normalize_rows(red.a_eq, red.b_eq)
+    a_in, b_in = _normalize_rows(red.a_in, red.b_in)
+    lb, ub = red.lb, red.ub
+    m_eq = a_eq.shape[0]
+    x = x0.copy()
+    # Warm start: every row and bound active at x0.
+    working = [int(i) for i in np.flatnonzero(a_in @ x - b_in <= 1e-8)]
+    at_lower = x - lb <= 1e-8
+    at_upper = (ub - x <= 1e-8) & ~at_lower
+    x[at_lower] = lb[at_lower]
+    x[at_upper] = ub[at_upper]
+    for iteration in range(1, max_iter + 1):
+        grad = q @ x + red.c
+        free = ~(at_lower | at_upper)
+        a_w = np.vstack([a_eq, a_in[working]])
+        z = _null_basis(a_w[:, free])
+        p = np.zeros(red.n)
+        if z.shape[1]:
+            h_red = z.T @ q[np.ix_(free, free)] @ z
+            rhs = -(z.T @ grad[free])
+            try:
+                p_z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(h_red), rhs)
+            except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+                p_z = np.linalg.lstsq(h_red, rhs, rcond=None)[0]
+            p[free] = z @ p_z
+
+        if np.abs(p).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(x).max(initial=0.0)):
+            nu = np.linalg.lstsq(a_w[:, free].T, grad[free], rcond=None)[0]
+            resid = grad - a_w.T @ nu
+            lower_idx, upper_idx = np.flatnonzero(at_lower), np.flatnonzero(at_upper)
+            # Candidates in order: working rows, lower bounds, upper bounds.
+            mults = np.concatenate([nu[m_eq:], resid[lower_idx], -resid[upper_idx]])
+            mu_tol = 1e-9 * (1.0 + np.abs(grad).max(initial=0.0))
+            if mults.size == 0 or mults.min() >= -mu_tol:
+                return x, working, nu, at_lower, at_upper, iteration
+            # Drop the most negative multiplier; ties go to the first.
+            drop = int(np.argmin(mults))
+            if drop < len(working):
+                working.pop(drop)
+            elif drop < len(working) + lower_idx.size:
+                at_lower[lower_idx[drop - len(working)]] = False
             else:
-                p = np.zeros(red.n)
+                at_upper[upper_idx[drop - len(working) - lower_idx.size]] = False
+            continue
 
-            if np.abs(p).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(x).max(initial=0.0)):
-                if a_w.shape[0]:
-                    nu = np.linalg.lstsq(a_w.T, grad, rcond=None)[0]
-                else:
-                    nu = np.zeros(0)
-                mu_w = nu[m_eq:]
-                mu_tol = 1e-9 * (1.0 + np.abs(grad).max(initial=0.0))
-                if mu_w.size == 0 or mu_w.min() >= -mu_tol:
-                    return x, working, nu, iteration
-                # Drop the most negative multiplier; ties at lowest row index.
-                drop_pos = int(np.argmin(mu_w))
-                working.pop(drop_pos)
-                continue
-
-            # Ratio test against rows not in the working set.
-            alpha = 1.0
-            blocking = -1
-            if g.shape[0]:
-                in_working = np.zeros(g.shape[0], dtype=bool)
-                in_working[working] = True
-                gp = g @ p
-                candidates = np.flatnonzero(~in_working & (gp < -1e-12))
-                if candidates.size:
-                    slack = np.maximum(g[candidates] @ x - g_rhs[candidates], 0.0)
-                    ratios = slack / -gp[candidates]
-                    best = float(ratios.min())
-                    if best < alpha:
-                        alpha = best
-                        # Lowest row index among the (near-)minimal ratios.
-                        near = candidates[ratios <= best * (1.0 + 1e-9) + 1e-15]
-                        blocking = int(near.min())
-            x = x + alpha * p
-            if blocking >= 0:
-                working.append(blocking)
-        raise QpIterationLimitError(
-            f"active-set iteration cap {self.max_iter} exceeded"
-        )
-
-
-def _assemble(problem: QpProblem, red: _Reduced, active: _ActiveSet,
-              x_free: np.ndarray, working: list[int], nu: np.ndarray,
-              iterations: int) -> QpSolution:
-    n = problem.n
-    x = red.expand(np.clip(x_free, red.lb, red.ub))
-
-    eq_mult = np.zeros(problem.a_eq.shape[0])
-    in_mult = np.zeros(problem.a_in.shape[0])
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    m_eq = red.a_eq.shape[0]
-    if m_eq and nu.size:
-        # Undo the row normalization of the equality system.
-        norms = np.linalg.norm(red.a_eq, axis=1)
-        eq_mult[red.eq_keep] = nu[:m_eq] / norms
-    free_index = np.flatnonzero(red.free)
-    for pos, row in enumerate(working):
-        value = float(nu[m_eq + pos]) if nu.size else 0.0
-        if row < active.n_general:
-            in_mult[red.in_keep[row]] = value / np.linalg.norm(red.a_in[row])
-        elif row < active.n_general + active.lower_idx.size:
-            local = active.lower_idx[row - active.n_general]
-            lower[free_index[local]] = value
+        # Ratio test: general rows outside the working set, then the finite
+        # lower and upper bounds of free variables.
+        in_working = np.zeros(a_in.shape[0], dtype=bool)
+        in_working[working] = True
+        ap = a_in @ p
+        rows = np.flatnonzero(~in_working & (ap < -1e-12))
+        lows = np.flatnonzero(free & np.isfinite(lb) & (p < -1e-12))
+        ups = np.flatnonzero(free & np.isfinite(ub) & (p > 1e-12))
+        ratios = np.concatenate([
+            np.maximum(a_in[rows] @ x - b_in[rows], 0.0) / -ap[rows],
+            np.maximum(x[lows] - lb[lows], 0.0) / -p[lows],
+            np.maximum(ub[ups] - x[ups], 0.0) / p[ups],
+        ])
+        alpha = 1.0
+        blocking = -1
+        if ratios.size and ratios.min() < alpha:
+            alpha = float(ratios.min())
+            # First candidate among the (near-)minimal ratios.
+            blocking = int(np.argmax(ratios <= alpha * (1.0 + 1e-9) + 1e-15))
+        x = x + alpha * p
+        if blocking < 0:
+            continue
+        if blocking < rows.size:
+            working.append(int(rows[blocking]))
+        elif blocking < rows.size + lows.size:
+            i = lows[blocking - rows.size]
+            at_lower[i], x[i] = True, lb[i]
         else:
-            local = active.upper_idx[row - active.n_general - active.lower_idx.size]
-            upper[free_index[local]] = value
-    # Pinned variables absorb their stationarity residual into bound duals.
-    if red.fixed.any():
-        grad = problem.Q @ x + problem.c
-        if problem.a_eq.shape[0]:
-            grad = grad - problem.a_eq.T @ eq_mult
-        if problem.a_in.shape[0]:
-            grad = grad - problem.a_in.T @ in_mult
-        resid = grad[red.fixed]
-        lower[red.fixed] = np.maximum(resid, 0.0)
-        upper[red.fixed] = np.maximum(-resid, 0.0)
+            i = ups[blocking - rows.size - lows.size]
+            at_upper[i], x[i] = True, ub[i]
+    raise QpIterationLimitError(f"active-set iteration cap {max_iter} exceeded")
+
+
+def _assemble(problem: QpProblem, red: _Reduced, x_free: np.ndarray,
+              working: list[int], nu: np.ndarray, at_lower: np.ndarray,
+              at_upper: np.ndarray, iterations: int) -> QpSolution:
+    x = red.expand(np.clip(x_free, red.lb, red.ub))
+    # Undo the row normalization of the working rows' multipliers.
+    m_eq = red.a_eq.shape[0]
+    eq_mult = np.zeros(problem.a_eq.shape[0])
+    eq_mult[red.eq_keep] = nu[:m_eq] / np.linalg.norm(red.a_eq, axis=1)
+    in_mult = np.zeros(problem.a_in.shape[0])
+    in_mult[red.in_keep[working]] = nu[m_eq:] / np.linalg.norm(red.a_in[working], axis=1)
+    in_mult = np.maximum(in_mult, 0.0)
+    # Every variable at a bound, pinned or fixed by the active set, takes
+    # its stationarity residual as that bound's dual.
+    lower, upper = red.fixed.copy(), red.fixed.copy()
+    lower[red.free], upper[red.free] = at_lower, at_upper
+    resid = problem.Q @ x + problem.c - problem.a_eq.T @ eq_mult - problem.a_in.T @ in_mult
 
     sol = QpSolution(
         x=x,
@@ -497,9 +479,9 @@ def _assemble(problem: QpProblem, red: _Reduced, active: _ActiveSet,
         status=STATUS_OPTIMAL,
         max_violation=problem.max_violation(x),
         eq_multipliers=eq_mult,
-        in_multipliers=np.maximum(in_mult, 0.0),
-        lower_multipliers=np.maximum(lower, 0.0),
-        upper_multipliers=np.maximum(upper, 0.0),
+        in_multipliers=in_mult,
+        lower_multipliers=np.where(lower, np.maximum(resid, 0.0), 0.0),
+        upper_multipliers=np.where(upper, np.maximum(-resid, 0.0), 0.0),
         iterations=iterations,
     )
     report = kkt_report(problem, sol)
@@ -536,22 +518,11 @@ def solve_qp(problem: QpProblem, *, _max_iter: int | None = None) -> QpSolution:
     red.a_eq, red.b_eq, red.eq_keep = a_eq, b_eq, eq_keep
     red.a_in, red.b_in, red.in_keep = a_in, b_in, in_keep
 
-    null_basis, lam_max = _null_space(red.Q)
+    null_basis = _null_space(red.Q)
 
-    if red.n == 0:
-        x = red.expand(np.zeros(0))
-        violation = problem.max_violation(x)
-        if violation > feas_tol:
-            return QpSolution(x=x, objective=np.nan,
-                              status=STATUS_INFEASIBLE, max_violation=violation)
-        grad = problem.Q @ x + problem.c
-        return QpSolution(x=x, objective=problem.objective_value(x),
-                          status=STATUS_OPTIMAL,
-                          max_violation=violation,
-                          eq_multipliers=np.zeros(problem.a_eq.shape[0]),
-                          in_multipliers=np.zeros(problem.a_in.shape[0]),
-                          lower_multipliers=np.maximum(grad, 0.0),
-                          upper_multipliers=np.maximum(-grad, 0.0))
+    if red.n == 0:  # every variable pinned; zero rows were checked above
+        none = np.zeros(0, dtype=bool)
+        return _assemble(problem, red, np.zeros(0), [], np.zeros(0), none, none, 0)
 
     x0, t_star = _phase1(red, feas_tol)
     if t_star > feas_tol:
@@ -575,31 +546,6 @@ def solve_qp(problem: QpProblem, *, _max_iter: int | None = None) -> QpSolution:
         q_eps = red.Q
 
     max_iter = _max_iter if _max_iter is not None else 50 * problem.n
-    active = _ActiveSet(red, q_eps, max_iter)
-    x_free, working, nu, iterations = active.run(x0)
-    return _assemble(problem, red, active, x_free, working, nu, iterations)
-
-
-def solve_qp_maximize(problem: QpProblem, *, _max_iter: int | None = None) -> QpSolution:
-    """Maximize c'x + 0.5 x'Qx (Q negative semidefinite) over the same set.
-
-    Solves the negated minimization and reports the objective in the
-    maximization sense; multipliers are those of the equivalent minimization.
-    """
-    negated = QpProblem(Q=-problem.Q, c=-problem.c,
-                        a_eq=problem.a_eq, b_eq=problem.b_eq,
-                        a_in=problem.a_in, b_in=problem.b_in,
-                        lb=problem.lb, ub=problem.ub)
-    sol = solve_qp(negated, _max_iter=_max_iter)
-    return QpSolution(
-        x=sol.x,
-        objective=-sol.objective,
-        status=sol.status,
-        max_violation=sol.max_violation,
-        eq_multipliers=sol.eq_multipliers,
-        in_multipliers=sol.in_multipliers,
-        lower_multipliers=sol.lower_multipliers,
-        upper_multipliers=sol.upper_multipliers,
-        iterations=sol.iterations,
-        ray=sol.ray,
-    )
+    x_free, working, nu, at_lower, at_upper, iterations = \
+        _active_set(red, q_eps, x0, max_iter)
+    return _assemble(problem, red, x_free, working, nu, at_lower, at_upper, iterations)

@@ -19,7 +19,7 @@ from longplan.lifecycle import (
     assemble_linear_coefficients,
     assemble_quadratic,
 )
-from longplan.qp import QpProblem, solve_qp_maximize
+from longplan.qp import QpProblem, solve_qp
 
 
 def boxed_qp_oracle(Q, c, lb, ub, tol=1e-9):
@@ -91,15 +91,15 @@ def lifecycle_brute_force(config: LifecycleConfig, asset: RiskyAssetSummary,
             col = 3 * M + year - 1
             b_branch = b_cons - a_cons[:, col]
             const = c[col]                 # house diagonal of Q is zero
-        problem = QpProblem(
-            Q=Q[np.ix_(keep, keep)], c=c[keep],
+        problem = QpProblem(                # maximize via the negation
+            Q=-Q[np.ix_(keep, keep)], c=-c[keep],
             a_in=a_cons[:, keep], b_in=b_branch,
             lb=np.zeros(keep.size),
         )
-        sol = solve_qp_maximize(problem)
+        sol = solve_qp(problem)
         if sol.status != "optimal":
             continue
-        total = sol.objective + const
+        total = -sol.objective + const
         if total > best[1]:
             best = (year, total)
     return best

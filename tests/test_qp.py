@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longplan.qp import (
     QpInputError,
     QpProblem,
     kkt_report,
     solve_qp,
-    solve_qp_maximize,
 )
 from oracles import boxed_qp_oracle
 
@@ -145,30 +146,18 @@ def test_matches_boxed_enumeration_oracle():
 
 
 def test_maximize_wrapper_examples():
-    # max -x^2 + 2x  (Q=-2, c=2 in the 0.5 x'Qx + c'x convention)
-    p = QpProblem(Q=np.array([[-2.0]]), c=np.array([2.0]))
-    sol = solve_qp_maximize(p)
+    # max -x^2 + 2x  (Q=-2, c=2 in the 0.5 x'Qx + c'x convention),
+    # solved as min x^2 - 2x
+    p = QpProblem(Q=np.array([[2.0]]), c=np.array([-2.0]))
+    sol = solve_qp(p)
     assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
-    assert sol.objective == pytest.approx(1.0, abs=1e-9)
+    assert -sol.objective == pytest.approx(1.0, abs=1e-9)
 
     # max c'x over the unit box with Q=0 picks the sign pattern of c
     c = np.array([0.7, -0.3, 1.2, -0.9])
-    p = QpProblem(Q=np.zeros((4, 4)), c=c, lb=np.zeros(4), ub=np.ones(4))
-    sol = solve_qp_maximize(p)
+    p = QpProblem(Q=np.zeros((4, 4)), c=-c, lb=np.zeros(4), ub=np.ones(4))
+    sol = solve_qp(p)
     np.testing.assert_allclose(sol.x, [1.0, 0.0, 1.0, 0.0], atol=1e-8)
-
-
-def test_maximize_is_negated_minimize():
-    rng = np.random.default_rng(41)
-    g = rng.standard_normal((5, 3))
-    Q = -(g.T @ g + 0.1 * np.eye(3))
-    c = rng.standard_normal(3)
-    p_max = QpProblem(Q=Q, c=c, lb=-np.ones(3), ub=np.ones(3))
-    p_min = QpProblem(Q=-Q, c=-c, lb=-np.ones(3), ub=np.ones(3))
-    s_max = solve_qp_maximize(p_max)
-    s_min = solve_qp(p_min)
-    assert s_max.objective == pytest.approx(-s_min.objective, rel=1e-10)
-    np.testing.assert_allclose(s_max.x, s_min.x, atol=1e-9)
 
 
 def test_objective_recomputation_matches():
@@ -189,3 +178,54 @@ def test_equal_bounds_pin_variables():
     assert sol.x[0] == pytest.approx(0.5, abs=1e-12)
     assert sol.x[2] == pytest.approx(0.0, abs=1e-12)
     assert sol.x[1] == pytest.approx(-1.0, abs=1e-9)
+
+
+@st.composite
+def boxed_qps_in_mixed_form(draw):
+    """A PD boxed QP, its box restated as bounds, rescaled rows or both.
+
+    Returns (problem, Q, c, lb, ub) where the last four are the plain boxed
+    form the enumeration oracle solves; some variables are pinned (lb == ub).
+    """
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n + 1, n))
+    Q = g.T @ g + 0.05 * np.eye(n)
+    c = rng.standard_normal(n)
+    lb = rng.uniform(-2.0, -0.5, size=n)
+    ub = rng.uniform(0.5, 2.0, size=n)
+    pinned = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    lb[pinned] = ub[pinned] = rng.uniform(lb, ub)[pinned]
+
+    p_lb, p_ub = np.full(n, -np.inf), np.full(n, np.inf)
+    p_lb[pinned], p_ub[pinned] = lb[pinned], ub[pinned]
+    rows, rhs = [], []
+    forms = st.sampled_from(("bound", "row", "both"))
+    scales = st.floats(1e-3, 1e3)
+    for i in np.flatnonzero(~pinned):
+        for sign, bound, target in ((1.0, lb, p_lb), (-1.0, ub, p_ub)):
+            form = draw(forms)
+            if form != "row":
+                target[i] = bound[i]
+            if form != "bound":
+                k = sign * draw(scales)
+                rows.append(k * np.eye(n)[i])
+                rhs.append(k * bound[i])
+    problem = QpProblem(Q=Q, c=c, a_in=np.array(rows) if rows else None,
+                        b_in=np.array(rhs) if rows else None, lb=p_lb, ub=p_ub)
+    return problem, Q, c, lb, ub
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxed_qps_in_mixed_form())
+def test_bounds_and_bound_rows_reach_the_same_optimum(case):
+    problem, Q, c, lb, ub = case
+    sol = solve_qp(problem)
+    assert sol.status == "optimal"
+    x_ref, obj_ref = boxed_qp_oracle(Q, c, lb, ub)
+    assert sol.objective == pytest.approx(obj_ref, abs=1e-8)
+    np.testing.assert_allclose(sol.x, x_ref, atol=1e-6)
+    report = kkt_report(problem, sol)
+    assert report["stationarity"] <= 1e-6
+    assert report["complementarity"] <= 1e-6
+    assert report["dual_feasibility"] >= -1e-9

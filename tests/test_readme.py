@@ -1,0 +1,19 @@
+"""The README's library quick start runs as written."""
+
+from __future__ import annotations
+
+import os
+import re
+
+import pytest
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_quick_start_runs(capsys):
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
+    printed = capsys.readouterr().out.splitlines()
+    assert float(printed[1]) == pytest.approx(2 / 3, rel=1e-12)  # h / (h + r)
