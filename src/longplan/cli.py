@@ -32,6 +32,13 @@ _SUBCOMMANDS = {
 }
 
 
+def _seed(raw: str) -> int:
+    if not raw.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="longplan",
@@ -42,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"write artifacts for: {', '.join(steps)}")
         cmd.add_argument("--config", metavar="PATH", default=None,
                          help="flat key-value config file (defaults: sample data)")
-        cmd.add_argument("--seed", metavar="N", type=int, default=None,
+        cmd.add_argument("--seed", metavar="N", type=_seed, default=None,
                          help="override the Monte-Carlo seed")
         cmd.add_argument("--out", metavar="DIR", default=None,
                          help="override the output directory")

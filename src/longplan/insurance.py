@@ -93,35 +93,39 @@ def survival_prob(model: HazardModel, t: float) -> float:
     return math.exp(-model.h * t)
 
 
-def _draw_strike_times(model: HazardModel, n_draws: int, seed: int) -> np.ndarray:
-    # Inverse-CDF normals: deterministic for a fixed seed, and the same
-    # stream backs both the discount factor and the strike-year estimate.
+def strike_time_estimates(model: HazardModel, n_draws: int,
+                          seed: int) -> tuple[McEstimate, int]:
+    """V = E[exp(-r T)] and the income-drop year from one seeded stream.
+
+    Draws n standard normals from the seeded generator (inverse-CDF
+    method) and maps each through :func:`strike_time_from_latent`.  The
+    first result averages exp(-r T), whose analytic value is h / (h + r);
+    the second is the ceiling of the sample mean of T, whose large-n value
+    is ceil(1/h).  Callers needing both draw the stream once.
+    """
+    if n_draws < 1:
+        raise ValueError("n_draws must be positive")
     rng = np.random.default_rng(seed)
-    y = ndtri(rng.random(n_draws))
-    return strike_time_from_latent(y, model.h)
+    times = strike_time_from_latent(ndtri(rng.random(n_draws)), model.h)
+    values = np.exp(-model.r * times)
+    if n_draws > 1:
+        std_error = float(values.std(ddof=1) / math.sqrt(n_draws))
+    else:
+        std_error = 0.0
+    estimate = McEstimate(value=float(values.mean()), std_error=std_error,
+                          n_draws=n_draws, seed=seed)
+    return estimate, int(math.ceil(float(times.mean())))
 
 
 def estimate_discount_factor(model: HazardModel, n_draws: int,
                              seed: int) -> McEstimate:
     """Monte-Carlo estimate of V = E[exp(-r T)].
 
-    Draws n standard normals from the seeded generator (inverse-CDF
-    method), maps each through :func:`strike_time_from_latent`, and
-    averages exp(-r T).  The analytic value of the integral is
-    h / (h + r); the estimator exists for fidelity with the original
-    simulation pipeline and converges to it at the usual 1/sqrt(n) rate.
+    The estimator exists for fidelity with the original simulation
+    pipeline and converges to the analytic h / (h + r) at the usual
+    1/sqrt(n) rate; see :func:`strike_time_estimates`.
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be positive")
-    times = _draw_strike_times(model, n_draws, seed)
-    values = np.exp(-model.r * times)
-    value = float(values.mean())
-    if n_draws > 1:
-        std_error = float(values.std(ddof=1) / math.sqrt(n_draws))
-    else:
-        std_error = 0.0
-    return McEstimate(value=value, std_error=std_error,
-                      n_draws=n_draws, seed=seed)
+    return strike_time_estimates(model, n_draws, seed)[0]
 
 
 def analytic_discount_factor(model: HazardModel) -> float:
@@ -134,12 +138,9 @@ def expected_strike_year(model: HazardModel, n_draws: int, seed: int) -> int:
 
     For the exponential model E[T] = 1/h, so the large-n value is
     ceil(1/h); the finite-n value is exactly ceil(sample mean) for the
-    seed's draws.
+    seed's draws (see :func:`strike_time_estimates`).
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be positive")
-    times = _draw_strike_times(model, n_draws, seed)
-    return int(math.ceil(float(times.mean())))
+    return strike_time_estimates(model, n_draws, seed)[1]
 
 
 def spread_linear_coefficient(model: HazardModel,

@@ -31,11 +31,9 @@ import numpy as np
 
 from .insurance import (
     HazardModel,
-    analytic_discount_factor,
-    estimate_discount_factor,
-    expected_strike_year,
     spread_linear_coefficient,
     spread_variance_coefficient,
+    strike_time_estimates,
 )
 from .qp import (
     QpError,
@@ -356,7 +354,7 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
     The default pipeline is fully deterministic: V is the analytic
     h/(h+r) and kstart the analytic ceil(1/h).  With paper_faithful_v or
     mc_kstart, the respective quantity is Monte-Carlo estimated from the
-    seeded generator instead.
+    seeded generator instead; with both, one strike-time stream serves both.
 
     Raises
     ------
@@ -368,12 +366,13 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
     """
     hazard = config.hazard
     v_discount = None
-    if paper_faithful_v:
-        v_discount = estimate_discount_factor(hazard, mc_draws, seed).value
-    if mc_kstart:
-        kstart = expected_strike_year(hazard, mc_draws, seed)
-    else:
-        kstart = math.ceil(1.0 / hazard.h)
+    kstart = math.ceil(1.0 / hazard.h)
+    if paper_faithful_v or mc_kstart:
+        estimate, mc_year = strike_time_estimates(hazard, mc_draws, seed)
+        if paper_faithful_v:
+            v_discount = estimate.value
+        if mc_kstart:
+            kstart = mc_year
     kstart = max(1, min(kstart, config.years_M + 1))
 
     m = config.years_M
@@ -399,6 +398,9 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
     best_year: int | None = None
     best_objective = -math.inf
     branch_objectives: list[tuple[str, float | None]] = []
+    # Branches share Q, c and the rows and differ only in the pinned house
+    # column, so each starts from the last feasible branch's plan.
+    start = None
     for year in candidates:
         lb = np.zeros(n)
         ub = np.full(n, np.inf)
@@ -409,7 +411,7 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
         # Maximize c'x + 0.5 x'qx as the minimization of its negation.
         problem = QpProblem(Q=-q, c=-c, a_in=a, b_in=b, lb=lb, ub=ub)
         try:
-            sol = solve_qp(problem)
+            sol = solve_qp(problem, start=start)
         except QpError as exc:
             raise LifecycleBranchError(
                 f"branch {_branch_label(year)}: {exc}") from exc
@@ -420,6 +422,7 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
             raise LifecycleBranchError(
                 f"branch {_branch_label(year)}: solver status {sol.status!r}"
             )
+        start = sol.x
         objective = -sol.objective
         branch_objectives.append((_branch_label(year), objective))
         if objective > best_objective:

@@ -15,6 +15,13 @@ dense problems produced by the portfolio and lifetime-planning layers
 * feasibility is decided by a phase-1 linear program that minimizes the
   Chebyshev (max) constraint violation, so an infeasible verdict comes with
   the smallest achievable violation as a certificate;
+* a caller that holds a point near the optimum, such as the plan of a
+  neighbouring problem, passes it as ``start``.  Phase 1 then first solves
+  a different LP: the feasible point nearest ``start`` in the 1-norm, with
+  every row and bound hard.  The active set begins there, with everything
+  active at that point in the working set, which shortens its path.  If
+  that LP finds no feasible point, the Chebyshev LP runs as without
+  ``start``, so verdicts and certificates never depend on it;
 * when Q is singular, a second linear program searches the null space of Q
   for a feasible direction d with c'd < 0, which certifies unboundedness;
 * the remaining bounded problem is made strictly convex with a Tikhonov
@@ -25,7 +32,16 @@ dense problems produced by the portfolio and lifetime-planning layers
   as a constraint row, so the null-space solves only see the equality rows
   and the working general rows restricted to the free variables.  Every
   bound multiplier, for pinned and fixed variables alike, is read off the
-  stationarity residual Qx + c - a_eq'lam - a_in'mu.
+  stationarity residual Qx + c - a_eq'lam - a_in'mu;
+* the multipliers fit the true gradient Qx + c, not the regularized one,
+  and the result must pass a KKT check of the true problem.  When the
+  Tikhonov bias, of order eps*|x|, alone fails that check (a large optimum
+  in a curved direction), one unregularized Newton step on the final
+  working set removes it before the check is repeated.
+
+The regularized problem has a unique optimum, so ``start`` changes the
+path of the iterations and not the point they reach, up to the
+iterations' own tolerances.
 
 Ties are broken deterministically.  The ratio test scans general rows,
 then lower bounds, then upper bounds, each in index order, and takes the
@@ -271,7 +287,12 @@ def _normalize_rows(a: np.ndarray, b: np.ndarray):
     return a / norms[:, None], b / norms
 
 
-def _phase1(red: _Reduced, tol: float):
+def _hard_bounds(red: _Reduced) -> list:
+    return [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+            for lo, hi in zip(red.lb, red.ub)]
+
+
+def _phase1(red: _Reduced):
     """Chebyshev feasibility LP: minimize the max constraint violation t.
 
     Returns (x0, t_star).  Bounds are kept hard; equality and inequality
@@ -297,14 +318,38 @@ def _phase1(red: _Reduced, tol: float):
         b_ub[n_in + n_eq:] = -red.b_eq
     cost = np.zeros(n + 1)
     cost[n] = 1.0
-    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-              for lo, hi in zip(red.lb, red.ub)]
-    bounds.append((0.0, None))
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
+                  bounds=_hard_bounds(red) + [(0.0, None)], method="highs")
     if not res.success:
         raise QpError(f"phase-1 feasibility LP failed: {res.message}")
     x0 = np.clip(res.x[:n], red.lb, red.ub)
     return x0, float(res.x[n])
+
+
+def _nearest_feasible(red: _Reduced, start: np.ndarray, tol: float):
+    """Feasible point nearest start in the 1-norm, every row and bound hard.
+
+    Solves min sum(u) over (x, u) with -u <= x - start <= u.  Returns None
+    unless HiGHS finds a point violating no row by more than tol; the
+    caller then falls back to the Chebyshev LP, which alone decides
+    infeasibility and certifies it, so the verdict never depends on start.
+    """
+    n, n_in = red.n, red.a_in.shape[0]
+    if red.a_eq.shape[0] == 0 and n_in == 0:
+        return np.clip(start, red.lb, red.ub)
+    eye = np.eye(n)
+    a_ub = np.block([[-red.a_in, np.zeros((n_in, n))], [eye, -eye], [-eye, -eye]])
+    b_ub = np.concatenate([-red.b_in, start, -start])
+    a_eq = np.hstack([red.a_eq, np.zeros_like(red.a_eq)]) if red.a_eq.shape[0] else None
+    res = linprog(np.concatenate([np.zeros(n), np.ones(n)]), A_ub=a_ub, b_ub=b_ub,
+                  A_eq=a_eq, b_eq=red.b_eq if a_eq is not None else None,
+                  bounds=_hard_bounds(red) + [(0.0, None)] * n, method="highs")
+    if not res.success:
+        return None
+    x0 = np.clip(res.x[:n], red.lb, red.ub)
+    violation = max(np.abs(red.a_eq @ x0 - red.b_eq).max(initial=0.0),
+                    (red.b_in - red.a_in @ x0).max(initial=0.0))
+    return x0 if violation <= tol else None
 
 
 def _null_space(q: np.ndarray):
@@ -375,8 +420,7 @@ def _active_set(red: _Reduced, q: np.ndarray, x0: np.ndarray, max_iter: int):
 
     A bound becomes active by fixing its variable (at_lower / at_upper) and
     snapping it to the bound; only general inequality rows enter the
-    working list.  Returns (x, working, nu, at_lower, at_upper, iterations)
-    where nu holds the multipliers of [a_eq; a_in[working]] (normalized rows).
+    working list.  Returns (x, working, at_lower, at_upper, iterations).
     """
     a_eq, _ = _normalize_rows(red.a_eq, red.b_eq)
     a_in, b_in = _normalize_rows(red.a_in, red.b_in)
@@ -412,7 +456,7 @@ def _active_set(red: _Reduced, q: np.ndarray, x0: np.ndarray, max_iter: int):
             mults = np.concatenate([nu[m_eq:], resid[lower_idx], -resid[upper_idx]])
             mu_tol = 1e-9 * (1.0 + np.abs(grad).max(initial=0.0))
             if mults.size == 0 or mults.min() >= -mu_tol:
-                return x, working, nu, at_lower, at_upper, iteration
+                return x, working, at_lower, at_upper, iteration
             # Drop the most negative multiplier; ties go to the first.
             drop = int(np.argmin(mults))
             if drop < len(working):
@@ -456,10 +500,51 @@ def _active_set(red: _Reduced, q: np.ndarray, x0: np.ndarray, max_iter: int):
     raise QpIterationLimitError(f"active-set iteration cap {max_iter} exceeded")
 
 
+def _polish(red: _Reduced, x: np.ndarray, working: list[int],
+            at_lower: np.ndarray, at_upper: np.ndarray) -> np.ndarray:
+    """One Newton step of the unregularized problem on the final working face.
+
+    Removes the O(eps*|x|) bias the Tikhonov term leaves in the curved
+    directions; directions of zero curvature keep the point eps selected.
+    The step is cut short at the first non-working row or free bound.
+    """
+    a_eq, _ = _normalize_rows(red.a_eq, red.b_eq)
+    a_in, b_in = _normalize_rows(red.a_in, red.b_in)
+    free = ~(at_lower | at_upper)
+    z = _null_basis(np.vstack([a_eq, a_in[working]])[:, free])
+    if not z.shape[1]:
+        return x
+    grad = red.Q @ x + red.c
+    h_red = z.T @ red.Q[np.ix_(free, free)] @ z
+    p = np.zeros(red.n)
+    p[free] = z @ np.linalg.lstsq(h_red, -(z.T @ grad[free]), rcond=None)[0]
+    rest = np.ones(a_in.shape[0], dtype=bool)
+    rest[working] = False
+    a_rest, b_rest = a_in[rest], b_in[rest]
+    ap = a_rest @ p
+    down, lows, ups = ap < 0, free & (p < 0), free & (p > 0)
+    ratios = np.concatenate([
+        np.maximum(a_rest[down] @ x - b_rest[down], 0.0) / -ap[down],
+        np.maximum(x - red.lb, 0.0)[lows] / -p[lows],
+        np.maximum(red.ub - x, 0.0)[ups] / p[ups],
+    ])
+    return x + min(1.0, ratios.min(initial=1.0)) * p
+
+
 def _assemble(problem: QpProblem, red: _Reduced, x_free: np.ndarray,
-              working: list[int], nu: np.ndarray, at_lower: np.ndarray,
+              working: list[int], at_lower: np.ndarray,
               at_upper: np.ndarray, iterations: int) -> QpSolution:
-    x = red.expand(np.clip(x_free, red.lb, red.ub))
+    x_free = np.clip(x_free, red.lb, red.ub)
+    x = red.expand(x_free)
+    # Multipliers of the working rows fit the true gradient Qx + c on the
+    # free variables; the Tikhonov term the iterations used is no part of
+    # the problem being verified.
+    a_eq, _ = _normalize_rows(red.a_eq, red.b_eq)
+    a_in, _ = _normalize_rows(red.a_in, red.b_in)
+    a_w = np.vstack([a_eq, a_in[working]])
+    free = ~(at_lower | at_upper)
+    grad = red.Q @ x_free + red.c
+    nu = np.linalg.lstsq(a_w[:, free].T, grad[free], rcond=None)[0]
     # Undo the row normalization of the working rows' multipliers.
     m_eq = red.a_eq.shape[0]
     eq_mult = np.zeros(problem.a_eq.shape[0])
@@ -473,7 +558,7 @@ def _assemble(problem: QpProblem, red: _Reduced, x_free: np.ndarray,
     lower[red.free], upper[red.free] = at_lower, at_upper
     resid = problem.Q @ x + problem.c - problem.a_eq.T @ eq_mult - problem.a_in.T @ in_mult
 
-    sol = QpSolution(
+    return QpSolution(
         x=x,
         objective=problem.objective_value(x),
         status=STATUS_OPTIMAL,
@@ -484,26 +569,41 @@ def _assemble(problem: QpProblem, red: _Reduced, x_free: np.ndarray,
         upper_multipliers=np.where(upper, np.maximum(-resid, 0.0), 0.0),
         iterations=iterations,
     )
+
+
+def _kkt_failure(problem: QpProblem, sol: QpSolution) -> str | None:
+    """Why sol fails the internal KKT acceptance test, or None if it passes."""
     report = kkt_report(problem, sol)
     grad_scale = 1.0 + float(np.abs(problem.c).max(initial=0.0))
     rhs_scale = 1.0 + problem.rhs_scale()
     if report["stationarity"] > STATIONARITY_TOL * grad_scale or \
             report["complementarity"] > COMPLEMENTARITY_TOL * grad_scale * rhs_scale:
-        raise QpError(
-            "internal KKT verification failed: "
-            f"stationarity={report['stationarity']:.3e}, "
-            f"complementarity={report['complementarity']:.3e}"
-        )
-    return sol
+        return ("internal KKT verification failed: "
+                f"stationarity={report['stationarity']:.3e}, "
+                f"complementarity={report['complementarity']:.3e}")
+    return None
 
 
-def solve_qp(problem: QpProblem, *, _max_iter: int | None = None) -> QpSolution:
+def solve_qp(problem: QpProblem, *, start=None,
+             _max_iter: int | None = None) -> QpSolution:
     """Minimize 0.5 x'Qx + c'x subject to the problem's constraints.
 
+    start, when given, is any finite point of length n, feasible or not:
+    phase 1 then begins from the feasible point nearest to it, which
+    shortens the active-set path when start is close to the optimum (the
+    plan of a neighbouring problem).  It never changes the verdict, and it
+    changes the returned optimum only within the solver's tolerances.
+
     Returns a solution with status "optimal", "infeasible" or "unbounded".
-    Raises QpInputError for malformed data and QpIterationLimitError if the
-    active-set cap of 50*n iterations is exceeded.
+    Raises QpInputError for malformed data or start and
+    QpIterationLimitError if the active-set cap of 50*n iterations is
+    exceeded.
     """
+    if start is not None:
+        start = np.asarray(start, dtype=float).ravel()
+        if start.shape[0] != problem.n or not np.all(np.isfinite(start)):
+            raise QpInputError(
+                f"start must be a finite vector of length {problem.n}")
     red = _Reduced(problem)
     rhs_scale = 1.0 + problem.rhs_scale()
     feas_tol = FEASIBILITY_TOL * rhs_scale
@@ -522,12 +622,14 @@ def solve_qp(problem: QpProblem, *, _max_iter: int | None = None) -> QpSolution:
 
     if red.n == 0:  # every variable pinned; zero rows were checked above
         none = np.zeros(0, dtype=bool)
-        return _assemble(problem, red, np.zeros(0), [], np.zeros(0), none, none, 0)
+        return _assemble(problem, red, np.zeros(0), [], none, none, 0)
 
-    x0, t_star = _phase1(red, feas_tol)
-    if t_star > feas_tol:
-        return QpSolution(x=red.expand(x0), objective=np.nan,
-                          status=STATUS_INFEASIBLE, max_violation=t_star)
+    x0 = None if start is None else _nearest_feasible(red, start[red.free], feas_tol)
+    if x0 is None:
+        x0, t_star = _phase1(red)
+        if t_star > feas_tol:
+            return QpSolution(x=red.expand(x0), objective=np.nan,
+                              status=STATUS_INFEASIBLE, max_violation=t_star)
 
     if null_basis.shape[1]:
         ray = _unbounded_ray(red, null_basis)
@@ -546,6 +648,16 @@ def solve_qp(problem: QpProblem, *, _max_iter: int | None = None) -> QpSolution:
         q_eps = red.Q
 
     max_iter = _max_iter if _max_iter is not None else 50 * problem.n
-    x_free, working, nu, at_lower, at_upper, iterations = \
+    x_free, working, at_lower, at_upper, iterations = \
         _active_set(red, q_eps, x0, max_iter)
-    return _assemble(problem, red, x_free, working, nu, at_lower, at_upper, iterations)
+    sol = _assemble(problem, red, x_free, working, at_lower, at_upper, iterations)
+    failure = _kkt_failure(problem, sol)
+    if failure and q_eps is not red.Q:
+        # The Tikhonov bias alone can break true stationarity when |x| is
+        # large; one unregularized step on the final face removes it.
+        x_free = _polish(red, x_free, working, at_lower, at_upper)
+        sol = _assemble(problem, red, x_free, working, at_lower, at_upper, iterations)
+        failure = _kkt_failure(problem, sol)
+    if failure:
+        raise QpError(failure)
+    return sol

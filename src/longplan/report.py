@@ -23,6 +23,7 @@ so the output directory never holds a partial artifact set.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -82,6 +83,10 @@ class RunConfig:
             raise ValueError("mc_draws must be >= 1")
         if self.periods_per_year < 1:
             raise ValueError("periods_per_year must be >= 1")
+        if not math.isfinite(self.r_f):
+            raise ValueError("r_f must be finite")
+        if self.mc_seed < 0:
+            raise ValueError("mc_seed must be >= 0")
 
 
 _RUN_KEYS = {
@@ -119,22 +124,26 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True,
 
 
 def _parse_value(raw: str, kind, key: str, lineno: int):
+    """Typed value of one config line; floats finite, integers nonnegative."""
     try:
-        if kind is bool:
-            return _BOOL_WORDS[raw.lower()]
-        return kind(raw)
+        value = _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
     except (ValueError, KeyError):
-        raise ValueError(
-            f"line {lineno}: bad value {raw!r} for key {key!r} "
-            f"(expected {kind.__name__})"
-        ) from None
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)) \
+            or (kind is int and value < 0):
+        expected = {float: "finite float", int: "nonnegative int"}.get(
+            kind, kind.__name__)
+        raise ValueError(f"line {lineno}: bad value {raw!r} for key {key!r} "
+                         f"(expected {expected})")
+    return value
 
 
 def parse_config(path: str) -> RunConfig:
     """Parse a flat key-value config file into a RunConfig.
 
-    Unknown keys, malformed lines and badly-typed values raise ValueError
-    with the offending line number.
+    Unknown keys, malformed lines and badly-typed values (including
+    non-finite floats and negative integers) raise ValueError with the
+    offending line number and key.
     """
     run_kwargs: dict = {}
     lc_kwargs: dict = {}
@@ -234,44 +243,6 @@ def write_plan_csv(path: str, plan: LifecyclePlan) -> None:
                 "%.12g" % decision.save[i],
                 "%.12g" % plan.consumption[i],
             ])
-
-
-def read_plan_csv(path: str):
-    """Re-parse plan.csv: returns (house_year, insurance, rows).
-
-    rows is a list of dicts with year/stock/borrow/save/consumption;
-    the round trip exists so reports can be validated against
-    :func:`longplan.lifecycle.implied_consumption`.
-    """
-    house_year: int | None = None
-    insurance = 0.0
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header_seen = False
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("house_year="):
-                    value = body.split("=", 1)[1]
-                    house_year = None if value == "none" else int(value)
-                elif body.startswith("insurance_units="):
-                    insurance = float(body.split("=", 1)[1])
-                continue
-            cells = line.split(",")
-            if not header_seen:
-                header_seen = True
-                continue
-            rows.append({
-                "year": int(cells[0]),
-                "stock": float(cells[1]),
-                "borrow": float(cells[2]),
-                "save": float(cells[3]),
-                "consumption": float(cells[4]),
-            })
-    return house_year, insurance, rows
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from longplan.insurance import HazardModel, spread_linear_coefficient, \
-    spread_variance_coefficient
+from longplan import lifecycle
+from longplan.insurance import HazardModel, estimate_discount_factor, \
+    expected_strike_year, spread_linear_coefficient, \
+    spread_variance_coefficient, strike_time_estimates
 from longplan.lifecycle import (
     DecisionVector,
     LifecycleConfig,
@@ -21,6 +23,10 @@ from longplan.lifecycle import (
     implied_consumption,
     solve_lifecycle,
 )
+from longplan.long_only import max_sharpe_long_only
+from longplan.market import estimate_stats, load_returns
+from longplan.qp import QpProblem, solve_qp
+from longplan.report import SAMPLE_RETURNS
 from oracles import lifecycle_brute_force
 
 ASSET = RiskyAssetSummary(r_stock=0.09, var_stock=0.03)
@@ -323,6 +329,55 @@ def test_paper_faithful_v_and_mc_kstart_modes_run():
         assert (plan.consumption >= config.d_floor - 1e-6).all()
     # the MC discount differs from the analytic one, so objectives differ
     assert faithful.objective != default.objective
+
+
+def test_mc_modes_draw_one_strike_stream(monkeypatch):
+    config = _mini_config()
+    estimate, year = strike_time_estimates(config.hazard, 2_000, 5)
+    assert estimate == estimate_discount_factor(config.hazard, 2_000, 5)
+    assert year == expected_strike_year(config.hazard, 2_000, 5)
+
+    draws = []
+    one_stream = lifecycle.strike_time_estimates
+
+    def counted(model, n_draws, seed):
+        draws.append(n_draws)
+        return one_stream(model, n_draws, seed)
+
+    monkeypatch.setattr(lifecycle, "strike_time_estimates", counted)
+    plan = solve_lifecycle(config, ASSET, seed=5, paper_faithful_v=True,
+                           mc_kstart=True, mc_draws=2_000)
+    assert draws == [2_000]
+    # the same plan as from V and kstart drawn by the two separate calls
+    monkeypatch.setattr(lifecycle, "strike_time_estimates", lambda m, n, s: (
+        estimate_discount_factor(m, n, s), expected_strike_year(m, n, s)))
+    separate = solve_lifecycle(config, ASSET, seed=5, paper_faithful_v=True,
+                               mc_kstart=True, mc_draws=2_000)
+    assert plan.objective == separate.objective
+    assert plan.branch_objectives == separate.branch_objectives
+    np.testing.assert_array_equal(plan.decision.to_vector(),
+                                  separate.decision.to_vector())
+
+
+def test_warm_started_branches_match_cold_solves():
+    stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
+    fund = max_sharpe_long_only(stats, 0.025)
+    asset = RiskyAssetSummary(r_stock=fund.mean, var_stock=fund.variance)
+    config = LifecycleConfig()
+    plan = solve_lifecycle(config, asset)
+    m = config.years_M
+    c = assemble_linear_coefficients(config, asset)
+    q = assemble_quadratic(config, asset)
+    a, b = assemble_constraints(config, asset, math.ceil(1.0 / config.hazard.h))
+    for label, objective in plan.branch_objectives:
+        lb, ub = np.zeros(4 * m + 1), np.full(4 * m + 1, np.inf)
+        ub[3 * m:4 * m] = 0.0
+        if label != "none":
+            year = int(label.rsplit("-", 1)[1])
+            lb[3 * m + year - 1] = ub[3 * m + year - 1] = 1.0
+        cold = solve_qp(QpProblem(Q=-q, c=-c, a_in=a, b_in=b, lb=lb, ub=ub))
+        assert cold.status == "optimal" and objective is not None
+        assert objective == pytest.approx(-cold.objective, rel=1e-9)
 
 
 def test_reference_scale_solution_shape():

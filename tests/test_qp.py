@@ -160,6 +160,29 @@ def test_maximize_wrapper_examples():
     np.testing.assert_allclose(sol.x, [1.0, 0.0, 1.0, 0.0], atol=1e-8)
 
 
+@pytest.mark.parametrize("b_in", [3e4, 3e5])
+def test_tikhonov_term_does_not_fail_kkt_at_large_scale(b_in):
+    # min x0^2 s.t. x0 + x1 >= b_in, x1 >= 0: Q is singular, so the solver
+    # regularizes, and eps*x grows with the scale of the optimum x = (0, b_in)
+    p = QpProblem(Q=np.diag([2.0, 0.0]), c=np.zeros(2),
+                  a_in=np.array([[1.0, 1.0]]), b_in=np.array([b_in]),
+                  lb=np.array([-np.inf, 0.0]))
+    sol = solve_qp(p)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [0.0, b_in], rtol=0, atol=1e-9)
+    assert sol.objective == pytest.approx(0.0, abs=1e-12)
+    report = kkt_report(p, sol)
+    assert report["stationarity"] <= 1e-6
+    assert report["dual_feasibility"] >= -1e-9
+
+
+def test_start_validated():
+    p = QpProblem(Q=np.eye(2), c=np.zeros(2))
+    for bad in (np.zeros(3), np.array([0.0, np.nan]), np.array([np.inf, 0.0])):
+        with pytest.raises(QpInputError, match="start"):
+            solve_qp(p, start=bad)
+
+
 def test_objective_recomputation_matches():
     rng = np.random.default_rng(43)
     g = rng.standard_normal((6, 4))
@@ -229,3 +252,63 @@ def test_bounds_and_bound_rows_reach_the_same_optimum(case):
     assert report["stationarity"] <= 1e-6
     assert report["complementarity"] <= 1e-6
     assert report["dual_feasibility"] >= -1e-9
+
+
+@st.composite
+def qps_with_any_verdict(draw):
+    """(verdict, problem): the boxed mixed-form QPs above, infeasible systems
+    of rows and bounds, and QPs with a descending recession direction."""
+    verdict = draw(st.sampled_from(("optimal", "infeasible", "unbounded")))
+    if verdict == "optimal":
+        return verdict, draw(boxed_qps_in_mixed_form())[0]
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((int(rng.integers(0, 4)), n))
+    if verdict == "infeasible":
+        # a'x >= beta + gap and -a'x >= -beta contradict each other
+        g = rng.standard_normal((n + 1, n))
+        a = rng.standard_normal(n)
+        beta, gap = rng.standard_normal(), rng.uniform(0.01, 1.0)
+        lb = np.where(rng.random(n) < 0.5, -rng.uniform(0.5, 2.0, n), -np.inf)
+        return verdict, QpProblem(
+            Q=g.T @ g + 0.05 * np.eye(n), c=rng.standard_normal(n),
+            a_in=np.vstack([a, -a, rows]),
+            b_in=np.concatenate([[beta + gap, -beta],
+                                 rng.standard_normal(rows.shape[0]) - 3.0]),
+            lb=lb)
+    # Q is singular along d and c'd < 0; every row and bound lets x move
+    # along d for ever, so the problem is feasible and unbounded
+    g = rng.standard_normal((n - 1, n))
+    d = np.linalg.svd(np.vstack([g, np.zeros(n)]))[2][-1]
+    c = rng.standard_normal(n)
+    c -= (c @ d + rng.uniform(0.1, 1.0)) * d
+    rows *= np.where(rows @ d < 0, -1.0, 1.0)[:, None]
+    lb = np.where((d >= 0) & (rng.random(n) < 0.5), -rng.uniform(0.5, 2.0, n), -np.inf)
+    ub = np.where((d <= 0) & (rng.random(n) < 0.5), rng.uniform(0.5, 2.0, n), np.inf)
+    return verdict, QpProblem(Q=g.T @ g, c=c, a_in=rows if rows.size else None,
+                              b_in=rng.standard_normal(rows.shape[0]) if rows.size else None,
+                              lb=lb, ub=ub)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qps_with_any_verdict(), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_warm_start_reaches_the_cold_result(case, seed, magnitude):
+    # start is arbitrary: typically infeasible and outside the bounds
+    verdict, problem = case
+    start = np.random.default_rng(seed).standard_normal(problem.n) * 10.0 ** magnitude
+    cold = solve_qp(problem)
+    warm = solve_qp(problem, start=start)
+    assert cold.status == warm.status == verdict
+    if verdict == "optimal":
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+        np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-7)  # Q is PD
+    elif verdict == "infeasible":
+        assert warm.max_violation == cold.max_violation
+    else:  # x is the phase-1 point, which start moves; the ray must descend
+        ray = warm.ray
+        scale = np.abs(ray).max()
+        assert problem.c @ ray < 0
+        assert np.abs(problem.Q @ ray).max() <= 1e-8 * scale
+        assert (problem.a_in @ ray).min(initial=0.0) >= -1e-9 * scale
+        assert ray[np.isfinite(problem.lb)].min(initial=0.0) >= -1e-9 * scale
+        assert ray[np.isfinite(problem.ub)].max(initial=0.0) <= 1e-9 * scale

@@ -20,7 +20,6 @@ from longplan.report import (
     SAMPLE_RETURNS,
     RunConfig,
     parse_config,
-    read_plan_csv,
     render_frontier_svg,
     run_pipeline,
 )
@@ -42,6 +41,44 @@ def _write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def read_plan_csv(path: str):
+    """Re-parse plan.csv: returns (house_year, insurance, rows).
+
+    rows is a list of dicts with year/stock/borrow/save/consumption, so
+    reports can be validated against
+    :func:`longplan.lifecycle.implied_consumption`.
+    """
+    house_year: int | None = None
+    insurance = 0.0
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        header_seen = False
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if body.startswith("house_year="):
+                    value = body.split("=", 1)[1]
+                    house_year = None if value == "none" else int(value)
+                elif body.startswith("insurance_units="):
+                    insurance = float(body.split("=", 1)[1])
+                continue
+            cells = line.split(",")
+            if not header_seen:
+                header_seen = True
+                continue
+            rows.append({
+                "year": int(cells[0]),
+                "stock": float(cells[1]),
+                "borrow": float(cells[2]),
+                "save": float(cells[3]),
+                "consumption": float(cells[4]),
+            })
+    return house_year, insurance, rows
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +135,29 @@ def test_parse_config_malformed_line(tmp_path):
         parse_config(path)
 
 
+def test_parse_config_rejects_non_finite_r_f(tmp_path):
+    path = _write_config(tmp_path, "frontier_points = 5\nr_f = nan\n")
+    with pytest.raises(ValueError, match="line 2.*'r_f'.*finite"):
+        parse_config(path)
+
+
+def test_parse_config_rejects_negative_mc_seed(tmp_path):
+    path = _write_config(tmp_path, "# seeds are nonnegative\nmc_seed = -1\n")
+    with pytest.raises(ValueError, match="line 2.*'mc_seed'.*nonnegative"):
+        parse_config(path)
+
+
+def test_cli_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit):
+        main(["insure", "--seed", "-1"])
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_run_config_validation():
+    with pytest.raises(ValueError, match="r_f"):
+        RunConfig(r_f=float("nan"))
+    with pytest.raises(ValueError, match="mc_seed"):
+        RunConfig(mc_seed=-1)
     with pytest.raises(ValueError):
         RunConfig(frontier_points=1)
     with pytest.raises(ValueError):
