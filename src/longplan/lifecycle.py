@@ -97,6 +97,9 @@ class LifecycleConfig:
                      "house_utility"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.risk_aversion_B < 0:
+            raise ValueError(f"risk_aversion_B must be nonnegative, got "
+                             f"{self.risk_aversion_B!r} (0 is risk-neutral)")
         if self.r_borrow < self.r_save:
             raise ValueError("r_borrow must be >= r_save (no riskless arbitrage)")
         if self.d_floor > self.income_low + self.initial_saving:

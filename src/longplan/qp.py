@@ -33,11 +33,13 @@ dense problems produced by the portfolio and lifetime-planning layers
   and the working general rows restricted to the free variables.  Every
   bound multiplier, for pinned and fixed variables alike, is read off the
   stationarity residual Qx + c - a_eq'lam - a_in'mu;
-* the multipliers fit the true gradient Qx + c, not the regularized one,
-  and the result must pass a KKT check of the true problem.  When the
-  Tikhonov bias, of order eps*|x|, alone fails that check (a large optimum
-  in a curved direction), one unregularized Newton step on the final
-  working set removes it before the check is repeated.
+* one column-pivoted QR of the working rows gives both the null-space
+  basis and, by a triangular solve with R, the multipliers; a row that the
+  pivoting finds dependent on the others gets a zero multiplier;
+* when Q was regularized, one unregularized Newton step on the final
+  working face always removes the Tikhonov bias, of order eps*|x|, in its
+  curved directions.  The multipliers then fit the true gradient Qx + c,
+  and the result must pass a KKT check of the true problem.
 
 The regularized problem has a unique optimum, so ``start`` changes the
 path of the iterations and not the point they reach, up to the
@@ -229,7 +231,16 @@ def kkt_report(problem: QpProblem, sol: QpSolution) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 class _Reduced:
-    """Problem with fixed variables (lb == ub) substituted out."""
+    """Problem with fixed variables (lb == ub) substituted out.
+
+    Rows that vanish on the free variables are dropped, and null_violation
+    records how far the worst of them is from holding.  The other rows are
+    kept twice: a_eq/a_in as given, because the phase-1 and ray LPs read
+    their violations as certificates, and unit_eq/unit_in (with unit_b_in)
+    scaled to unit norm by eq_norm/in_norm, for the active set and for
+    unscaling its multipliers.  eq_keep/in_keep map kept rows to the
+    originals.
+    """
 
     def __init__(self, problem: QpProblem):
         fixed = problem.lb == problem.ub
@@ -237,54 +248,34 @@ class _Reduced:
         self.fixed = fixed
         self.free = ~fixed
         self.x_fixed = problem.lb[fixed]
-        qff = problem.Q[np.ix_(self.free, self.free)]
-        qfb = problem.Q[np.ix_(self.free, fixed)]
-        self.Q = qff
-        self.c = problem.c[self.free] + qfb @ self.x_fixed
-        self.a_eq = problem.a_eq[:, self.free]
-        self.b_eq = problem.b_eq - problem.a_eq[:, fixed] @ self.x_fixed
-        self.a_in = problem.a_in[:, self.free]
-        self.b_in = problem.b_in - problem.a_in[:, fixed] @ self.x_fixed
+        self.Q = problem.Q[np.ix_(self.free, self.free)]
+        self.c = problem.c[self.free] + problem.Q[np.ix_(self.free, fixed)] @ self.x_fixed
         self.lb = problem.lb[self.free]
         self.ub = problem.ub[self.free]
         self.n = int(self.free.sum())
-        self.eq_keep = np.arange(self.a_eq.shape[0])
-        self.in_keep = np.arange(self.a_in.shape[0])
+
+        a_eq = problem.a_eq[:, self.free]
+        b_eq = problem.b_eq - problem.a_eq[:, fixed] @ self.x_fixed
+        a_in = problem.a_in[:, self.free]
+        b_in = problem.b_in - problem.a_in[:, fixed] @ self.x_fixed
+        eq_norm = np.linalg.norm(a_eq, axis=1)
+        in_norm = np.linalg.norm(a_in, axis=1)
+        eq_zero, in_zero = eq_norm <= 1e-300, in_norm <= 1e-300
+        self.null_violation = max(float(np.abs(b_eq[eq_zero]).max(initial=0.0)),
+                                  float(b_in[in_zero].max(initial=0.0)))
+        self.eq_keep, self.in_keep = np.flatnonzero(~eq_zero), np.flatnonzero(~in_zero)
+        self.a_eq, self.b_eq = a_eq[self.eq_keep], b_eq[self.eq_keep]
+        self.a_in, self.b_in = a_in[self.in_keep], b_in[self.in_keep]
+        self.eq_norm, self.in_norm = eq_norm[self.eq_keep], in_norm[self.in_keep]
+        self.unit_eq = self.a_eq / self.eq_norm[:, None]
+        self.unit_in = self.a_in / self.in_norm[:, None]
+        self.unit_b_in = self.b_in / self.in_norm
 
     def expand(self, x_free: np.ndarray) -> np.ndarray:
         x = np.empty(self.problem.n)
         x[self.free] = x_free
         x[self.fixed] = self.x_fixed
         return x
-
-
-def _drop_null_rows(a: np.ndarray, b: np.ndarray, kind: str):
-    """Remove all-zero constraint rows; a zero row with active rhs is infeasible.
-
-    Returns (a, b, keep, violation); keep maps surviving rows back to the
-    originals and violation > 0 flags an unsatisfiable zero row.
-    """
-    keep = np.arange(a.shape[0])
-    if not a.shape[0]:
-        return a, b, keep, 0.0
-    norms = np.linalg.norm(a, axis=1)
-    zero = norms <= 1e-300
-    violation = 0.0
-    if zero.any():
-        resid = b[zero]
-        if kind == "eq":
-            violation = float(np.abs(resid).max())
-        else:
-            violation = float(np.maximum(resid, 0.0).max())
-        a, b, keep = a[~zero], b[~zero], keep[~zero]
-    return a, b, keep, violation
-
-
-def _normalize_rows(a: np.ndarray, b: np.ndarray):
-    if not a.shape[0]:
-        return a, b
-    norms = np.linalg.norm(a, axis=1)
-    return a / norms[:, None], b / norms
 
 
 def _hard_bounds(red: _Reduced) -> list:
@@ -358,8 +349,6 @@ def _null_space(q: np.ndarray):
         return np.zeros((0, 0))
     eigvals, eigvecs = np.linalg.eigh(q)
     lam_max = float(eigvals[-1])
-    if lam_max < -1e-8 * max(1.0, abs(lam_max)):
-        raise QpInputError("Q is not positive semidefinite")
     if eigvals[0] < -1e-8 * max(1.0, lam_max):
         raise QpInputError("Q is not positive semidefinite")
     null_mask = eigvals <= max(1e-14, 1e-10 * lam_max)
@@ -400,19 +389,62 @@ def _unbounded_ray(red: _Reduced, null_basis: np.ndarray):
     raise QpError(f"unboundedness certificate LP failed: {res.message}")
 
 
-def _null_basis(a_w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {p : a_w p = 0}."""
-    if 0 in a_w.shape:
-        return np.eye(a_w.shape[1])
-    # Column-pivoted QR: the working set is often rank-deficient (rows
-    # dependent on each other or on the fixed variables), and without
-    # pivoting the R-diagonal does not reveal rank, which would leak
-    # null-space directions that violate working constraints.
-    qfull, r, _ = scipy.linalg.qr(a_w.T, mode="full", pivoting=True)
+def _face(a_w: np.ndarray):
+    """Null-space basis of the working rows a_w and their multiplier fit.
+
+    One column-pivoted QR of a_w' gives both.  Returns (z, multipliers):
+    z is an orthonormal basis of {p : a_w p = 0}, and multipliers(g) solves
+    a_w' nu = g on the rows the pivoting finds independent, by a triangular
+    solve with R, giving every dependent row a zero multiplier.
+    """
+    m, n = a_w.shape
+    if not (m and n):
+        return np.eye(n), lambda g: np.zeros(m)
+    # The working set is often rank-deficient (rows dependent on each other
+    # or on the fixed variables), and without pivoting the R-diagonal does
+    # not reveal rank, which would leak null-space directions that violate
+    # working constraints.
+    qfull, r, piv = scipy.linalg.qr(a_w.T, mode="full", pivoting=True)
     diag = np.abs(np.diag(r))
-    thresh = max(a_w.shape) * np.finfo(float).eps * diag.max(initial=0.0)
+    thresh = max(m, n) * np.finfo(float).eps * diag.max(initial=0.0)
     rank = int((diag > max(thresh, 1e-13)).sum())
-    return qfull[:, rank:]
+
+    def multipliers(g: np.ndarray) -> np.ndarray:
+        nu = np.zeros(m)
+        nu[piv[:rank]] = scipy.linalg.solve_triangular(r[:rank, :rank],
+                                                       qfull[:, :rank].T @ g)
+        return nu
+
+    return qfull[:, rank:], multipliers
+
+
+def _ratio_test(red: _Reduced, x: np.ndarray, p: np.ndarray,
+                working: list[int], free: np.ndarray):
+    """Longest step alpha <= 1 from x along p, and what blocks it.
+
+    Candidates are the general rows outside the working list, then the
+    finite lower and upper bounds of free variables, each in index order;
+    the first near-minimal ratio blocks.  Returns (alpha, kind, i) with kind
+    "row", "lower" or "upper", or kind None when the full step is feasible.
+    """
+    a_in, b_in, lb, ub = red.unit_in, red.unit_b_in, red.lb, red.ub
+    in_working = np.zeros(a_in.shape[0], dtype=bool)
+    in_working[working] = True
+    ap = a_in @ p
+    rows = np.flatnonzero(~in_working & (ap < -1e-12))
+    lows = np.flatnonzero(free & np.isfinite(lb) & (p < -1e-12))
+    ups = np.flatnonzero(free & np.isfinite(ub) & (p > 1e-12))
+    ratios = np.concatenate([
+        np.maximum(a_in[rows] @ x - b_in[rows], 0.0) / -ap[rows],
+        np.maximum(x[lows] - lb[lows], 0.0) / -p[lows],
+        np.maximum(ub[ups] - x[ups], 0.0) / p[ups],
+    ])
+    if not ratios.size or ratios.min() >= 1.0:
+        return 1.0, None, -1
+    alpha = float(ratios.min())
+    k = int(np.argmax(ratios <= alpha * (1.0 + 1e-9) + 1e-15))
+    kind = "row" if k < rows.size else "lower" if k < rows.size + lows.size else "upper"
+    return alpha, kind, int(np.concatenate([rows, lows, ups])[k])
 
 
 def _active_set(red: _Reduced, q: np.ndarray, x0: np.ndarray, max_iter: int):
@@ -422,13 +454,11 @@ def _active_set(red: _Reduced, q: np.ndarray, x0: np.ndarray, max_iter: int):
     snapping it to the bound; only general inequality rows enter the
     working list.  Returns (x, working, at_lower, at_upper, iterations).
     """
-    a_eq, _ = _normalize_rows(red.a_eq, red.b_eq)
-    a_in, b_in = _normalize_rows(red.a_in, red.b_in)
     lb, ub = red.lb, red.ub
-    m_eq = a_eq.shape[0]
+    m_eq = red.unit_eq.shape[0]
     x = x0.copy()
     # Warm start: every row and bound active at x0.
-    working = [int(i) for i in np.flatnonzero(a_in @ x - b_in <= 1e-8)]
+    working = [int(i) for i in np.flatnonzero(red.unit_in @ x - red.unit_b_in <= 1e-8)]
     at_lower = x - lb <= 1e-8
     at_upper = (ub - x <= 1e-8) & ~at_lower
     x[at_lower] = lb[at_lower]
@@ -436,8 +466,8 @@ def _active_set(red: _Reduced, q: np.ndarray, x0: np.ndarray, max_iter: int):
     for iteration in range(1, max_iter + 1):
         grad = q @ x + red.c
         free = ~(at_lower | at_upper)
-        a_w = np.vstack([a_eq, a_in[working]])
-        z = _null_basis(a_w[:, free])
+        a_w = np.vstack([red.unit_eq, red.unit_in[working]])
+        z, multipliers = _face(a_w[:, free])
         p = np.zeros(red.n)
         if z.shape[1]:
             h_red = z.T @ q[np.ix_(free, free)] @ z
@@ -449,7 +479,7 @@ def _active_set(red: _Reduced, q: np.ndarray, x0: np.ndarray, max_iter: int):
             p[free] = z @ p_z
 
         if np.abs(p).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(x).max(initial=0.0)):
-            nu = np.linalg.lstsq(a_w[:, free].T, grad[free], rcond=None)[0]
+            nu = multipliers(grad[free])
             resid = grad - a_w.T @ nu
             lower_idx, upper_idx = np.flatnonzero(at_lower), np.flatnonzero(at_upper)
             # Candidates in order: working rows, lower bounds, upper bounds.
@@ -467,98 +497,52 @@ def _active_set(red: _Reduced, q: np.ndarray, x0: np.ndarray, max_iter: int):
                 at_upper[upper_idx[drop - len(working) - lower_idx.size]] = False
             continue
 
-        # Ratio test: general rows outside the working set, then the finite
-        # lower and upper bounds of free variables.
-        in_working = np.zeros(a_in.shape[0], dtype=bool)
-        in_working[working] = True
-        ap = a_in @ p
-        rows = np.flatnonzero(~in_working & (ap < -1e-12))
-        lows = np.flatnonzero(free & np.isfinite(lb) & (p < -1e-12))
-        ups = np.flatnonzero(free & np.isfinite(ub) & (p > 1e-12))
-        ratios = np.concatenate([
-            np.maximum(a_in[rows] @ x - b_in[rows], 0.0) / -ap[rows],
-            np.maximum(x[lows] - lb[lows], 0.0) / -p[lows],
-            np.maximum(ub[ups] - x[ups], 0.0) / p[ups],
-        ])
-        alpha = 1.0
-        blocking = -1
-        if ratios.size and ratios.min() < alpha:
-            alpha = float(ratios.min())
-            # First candidate among the (near-)minimal ratios.
-            blocking = int(np.argmax(ratios <= alpha * (1.0 + 1e-9) + 1e-15))
+        alpha, kind, i = _ratio_test(red, x, p, working, free)
         x = x + alpha * p
-        if blocking < 0:
-            continue
-        if blocking < rows.size:
-            working.append(int(rows[blocking]))
-        elif blocking < rows.size + lows.size:
-            i = lows[blocking - rows.size]
+        if kind == "row":
+            working.append(i)
+        elif kind == "lower":
             at_lower[i], x[i] = True, lb[i]
-        else:
-            i = ups[blocking - rows.size - lows.size]
+        elif kind == "upper":
             at_upper[i], x[i] = True, ub[i]
     raise QpIterationLimitError(f"active-set iteration cap {max_iter} exceeded")
 
 
-def _polish(red: _Reduced, x: np.ndarray, working: list[int],
-            at_lower: np.ndarray, at_upper: np.ndarray) -> np.ndarray:
-    """One Newton step of the unregularized problem on the final working face.
+def _finish(problem: QpProblem, red: _Reduced, x: np.ndarray,
+            working: list[int], at_lower: np.ndarray, at_upper: np.ndarray,
+            iterations: int, regularized: bool) -> QpSolution:
+    """The verified optimal solution on the active set's final face.
 
-    Removes the O(eps*|x|) bias the Tikhonov term leaves in the curved
-    directions; directions of zero curvature keep the point eps selected.
-    The step is cut short at the first non-working row or free bound.
+    When the iterations ran on a Tikhonov-regularized Q, one Newton step of
+    the true problem on that face first removes the O(eps*|x|) bias in its
+    curved directions; directions of zero curvature keep the point eps
+    selected, and the step is cut short at the first non-working row or
+    free bound.  The multipliers fit the true gradient Qx + c through the
+    face's QR, every bound dual is read off the stationarity residual, and
+    the result must pass the KKT check of the true problem.
     """
-    a_eq, _ = _normalize_rows(red.a_eq, red.b_eq)
-    a_in, b_in = _normalize_rows(red.a_in, red.b_in)
     free = ~(at_lower | at_upper)
-    z = _null_basis(np.vstack([a_eq, a_in[working]])[:, free])
-    if not z.shape[1]:
-        return x
-    grad = red.Q @ x + red.c
-    h_red = z.T @ red.Q[np.ix_(free, free)] @ z
-    p = np.zeros(red.n)
-    p[free] = z @ np.linalg.lstsq(h_red, -(z.T @ grad[free]), rcond=None)[0]
-    rest = np.ones(a_in.shape[0], dtype=bool)
-    rest[working] = False
-    a_rest, b_rest = a_in[rest], b_in[rest]
-    ap = a_rest @ p
-    down, lows, ups = ap < 0, free & (p < 0), free & (p > 0)
-    ratios = np.concatenate([
-        np.maximum(a_rest[down] @ x - b_rest[down], 0.0) / -ap[down],
-        np.maximum(x - red.lb, 0.0)[lows] / -p[lows],
-        np.maximum(red.ub - x, 0.0)[ups] / p[ups],
-    ])
-    return x + min(1.0, ratios.min(initial=1.0)) * p
-
-
-def _assemble(problem: QpProblem, red: _Reduced, x_free: np.ndarray,
-              working: list[int], at_lower: np.ndarray,
-              at_upper: np.ndarray, iterations: int) -> QpSolution:
-    x_free = np.clip(x_free, red.lb, red.ub)
-    x = red.expand(x_free)
-    # Multipliers of the working rows fit the true gradient Qx + c on the
-    # free variables; the Tikhonov term the iterations used is no part of
-    # the problem being verified.
-    a_eq, _ = _normalize_rows(red.a_eq, red.b_eq)
-    a_in, _ = _normalize_rows(red.a_in, red.b_in)
-    a_w = np.vstack([a_eq, a_in[working]])
-    free = ~(at_lower | at_upper)
-    grad = red.Q @ x_free + red.c
-    nu = np.linalg.lstsq(a_w[:, free].T, grad[free], rcond=None)[0]
-    # Undo the row normalization of the working rows' multipliers.
-    m_eq = red.a_eq.shape[0]
+    z, multipliers = _face(np.vstack([red.unit_eq, red.unit_in[working]])[:, free])
+    if regularized and z.shape[1]:
+        grad = red.Q @ x + red.c
+        h_red = z.T @ red.Q[np.ix_(free, free)] @ z
+        p = np.zeros(red.n)
+        p[free] = z @ np.linalg.lstsq(h_red, -(z.T @ grad[free]), rcond=None)[0]
+        x = x + _ratio_test(red, x, p, working, free)[0] * p
+    x = np.clip(x, red.lb, red.ub)
+    nu = multipliers((red.Q @ x + red.c)[free])
+    m_eq = red.unit_eq.shape[0]
     eq_mult = np.zeros(problem.a_eq.shape[0])
-    eq_mult[red.eq_keep] = nu[:m_eq] / np.linalg.norm(red.a_eq, axis=1)
+    eq_mult[red.eq_keep] = nu[:m_eq] / red.eq_norm
     in_mult = np.zeros(problem.a_in.shape[0])
-    in_mult[red.in_keep[working]] = nu[m_eq:] / np.linalg.norm(red.a_in[working], axis=1)
-    in_mult = np.maximum(in_mult, 0.0)
+    in_mult[red.in_keep[working]] = np.maximum(nu[m_eq:] / red.in_norm[working], 0.0)
     # Every variable at a bound, pinned or fixed by the active set, takes
     # its stationarity residual as that bound's dual.
+    x = red.expand(x)
     lower, upper = red.fixed.copy(), red.fixed.copy()
     lower[red.free], upper[red.free] = at_lower, at_upper
     resid = problem.Q @ x + problem.c - problem.a_eq.T @ eq_mult - problem.a_in.T @ in_mult
-
-    return QpSolution(
+    sol = QpSolution(
         x=x,
         objective=problem.objective_value(x),
         status=STATUS_OPTIMAL,
@@ -569,19 +553,15 @@ def _assemble(problem: QpProblem, red: _Reduced, x_free: np.ndarray,
         upper_multipliers=np.where(upper, np.maximum(-resid, 0.0), 0.0),
         iterations=iterations,
     )
-
-
-def _kkt_failure(problem: QpProblem, sol: QpSolution) -> str | None:
-    """Why sol fails the internal KKT acceptance test, or None if it passes."""
     report = kkt_report(problem, sol)
     grad_scale = 1.0 + float(np.abs(problem.c).max(initial=0.0))
     rhs_scale = 1.0 + problem.rhs_scale()
     if report["stationarity"] > STATIONARITY_TOL * grad_scale or \
             report["complementarity"] > COMPLEMENTARITY_TOL * grad_scale * rhs_scale:
-        return ("internal KKT verification failed: "
-                f"stationarity={report['stationarity']:.3e}, "
-                f"complementarity={report['complementarity']:.3e}")
-    return None
+        raise QpError("internal KKT verification failed: "
+                      f"stationarity={report['stationarity']:.3e}, "
+                      f"complementarity={report['complementarity']:.3e}")
+    return sol
 
 
 def solve_qp(problem: QpProblem, *, start=None,
@@ -605,24 +585,17 @@ def solve_qp(problem: QpProblem, *, start=None,
             raise QpInputError(
                 f"start must be a finite vector of length {problem.n}")
     red = _Reduced(problem)
-    rhs_scale = 1.0 + problem.rhs_scale()
-    feas_tol = FEASIBILITY_TOL * rhs_scale
-
-    # Zero rows cannot enter the active-set algebra; dispose of them first.
-    a_eq, b_eq, eq_keep, viol_eq = _drop_null_rows(red.a_eq, red.b_eq, "eq")
-    a_in, b_in, in_keep, viol_in = _drop_null_rows(red.a_in, red.b_in, "in")
-    if max(viol_eq, viol_in) > feas_tol:
+    feas_tol = FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
+    if red.null_violation > feas_tol:
         return QpSolution(x=red.expand(np.clip(np.zeros(red.n), red.lb, red.ub)),
                           objective=np.nan, status=STATUS_INFEASIBLE,
-                          max_violation=max(viol_eq, viol_in))
-    red.a_eq, red.b_eq, red.eq_keep = a_eq, b_eq, eq_keep
-    red.a_in, red.b_in, red.in_keep = a_in, b_in, in_keep
+                          max_violation=red.null_violation)
 
     null_basis = _null_space(red.Q)
 
     if red.n == 0:  # every variable pinned; zero rows were checked above
         none = np.zeros(0, dtype=bool)
-        return _assemble(problem, red, np.zeros(0), [], none, none, 0)
+        return _finish(problem, red, np.zeros(0), [], none, none, 0, False)
 
     x0 = None if start is None else _nearest_feasible(red, start[red.free], feas_tol)
     if x0 is None:
@@ -631,6 +604,7 @@ def solve_qp(problem: QpProblem, *, start=None,
             return QpSolution(x=red.expand(x0), objective=np.nan,
                               status=STATUS_INFEASIBLE, max_violation=t_star)
 
+    eps = 0.0
     if null_basis.shape[1]:
         ray = _unbounded_ray(red, null_basis)
         if ray is not None:
@@ -643,21 +617,8 @@ def solve_qp(problem: QpProblem, *, start=None,
         trace = float(np.trace(red.Q))
         eps = 1e-10 * trace / red.n if trace > 0 else \
             1e-10 * (1.0 + float(np.abs(red.c).max(initial=0.0)))
-        q_eps = red.Q + eps * np.eye(red.n)
-    else:
-        q_eps = red.Q
 
     max_iter = _max_iter if _max_iter is not None else 50 * problem.n
-    x_free, working, at_lower, at_upper, iterations = \
-        _active_set(red, q_eps, x0, max_iter)
-    sol = _assemble(problem, red, x_free, working, at_lower, at_upper, iterations)
-    failure = _kkt_failure(problem, sol)
-    if failure and q_eps is not red.Q:
-        # The Tikhonov bias alone can break true stationarity when |x| is
-        # large; one unregularized step on the final face removes it.
-        x_free = _polish(red, x_free, working, at_lower, at_upper)
-        sol = _assemble(problem, red, x_free, working, at_lower, at_upper, iterations)
-        failure = _kkt_failure(problem, sol)
-    if failure:
-        raise QpError(failure)
-    return sol
+    x, working, at_lower, at_upper, iterations = \
+        _active_set(red, red.Q + eps * np.eye(red.n), x0, max_iter)
+    return _finish(problem, red, x, working, at_lower, at_upper, iterations, eps > 0)

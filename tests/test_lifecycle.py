@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longplan import lifecycle
 from longplan.insurance import HazardModel, estimate_discount_factor, \
@@ -28,6 +30,7 @@ from longplan.market import estimate_stats, load_returns
 from longplan.qp import QpProblem, solve_qp
 from longplan.report import SAMPLE_RETURNS
 from oracles import lifecycle_brute_force
+from test_acceptance import _random_margin_config
 
 ASSET = RiskyAssetSummary(r_stock=0.09, var_stock=0.03)
 
@@ -239,6 +242,12 @@ def test_config_validation():
                                         horizon_M=4))  # r mismatch
 
 
+def test_config_rejects_negative_risk_aversion():
+    with pytest.raises(ValueError, match="risk_aversion_B"):
+        _mini_config(risk_aversion_B=-1.0)
+    assert _mini_config(risk_aversion_B=0.0).risk_aversion_B == 0.0
+
+
 # ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------
@@ -378,6 +387,45 @@ def test_warm_started_branches_match_cold_solves():
         cold = solve_qp(QpProblem(Q=-q, c=-c, a_in=a, b_in=b, lb=lb, ub=ub))
         assert cold.status == "optimal" and objective is not None
         assert objective == pytest.approx(-cold.objective, rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 99), st.integers(0, 7),
+       st.floats(1e-3, 1e3))
+def test_plan_properties_on_random_small_configs(seed, branch, row, k):
+    rng = np.random.default_rng(seed)
+    config = _random_margin_config(rng)
+    asset = RiskyAssetSummary(r_stock=rng.uniform(0.04, 0.14),
+                              var_stock=rng.uniform(0.005, 0.05))
+    plan = solve_lifecycle(config, asset)
+    m = config.years_M
+    kstart = min(max(math.ceil(1.0 / config.hazard.h), 1), m + 1)
+    consumption = implied_consumption(plan.decision, config, asset, kstart)
+    assert consumption.min() >= config.d_floor - 1e-6
+    feasible = [(label, v) for label, v in plan.branch_objectives if v is not None]
+    house = "none" if plan.house_year is None else f"house-year-{plan.house_year}"
+    winner = dict(feasible)[house]
+    assert all(winner >= v for _, v in feasible)
+    assert plan.objective == pytest.approx(winner, rel=1e-9, abs=1e-9)
+
+    # scaling one consumption-floor row of a feasible branch by k > 0
+    # leaves that branch's optimum unchanged
+    label = feasible[branch % len(feasible)][0]
+    lb, ub = np.zeros(4 * m + 1), np.full(4 * m + 1, np.inf)
+    ub[3 * m:4 * m] = 0.0
+    if label != "none":
+        year = int(label.rsplit("-", 1)[1])
+        lb[3 * m + year - 1] = ub[3 * m + year - 1] = 1.0
+    c = assemble_linear_coefficients(config, asset)
+    q = assemble_quadratic(config, asset)
+    a, b = assemble_constraints(config, asset, kstart)
+    a_k, b_k = a.copy(), b.copy()
+    a_k[row % m] *= k
+    b_k[row % m] *= k
+    base = solve_qp(QpProblem(Q=-q, c=-c, a_in=a, b_in=b, lb=lb, ub=ub))
+    scaled = solve_qp(QpProblem(Q=-q, c=-c, a_in=a_k, b_in=b_k, lb=lb, ub=ub))
+    assert base.status == scaled.status == "optimal"
+    assert scaled.objective == pytest.approx(base.objective, rel=1e-9)
 
 
 def test_reference_scale_solution_shape():

@@ -312,3 +312,57 @@ def test_warm_start_reaches_the_cold_result(case, seed, magnitude):
         assert (problem.a_in @ ray).min(initial=0.0) >= -1e-9 * scale
         assert ray[np.isfinite(problem.lb)].min(initial=0.0) >= -1e-9 * scale
         assert ray[np.isfinite(problem.ub)].max(initial=0.0) <= 1e-9 * scale
+
+
+@st.composite
+def boxed_qps_with_copied_rows(draw):
+    """(pd, plain, copied): a QP kept bounded by a box, with Q PD or of rank
+    1-3 and some general rows, and the same QP with copies of some of those
+    rows appended, each scaled by a factor in [1e-2, 1e2]."""
+    n = draw(st.integers(2, 7))
+    pd = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n + 1 if pd else draw(st.integers(1, min(3, n))), n))
+    Q = g.T @ g + (0.05 * np.eye(n) if pd else 0.0)
+    c = rng.standard_normal(n) * 10.0 ** draw(st.integers(0, 2))
+    # a wide box makes the Tikhonov bias eps*|x| of a singular Q visible
+    scale = 10.0 ** draw(st.integers(0, 3))
+    lb, ub = scale * rng.uniform(-2.0, -0.5, n), scale * rng.uniform(0.5, 2.0, n)
+    # rows through a point inside the box, some tight there, so the
+    # problem is feasible and the rows are active at many optima
+    x_in = rng.uniform(lb, ub)
+    a_eq = rng.standard_normal((draw(st.integers(0, 1)), n))
+    a_in = rng.standard_normal((draw(st.integers(1, 4)), n))
+    b_eq = a_eq @ x_in
+    slack = scale * rng.uniform(0.0, 0.5, a_in.shape[0]) * (rng.random(a_in.shape[0]) < 0.5)
+    b_in = a_in @ x_in - slack
+    plain = QpProblem(Q=Q, c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in, lb=lb, ub=ub)
+    copies_eq = draw(st.lists(st.integers(0, a_eq.shape[0] - 1), max_size=2)) if a_eq.size else []
+    copies_in = draw(st.lists(st.integers(0, a_in.shape[0] - 1), min_size=1, max_size=4))
+    k_eq = np.array([draw(st.floats(1e-2, 1e2)) for _ in copies_eq])
+    k_in = np.array([draw(st.floats(1e-2, 1e2)) for _ in copies_in])
+    copied = QpProblem(
+        Q=Q, c=c, lb=lb, ub=ub,
+        a_eq=np.vstack([a_eq, k_eq[:, None] * a_eq[copies_eq]]),
+        b_eq=np.concatenate([b_eq, k_eq * b_eq[copies_eq]]),
+        a_in=np.vstack([a_in, k_in[:, None] * a_in[copies_in]]),
+        b_in=np.concatenate([b_in, k_in * b_in[copies_in]]))
+    return pd, plain, copied
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxed_qps_with_copied_rows())
+def test_copied_rows_leave_the_optimum_and_kkt_unchanged(case):
+    # copies are dependent working rows; the face QR gives them zero
+    # multipliers, and the optimum must not notice them
+    pd, plain, copied = case
+    base, dup = solve_qp(plain), solve_qp(copied)
+    assert base.status == dup.status == "optimal"
+    assert dup.objective == pytest.approx(base.objective, rel=1e-9, abs=1e-12)
+    if pd:
+        np.testing.assert_allclose(dup.x, base.x, rtol=0, atol=1e-7)
+    for problem, sol in ((plain, base), (copied, dup)):
+        report = kkt_report(problem, sol)
+        assert report["stationarity"] <= 1e-8 * (1.0 + np.abs(problem.c).max())
+        assert report["complementarity"] <= 1e-6
+        assert report["dual_feasibility"] >= -1e-9

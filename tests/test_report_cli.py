@@ -153,6 +153,14 @@ def test_cli_rejects_negative_seed(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_cli_rejects_negative_risk_aversion(tmp_path, capsys):
+    config = _write_config(tmp_path, "risk_aversion_B = -1\n")
+    assert main(["plan", "--config", config, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("builtins.ValueError:")
+    assert "risk_aversion_B" in err
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError, match="r_f"):
         RunConfig(r_f=float("nan"))
