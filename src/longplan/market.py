@@ -9,6 +9,7 @@ the mean vector and the covariance matrix by the number of periods per year.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,8 +102,9 @@ def load_returns(path: str | Path, periods_per_year: int) -> ReturnMatrix:
     FileNotFoundError
         If ``path`` does not exist.
     ReturnsFormatError
-        On an empty file, ragged row, non-numeric cell or fewer than two
-        data rows; the message carries the 1-based row (and column) position.
+        On an empty file, ragged row, non-numeric or non-finite cell or
+        fewer than two data rows; the message carries the 1-based row (and
+        column) position.
     """
     path = Path(path)
     if not path.exists():
@@ -130,12 +132,15 @@ def load_returns(path: str | Path, periods_per_year: int) -> ReturnMatrix:
             parsed = []
             for col, cell in enumerate(row, start=1):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise ReturnsFormatError(
                         f"{path}: row {lineno}, column {col}: "
-                        f"non-numeric value {cell.strip()!r}"
-                    ) from None
+                        f"not a finite number: {cell.strip()!r}"
+                    )
+                parsed.append(value)
             rows.append(parsed)
 
     if len(rows) < 2:

@@ -11,10 +11,13 @@ with Q symmetric positive semidefinite.  The solver is built for the small
 dense problems produced by the portfolio and lifetime-planning layers
 (n up to a few hundred):
 
-* variables pinned by equal bounds are eliminated up front;
+* a variable pinned by equal bounds is a bound that the active set holds
+  from the start and never drops; the PSD check, the null space of Q and
+  the Tikhonov eps below look at the unpinned variables only;
 * feasibility is decided by a phase-1 linear program that minimizes the
   Chebyshev (max) constraint violation, so an infeasible verdict comes with
-  the smallest achievable violation as a certificate;
+  the smallest achievable violation as a certificate.  Rows that vanish
+  on the unpinned variables are judged only there, so it covers them too;
 * a caller that holds a point near the optimum, such as the plan of a
   neighbouring problem, passes it as ``start``.  Phase 1 then first solves
   a different LP: the feasible point nearest ``start`` in the 1-norm, with
@@ -26,20 +29,24 @@ dense problems produced by the portfolio and lifetime-planning layers
   for a feasible direction d with c'd < 0, which certifies unboundedness;
 * the remaining bounded problem is made strictly convex with a Tikhonov
   term eps = 1e-10 * trace(Q)/n and solved by primal active-set iterations
-  with null-space KKT solves.  Constraint rows are normalized internally,
-  so solutions are invariant under positive rescaling of any row;
+  with null-space KKT solves.  Constraint rows are normalized internally
+  (over the unpinned variables), so solutions are invariant under positive
+  rescaling of any row;
 * a bound enters the active set by fixing its variable at the bound, not
   as a constraint row, so the null-space solves only see the equality rows
   and the working general rows restricted to the free variables.  Every
   bound multiplier, for pinned and fixed variables alike, is read off the
   stationarity residual Qx + c - a_eq'lam - a_in'mu;
-* one column-pivoted QR of the working rows gives both the null-space
-  basis and, by a triangular solve with R, the multipliers; a row that the
-  pivoting finds dependent on the others gets a zero multiplier;
+* one column-pivoted QR of the working rows gives the null-space basis
+  and, by triangular solves with R, the multipliers and a least-norm step
+  onto the rows; a row that the pivoting finds dependent on the others
+  gets a zero multiplier;
 * when Q was regularized, one unregularized Newton step on the final
   working face always removes the Tikhonov bias, of order eps*|x|, in its
-  curved directions.  The multipliers then fit the true gradient Qx + c,
-  and the result must pass a KKT check of the true problem.
+  curved directions.  A least-norm step from the final face's QR then
+  puts the working rows back on their right-hand sides, the multipliers
+  fit the true gradient Qx + c, and the result must pass a KKT check of
+  the true problem.
 
 The regularized problem has a unique optimum, so ``start`` changes the
 path of the iterations and not the point they reach, up to the
@@ -56,6 +63,7 @@ reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -230,157 +238,124 @@ def kkt_report(problem: QpProblem, sol: QpSolution) -> dict[str, float]:
 # internal machinery
 # ---------------------------------------------------------------------------
 
-class _Reduced:
-    """Problem with fixed variables (lb == ub) substituted out.
+class _UnitRows(NamedTuple):
+    """The general rows scaled to unit norm on the unpinned variables.
 
-    Rows that vanish on the free variables are dropped, and null_violation
-    records how far the worst of them is from holding.  The other rows are
-    kept twice: a_eq/a_in as given, because the phase-1 and ray LPs read
-    their violations as certificates, and unit_eq/unit_in (with unit_b_in)
-    scaled to unit norm by eq_norm/in_norm, for the active set and for
-    unscaling its multipliers.  eq_keep/in_keep map kept rows to the
-    originals.
+    eq_norm/in_norm unscale the multipliers.  A row that vanishes on the
+    unpinned variables keeps norm 1: it never blocks a step and gets a zero
+    multiplier, so only the phase-1 LP, which reads the rows as given,
+    judges it.
     """
 
-    def __init__(self, problem: QpProblem):
-        fixed = problem.lb == problem.ub
-        self.problem = problem
-        self.fixed = fixed
-        self.free = ~fixed
-        self.x_fixed = problem.lb[fixed]
-        self.Q = problem.Q[np.ix_(self.free, self.free)]
-        self.c = problem.c[self.free] + problem.Q[np.ix_(self.free, fixed)] @ self.x_fixed
-        self.lb = problem.lb[self.free]
-        self.ub = problem.ub[self.free]
-        self.n = int(self.free.sum())
-
-        a_eq = problem.a_eq[:, self.free]
-        b_eq = problem.b_eq - problem.a_eq[:, fixed] @ self.x_fixed
-        a_in = problem.a_in[:, self.free]
-        b_in = problem.b_in - problem.a_in[:, fixed] @ self.x_fixed
-        eq_norm = np.linalg.norm(a_eq, axis=1)
-        in_norm = np.linalg.norm(a_in, axis=1)
-        eq_zero, in_zero = eq_norm <= 1e-300, in_norm <= 1e-300
-        self.null_violation = max(float(np.abs(b_eq[eq_zero]).max(initial=0.0)),
-                                  float(b_in[in_zero].max(initial=0.0)))
-        self.eq_keep, self.in_keep = np.flatnonzero(~eq_zero), np.flatnonzero(~in_zero)
-        self.a_eq, self.b_eq = a_eq[self.eq_keep], b_eq[self.eq_keep]
-        self.a_in, self.b_in = a_in[self.in_keep], b_in[self.in_keep]
-        self.eq_norm, self.in_norm = eq_norm[self.eq_keep], in_norm[self.in_keep]
-        self.unit_eq = self.a_eq / self.eq_norm[:, None]
-        self.unit_in = self.a_in / self.in_norm[:, None]
-        self.unit_b_in = self.b_in / self.in_norm
-
-    def expand(self, x_free: np.ndarray) -> np.ndarray:
-        x = np.empty(self.problem.n)
-        x[self.free] = x_free
-        x[self.fixed] = self.x_fixed
-        return x
+    eq: np.ndarray
+    b_eq: np.ndarray
+    ineq: np.ndarray
+    b_in: np.ndarray
+    eq_norm: np.ndarray
+    in_norm: np.ndarray
 
 
-def _hard_bounds(red: _Reduced) -> list:
+def _unit_rows(problem: QpProblem, pinned: np.ndarray) -> _UnitRows:
+    def scaled(a, b):
+        norm = np.linalg.norm(a[:, ~pinned], axis=1)
+        norm[norm <= 1e-300] = 1.0
+        return a / norm[:, None], b / norm, norm
+
+    eq, b_eq, eq_norm = scaled(problem.a_eq, problem.b_eq)
+    ineq, b_in, in_norm = scaled(problem.a_in, problem.b_in)
+    return _UnitRows(eq, b_eq, ineq, b_in, eq_norm, in_norm)
+
+
+def _hard_bounds(problem: QpProblem) -> list:
     return [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-            for lo, hi in zip(red.lb, red.ub)]
+            for lo, hi in zip(problem.lb, problem.ub)]
 
 
-def _phase1(red: _Reduced):
+def _phase1(problem: QpProblem):
     """Chebyshev feasibility LP: minimize the max constraint violation t.
 
     Returns (x0, t_star).  Bounds are kept hard; equality and inequality
     rows are softened by t, so the LP is always solvable and t_star is the
     smallest achievable worst-case violation -- the infeasibility certificate.
     """
-    n = red.n
-    if red.a_eq.shape[0] == 0 and red.a_in.shape[0] == 0:
-        return np.clip(np.zeros(n), red.lb, red.ub), 0.0
-    n_in, n_eq = red.a_in.shape[0], red.a_eq.shape[0]
-    a_ub = np.zeros((n_in + 2 * n_eq, n + 1))
-    b_ub = np.zeros(n_in + 2 * n_eq)
-    if n_in:
-        a_ub[:n_in, :n] = -red.a_in
-        a_ub[:n_in, n] = -1.0
-        b_ub[:n_in] = -red.b_in
-    if n_eq:
-        a_ub[n_in:n_in + n_eq, :n] = red.a_eq
-        a_ub[n_in:n_in + n_eq, n] = -1.0
-        b_ub[n_in:n_in + n_eq] = red.b_eq
-        a_ub[n_in + n_eq:, :n] = -red.a_eq
-        a_ub[n_in + n_eq:, n] = -1.0
-        b_ub[n_in + n_eq:] = -red.b_eq
-    cost = np.zeros(n + 1)
-    cost[n] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
-                  bounds=_hard_bounds(red) + [(0.0, None)], method="highs")
+    n = problem.n
+    # -a_in x - t <= -b_in and |a_eq x - b_eq| <= t
+    a_ub = np.vstack([-problem.a_in, problem.a_eq, -problem.a_eq])
+    if a_ub.shape[0] == 0:
+        return np.clip(np.zeros(n), problem.lb, problem.ub), 0.0
+    a_ub = np.hstack([a_ub, -np.ones((a_ub.shape[0], 1))])
+    b_ub = np.concatenate([-problem.b_in, problem.b_eq, -problem.b_eq])
+    res = linprog(np.r_[np.zeros(n), 1.0], A_ub=a_ub, b_ub=b_ub,
+                  bounds=_hard_bounds(problem) + [(0.0, None)], method="highs")
     if not res.success:
         raise QpError(f"phase-1 feasibility LP failed: {res.message}")
-    x0 = np.clip(res.x[:n], red.lb, red.ub)
+    x0 = np.clip(res.x[:n], problem.lb, problem.ub)
     return x0, float(res.x[n])
 
 
-def _nearest_feasible(red: _Reduced, start: np.ndarray, tol: float):
+def _nearest_feasible(problem: QpProblem, pinned: np.ndarray, start: np.ndarray, tol: float):
     """Feasible point nearest start in the 1-norm, every row and bound hard.
 
-    Solves min sum(u) over (x, u) with -u <= x - start <= u.  Returns None
-    unless HiGHS finds a point violating no row by more than tol; the
-    caller then falls back to the Chebyshev LP, which alone decides
-    infeasibility and certifies it, so the verdict never depends on start.
+    Solves min sum(u) over (x, u) with -u <= x - start <= u on the unpinned
+    variables.  Returns None unless HiGHS finds a point violating no row by
+    more than tol; the caller then falls back to the Chebyshev LP, which
+    alone decides infeasibility and certifies it, so the verdict never
+    depends on start.
     """
-    n, n_in = red.n, red.a_in.shape[0]
-    if red.a_eq.shape[0] == 0 and n_in == 0:
-        return np.clip(start, red.lb, red.ub)
-    eye = np.eye(n)
-    a_ub = np.block([[-red.a_in, np.zeros((n_in, n))], [eye, -eye], [-eye, -eye]])
-    b_ub = np.concatenate([-red.b_in, start, -start])
-    a_eq = np.hstack([red.a_eq, np.zeros_like(red.a_eq)]) if red.a_eq.shape[0] else None
-    res = linprog(np.concatenate([np.zeros(n), np.ones(n)]), A_ub=a_ub, b_ub=b_ub,
-                  A_eq=a_eq, b_eq=red.b_eq if a_eq is not None else None,
-                  bounds=_hard_bounds(red) + [(0.0, None)] * n, method="highs")
+    n, n_in, n_eq = problem.n, problem.a_in.shape[0], problem.a_eq.shape[0]
+    if n_eq == 0 and n_in == 0:
+        return np.clip(start, problem.lb, problem.ub)
+    pick = np.eye(n)[~pinned]
+    k = pick.shape[0]
+    a_ub = np.block([[-problem.a_in, np.zeros((n_in, k))], [pick, -np.eye(k)], [-pick, -np.eye(k)]])
+    b_ub = np.concatenate([-problem.b_in, start[~pinned], -start[~pinned]])
+    a_eq = np.hstack([problem.a_eq, np.zeros((n_eq, k))]) if n_eq else None
+    res = linprog(np.concatenate([np.zeros(n), np.ones(k)]), A_ub=a_ub, b_ub=b_ub,
+                  A_eq=a_eq, b_eq=problem.b_eq if n_eq else None,
+                  bounds=_hard_bounds(problem) + [(0.0, None)] * k, method="highs")
     if not res.success:
         return None
-    x0 = np.clip(res.x[:n], red.lb, red.ub)
-    violation = max(np.abs(red.a_eq @ x0 - red.b_eq).max(initial=0.0),
-                    (red.b_in - red.a_in @ x0).max(initial=0.0))
+    x0 = np.clip(res.x[:n], problem.lb, problem.ub)
+    violation = max(np.abs(problem.a_eq @ x0 - problem.b_eq).max(initial=0.0),
+                    (problem.b_in - problem.a_in @ x0).max(initial=0.0))
     return x0 if violation <= tol else None
 
 
-def _null_space(q: np.ndarray):
-    """Orthonormal basis of the (numerical) null space of PSD matrix q."""
-    if q.shape[0] == 0:
-        return np.zeros((0, 0))
-    eigvals, eigvecs = np.linalg.eigh(q)
+def _null_space(q: np.ndarray, pinned: np.ndarray):
+    """Orthonormal basis of the (numerical) null space of q's block on the
+    unpinned variables, which must be PSD, as vectors zero where pinned."""
+    free = ~pinned
+    if not free.any():
+        return np.zeros((q.shape[0], 0))
+    eigvals, eigvecs = np.linalg.eigh(q[np.ix_(free, free)])
     lam_max = float(eigvals[-1])
     if eigvals[0] < -1e-8 * max(1.0, lam_max):
         raise QpInputError("Q is not positive semidefinite")
     null_mask = eigvals <= max(1e-14, 1e-10 * lam_max)
-    return eigvecs[:, null_mask]
+    basis = np.zeros((q.shape[0], int(null_mask.sum())))
+    basis[free] = eigvecs[:, null_mask]
+    return basis
 
 
-def _unbounded_ray(red: _Reduced, null_basis: np.ndarray):
+def _unbounded_ray(problem: QpProblem, pinned: np.ndarray, null_basis: np.ndarray):
     """Search null(Q) for a recession direction with c'd < 0.
 
     Any feasible z with c'Nz <= -1, a_eq N z = 0, a_in N z >= 0 and sign
-    conditions from finite bounds gives an improving feasible ray d = Nz.
+    conditions from the finite bounds of unpinned variables gives an
+    improving feasible ray d = Nz.
     """
-    if null_basis.shape[1] == 0:
-        return None
     nd = null_basis.shape[1]
-    an = red.a_in @ null_basis
-    rows = [red.c @ null_basis]
-    rhs = [-1.0]
-    for i in range(an.shape[0]):
-        rows.append(-an[i])
-        rhs.append(0.0)
-    for i in range(red.n):
-        if np.isfinite(red.lb[i]):
-            rows.append(-null_basis[i])
-            rhs.append(0.0)
-        if np.isfinite(red.ub[i]):
-            rows.append(null_basis[i])
-            rhs.append(0.0)
-    a_eq = red.a_eq @ null_basis if red.a_eq.shape[0] else None
-    b_eq = np.zeros(red.a_eq.shape[0]) if red.a_eq.shape[0] else None
-    res = linprog(np.zeros(nd), A_ub=np.array(rows), b_ub=np.array(rhs),
-                  A_eq=a_eq, b_eq=b_eq,
+    if nd == 0:
+        return None
+    rows = np.vstack([problem.c @ null_basis, -(problem.a_in @ null_basis),
+                      -null_basis[~pinned & np.isfinite(problem.lb)],
+                      null_basis[~pinned & np.isfinite(problem.ub)]])
+    rhs = np.zeros(rows.shape[0])
+    rhs[0] = -1.0
+    n_eq = problem.a_eq.shape[0]
+    res = linprog(np.zeros(nd), A_ub=rows, b_ub=rhs,
+                  A_eq=problem.a_eq @ null_basis if n_eq else None,
+                  b_eq=np.zeros(n_eq) if n_eq else None,
                   bounds=[(None, None)] * nd, method="highs")
     if res.status == 0:
         return null_basis @ res.x
@@ -390,16 +365,17 @@ def _unbounded_ray(red: _Reduced, null_basis: np.ndarray):
 
 
 def _face(a_w: np.ndarray):
-    """Null-space basis of the working rows a_w and their multiplier fit.
+    """Null-space basis of the working rows a_w and two solves with them.
 
-    One column-pivoted QR of a_w' gives both.  Returns (z, multipliers):
-    z is an orthonormal basis of {p : a_w p = 0}, and multipliers(g) solves
-    a_w' nu = g on the rows the pivoting finds independent, by a triangular
-    solve with R, giving every dependent row a zero multiplier.
+    One column-pivoted QR of a_w' gives all three.  Returns (z, multipliers,
+    restore): z is an orthonormal basis of {p : a_w p = 0}; multipliers(g)
+    solves a_w' nu = g on the rows the pivoting finds independent, by a
+    triangular solve with R, giving every dependent row a zero multiplier;
+    restore(r) is the least-norm step s with a_w s = r on those rows.
     """
     m, n = a_w.shape
     if not (m and n):
-        return np.eye(n), lambda g: np.zeros(m)
+        return np.eye(n), lambda g: np.zeros(m), lambda r: np.zeros(n)
     # The working set is often rank-deficient (rows dependent on each other
     # or on the fixed variables), and without pivoting the R-diagonal does
     # not reveal rank, which would leak null-space directions that violate
@@ -408,17 +384,20 @@ def _face(a_w: np.ndarray):
     diag = np.abs(np.diag(r))
     thresh = max(m, n) * np.finfo(float).eps * diag.max(initial=0.0)
     rank = int((diag > max(thresh, 1e-13)).sum())
+    basis, r_top, independent = qfull[:, :rank], r[:rank, :rank], piv[:rank]
 
     def multipliers(g: np.ndarray) -> np.ndarray:
         nu = np.zeros(m)
-        nu[piv[:rank]] = scipy.linalg.solve_triangular(r[:rank, :rank],
-                                                       qfull[:, :rank].T @ g)
+        nu[independent] = scipy.linalg.solve_triangular(r_top, basis.T @ g)
         return nu
 
-    return qfull[:, rank:], multipliers
+    def restore(resid: np.ndarray) -> np.ndarray:
+        return basis @ scipy.linalg.solve_triangular(r_top, resid[independent], trans="T")
+
+    return qfull[:, rank:], multipliers, restore
 
 
-def _ratio_test(red: _Reduced, x: np.ndarray, p: np.ndarray,
+def _ratio_test(problem: QpProblem, rows: _UnitRows, x: np.ndarray, p: np.ndarray,
                 working: list[int], free: np.ndarray):
     """Longest step alpha <= 1 from x along p, and what blocks it.
 
@@ -427,15 +406,15 @@ def _ratio_test(red: _Reduced, x: np.ndarray, p: np.ndarray,
     the first near-minimal ratio blocks.  Returns (alpha, kind, i) with kind
     "row", "lower" or "upper", or kind None when the full step is feasible.
     """
-    a_in, b_in, lb, ub = red.unit_in, red.unit_b_in, red.lb, red.ub
+    a_in, b_in, lb, ub = rows.ineq, rows.b_in, problem.lb, problem.ub
     in_working = np.zeros(a_in.shape[0], dtype=bool)
     in_working[working] = True
     ap = a_in @ p
-    rows = np.flatnonzero(~in_working & (ap < -1e-12))
+    blocking = np.flatnonzero(~in_working & (ap < -1e-12))
     lows = np.flatnonzero(free & np.isfinite(lb) & (p < -1e-12))
     ups = np.flatnonzero(free & np.isfinite(ub) & (p > 1e-12))
     ratios = np.concatenate([
-        np.maximum(a_in[rows] @ x - b_in[rows], 0.0) / -ap[rows],
+        np.maximum(a_in[blocking] @ x - b_in[blocking], 0.0) / -ap[blocking],
         np.maximum(x[lows] - lb[lows], 0.0) / -p[lows],
         np.maximum(ub[ups] - x[ups], 0.0) / p[ups],
     ])
@@ -443,32 +422,36 @@ def _ratio_test(red: _Reduced, x: np.ndarray, p: np.ndarray,
         return 1.0, None, -1
     alpha = float(ratios.min())
     k = int(np.argmax(ratios <= alpha * (1.0 + 1e-9) + 1e-15))
-    kind = "row" if k < rows.size else "lower" if k < rows.size + lows.size else "upper"
-    return alpha, kind, int(np.concatenate([rows, lows, ups])[k])
+    kind = "row" if k < blocking.size else "lower" if k < blocking.size + lows.size else "upper"
+    return alpha, kind, int(np.concatenate([blocking, lows, ups])[k])
 
 
-def _active_set(red: _Reduced, q: np.ndarray, x0: np.ndarray, max_iter: int):
-    """Primal active-set iterations for a strictly convex reduced problem.
+def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
+                q: np.ndarray, x0: np.ndarray, max_iter: int):
+    """Primal active-set iterations for a problem strictly convex in Q = q.
 
     A bound becomes active by fixing its variable (at_lower / at_upper) and
     snapping it to the bound; only general inequality rows enter the
-    working list.  Returns (x, working, at_lower, at_upper, iterations).
+    working list.  A pinned variable is at its lower bound from the start
+    and is never dropped.  Returns (x, working, at_lower, at_upper, face,
+    iterations), where face is the _face of the final working set.
     """
-    lb, ub = red.lb, red.ub
-    m_eq = red.unit_eq.shape[0]
+    lb, ub = problem.lb, problem.ub
+    m_eq = rows.eq.shape[0]
     x = x0.copy()
     # Warm start: every row and bound active at x0.
-    working = [int(i) for i in np.flatnonzero(red.unit_in @ x - red.unit_b_in <= 1e-8)]
-    at_lower = x - lb <= 1e-8
+    working = [int(i) for i in np.flatnonzero(rows.ineq @ x - rows.b_in <= 1e-8)]
+    at_lower = pinned | (x - lb <= 1e-8)
     at_upper = (ub - x <= 1e-8) & ~at_lower
     x[at_lower] = lb[at_lower]
     x[at_upper] = ub[at_upper]
     for iteration in range(1, max_iter + 1):
-        grad = q @ x + red.c
+        grad = q @ x + problem.c
         free = ~(at_lower | at_upper)
-        a_w = np.vstack([red.unit_eq, red.unit_in[working]])
-        z, multipliers = _face(a_w[:, free])
-        p = np.zeros(red.n)
+        a_w = np.vstack([rows.eq, rows.ineq[working]])
+        face = _face(a_w[:, free])
+        z, multipliers, _ = face
+        p = np.zeros(problem.n)
         if z.shape[1]:
             h_red = z.T @ q[np.ix_(free, free)] @ z
             rhs = -(z.T @ grad[free])
@@ -481,12 +464,12 @@ def _active_set(red: _Reduced, q: np.ndarray, x0: np.ndarray, max_iter: int):
         if np.abs(p).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(x).max(initial=0.0)):
             nu = multipliers(grad[free])
             resid = grad - a_w.T @ nu
-            lower_idx, upper_idx = np.flatnonzero(at_lower), np.flatnonzero(at_upper)
+            lower_idx, upper_idx = np.flatnonzero(at_lower & ~pinned), np.flatnonzero(at_upper)
             # Candidates in order: working rows, lower bounds, upper bounds.
             mults = np.concatenate([nu[m_eq:], resid[lower_idx], -resid[upper_idx]])
             mu_tol = 1e-9 * (1.0 + np.abs(grad).max(initial=0.0))
             if mults.size == 0 or mults.min() >= -mu_tol:
-                return x, working, at_lower, at_upper, iteration
+                return x, working, at_lower, at_upper, face, iteration
             # Drop the most negative multiplier; ties go to the first.
             drop = int(np.argmin(mults))
             if drop < len(working):
@@ -497,7 +480,7 @@ def _active_set(red: _Reduced, q: np.ndarray, x0: np.ndarray, max_iter: int):
                 at_upper[upper_idx[drop - len(working) - lower_idx.size]] = False
             continue
 
-        alpha, kind, i = _ratio_test(red, x, p, working, free)
+        alpha, kind, i = _ratio_test(problem, rows, x, p, working, free)
         x = x + alpha * p
         if kind == "row":
             working.append(i)
@@ -508,39 +491,39 @@ def _active_set(red: _Reduced, q: np.ndarray, x0: np.ndarray, max_iter: int):
     raise QpIterationLimitError(f"active-set iteration cap {max_iter} exceeded")
 
 
-def _finish(problem: QpProblem, red: _Reduced, x: np.ndarray,
-            working: list[int], at_lower: np.ndarray, at_upper: np.ndarray,
-            iterations: int, regularized: bool) -> QpSolution:
+def _finish(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray, regularized: bool,
+            x: np.ndarray, working: list[int], at_lower: np.ndarray, at_upper: np.ndarray,
+            face, iterations: int) -> QpSolution:
     """The verified optimal solution on the active set's final face.
 
     When the iterations ran on a Tikhonov-regularized Q, one Newton step of
     the true problem on that face first removes the O(eps*|x|) bias in its
     curved directions; directions of zero curvature keep the point eps
     selected, and the step is cut short at the first non-working row or
-    free bound.  The multipliers fit the true gradient Qx + c through the
-    face's QR, every bound dual is read off the stationarity residual, and
-    the result must pass the KKT check of the true problem.
+    free bound.  A least-norm step then puts the working rows back on
+    their right-hand sides: the steps leave them off by rounding in
+    proportion to |x|, which a large multiplier turns into a false
+    complementarity failure.  The multipliers fit the true gradient Qx + c
+    through the face's QR, every bound dual (both of a pinned variable) is
+    read off the stationarity residual, and the result must pass the KKT
+    check of the true problem.
     """
     free = ~(at_lower | at_upper)
-    z, multipliers = _face(np.vstack([red.unit_eq, red.unit_in[working]])[:, free])
+    z, multipliers, restore = face
     if regularized and z.shape[1]:
-        grad = red.Q @ x + red.c
-        h_red = z.T @ red.Q[np.ix_(free, free)] @ z
-        p = np.zeros(red.n)
+        grad = problem.Q @ x + problem.c
+        h_red = z.T @ problem.Q[np.ix_(free, free)] @ z
+        p = np.zeros(problem.n)
         p[free] = z @ np.linalg.lstsq(h_red, -(z.T @ grad[free]), rcond=None)[0]
-        x = x + _ratio_test(red, x, p, working, free)[0] * p
-    x = np.clip(x, red.lb, red.ub)
-    nu = multipliers((red.Q @ x + red.c)[free])
-    m_eq = red.unit_eq.shape[0]
-    eq_mult = np.zeros(problem.a_eq.shape[0])
-    eq_mult[red.eq_keep] = nu[:m_eq] / red.eq_norm
+        x = x + _ratio_test(problem, rows, x, p, working, free)[0] * p
+    b_w = np.concatenate([rows.b_eq, rows.b_in[working]])
+    x[free] += restore(b_w - np.vstack([rows.eq, rows.ineq[working]]) @ x)
+    x = np.clip(x, problem.lb, problem.ub)
+    nu = multipliers((problem.Q @ x + problem.c)[free])
+    m_eq = rows.eq.shape[0]
+    eq_mult = nu[:m_eq] / rows.eq_norm
     in_mult = np.zeros(problem.a_in.shape[0])
-    in_mult[red.in_keep[working]] = np.maximum(nu[m_eq:] / red.in_norm[working], 0.0)
-    # Every variable at a bound, pinned or fixed by the active set, takes
-    # its stationarity residual as that bound's dual.
-    x = red.expand(x)
-    lower, upper = red.fixed.copy(), red.fixed.copy()
-    lower[red.free], upper[red.free] = at_lower, at_upper
+    in_mult[working] = np.maximum(nu[m_eq:] / rows.in_norm[working], 0.0)
     resid = problem.Q @ x + problem.c - problem.a_eq.T @ eq_mult - problem.a_in.T @ in_mult
     sol = QpSolution(
         x=x,
@@ -549,8 +532,8 @@ def _finish(problem: QpProblem, red: _Reduced, x: np.ndarray,
         max_violation=problem.max_violation(x),
         eq_multipliers=eq_mult,
         in_multipliers=in_mult,
-        lower_multipliers=np.where(lower, np.maximum(resid, 0.0), 0.0),
-        upper_multipliers=np.where(upper, np.maximum(-resid, 0.0), 0.0),
+        lower_multipliers=np.where(at_lower, np.maximum(resid, 0.0), 0.0),
+        upper_multipliers=np.where(at_upper | pinned, np.maximum(-resid, 0.0), 0.0),
         iterations=iterations,
     )
     report = kkt_report(problem, sol)
@@ -584,41 +567,28 @@ def solve_qp(problem: QpProblem, *, start=None,
         if start.shape[0] != problem.n or not np.all(np.isfinite(start)):
             raise QpInputError(
                 f"start must be a finite vector of length {problem.n}")
-    red = _Reduced(problem)
+    pinned = problem.lb == problem.ub
+    rows = _unit_rows(problem, pinned)
     feas_tol = FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
-    if red.null_violation > feas_tol:
-        return QpSolution(x=red.expand(np.clip(np.zeros(red.n), red.lb, red.ub)),
-                          objective=np.nan, status=STATUS_INFEASIBLE,
-                          max_violation=red.null_violation)
+    null_basis = _null_space(problem.Q, pinned)
 
-    null_basis = _null_space(red.Q)
-
-    if red.n == 0:  # every variable pinned; zero rows were checked above
-        none = np.zeros(0, dtype=bool)
-        return _finish(problem, red, np.zeros(0), [], none, none, 0, False)
-
-    x0 = None if start is None else _nearest_feasible(red, start[red.free], feas_tol)
+    x0 = None if start is None else _nearest_feasible(problem, pinned, start, feas_tol)
     if x0 is None:
-        x0, t_star = _phase1(red)
+        x0, t_star = _phase1(problem)
         if t_star > feas_tol:
-            return QpSolution(x=red.expand(x0), objective=np.nan,
-                              status=STATUS_INFEASIBLE, max_violation=t_star)
+            return QpSolution(x=x0, objective=np.nan, status=STATUS_INFEASIBLE,
+                              max_violation=t_star)
 
     eps = 0.0
     if null_basis.shape[1]:
-        ray = _unbounded_ray(red, null_basis)
+        ray = _unbounded_ray(problem, pinned, null_basis)
         if ray is not None:
-            full_ray = np.zeros(problem.n)
-            full_ray[red.free] = ray
-            return QpSolution(x=red.expand(x0), objective=-np.inf,
-                              status=STATUS_UNBOUNDED,
-                              max_violation=problem.max_violation(red.expand(x0)),
-                              ray=full_ray)
-        trace = float(np.trace(red.Q))
-        eps = 1e-10 * trace / red.n if trace > 0 else \
-            1e-10 * (1.0 + float(np.abs(red.c).max(initial=0.0)))
+            return QpSolution(x=x0, objective=-np.inf, status=STATUS_UNBOUNDED,
+                              max_violation=problem.max_violation(x0), ray=ray)
+        trace = float(problem.Q.diagonal()[~pinned].sum())
+        eps = 1e-10 * trace / (~pinned).sum() if trace > 0 else \
+            1e-10 * (1.0 + float(np.abs(problem.c[~pinned]).max(initial=0.0)))
 
     max_iter = _max_iter if _max_iter is not None else 50 * problem.n
-    x, working, at_lower, at_upper, iterations = \
-        _active_set(red, red.Q + eps * np.eye(red.n), x0, max_iter)
-    return _finish(problem, red, x, working, at_lower, at_upper, iterations, eps > 0)
+    state = _active_set(problem, rows, pinned, problem.Q + eps * np.eye(problem.n), x0, max_iter)
+    return _finish(problem, rows, pinned, eps > 0, *state)

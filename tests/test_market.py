@@ -49,6 +49,15 @@ def test_non_numeric_cell_reports_position(tmp_path):
     assert "2" in message and "oops" in message
 
 
+@pytest.mark.parametrize("cell", ["nan", "1e999", "-inf"])
+def test_non_finite_cell_reports_position(tmp_path, cell):
+    path = _write(tmp_path, f"A,B\n0.01,0.02\n0.03,{cell}\n")
+    with pytest.raises(ReturnsFormatError) as err:
+        load_returns(path, 12)
+    message = str(err.value)
+    assert str(path) in message and "row 3, column 2" in message and cell in message
+
+
 def test_too_few_rows(tmp_path):
     path = _write(tmp_path, "A,B\n0.01,0.02\n")
     with pytest.raises(ReturnsFormatError):

@@ -58,13 +58,27 @@ def test_two_moment_constraints():
 
 
 def test_infeasible_certificate():
-    # x >= 2 and x <= 1 cannot hold; the best max-violation point is
-    # x = 1.5, violating each side by 0.5
-    p = QpProblem(Q=np.eye(1), c=np.zeros(1),
-                  a_in=np.array([[1.0], [-1.0]]), b_in=np.array([2.0, -1.0]))
-    sol = solve_qp(p)
-    assert sol.status == "infeasible"
-    assert sol.max_violation == pytest.approx(0.5, abs=1e-6)
+    # The certificate is the smallest achievable worst-case violation.
+    cases = [
+        # x >= 2 and x <= 1 cannot hold; the best max-violation point is
+        # x = 1.5, violating each side by 0.5
+        (QpProblem(Q=np.eye(1), c=np.zeros(1),
+                   a_in=np.array([[1.0], [-1.0]]), b_in=np.array([2.0, -1.0])), 0.5),
+        # x0 pinned at 0 breaks x0 >= 1 by 1, but x1 >= 5 and x1 <= 1 can
+        # at best be broken by 2 each
+        (QpProblem(Q=np.eye(2), c=np.zeros(2),
+                   a_in=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                   b_in=np.array([1.0, 5.0, -1.0]),
+                   lb=np.array([0.0, -np.inf]), ub=np.array([0.0, np.inf])), 2.0),
+        # every variable pinned: x0 + x1 = 1.5 breaks x0 + x1 >= 3 by 1.5
+        (QpProblem(Q=np.eye(2), c=np.zeros(2),
+                   a_in=np.array([[1.0, 1.0]]), b_in=np.array([3.0]),
+                   lb=np.array([0.5, 1.0]), ub=np.array([0.5, 1.0])), 1.5),
+    ]
+    for p, violation in cases:
+        sol = solve_qp(p)
+        assert sol.status == "infeasible"
+        assert sol.max_violation == pytest.approx(violation, abs=1e-6)
 
 
 def test_iteration_limit_reported_distinctly():
@@ -176,6 +190,30 @@ def test_tikhonov_term_does_not_fail_kkt_at_large_scale(b_in):
     assert report["dual_feasibility"] >= -1e-9
 
 
+def test_large_multiplier_does_not_fail_complementarity():
+    # Q is rank 1 and x0 is driven to about -4.8e4, where the one row is
+    # active with a multiplier of about 3.6e8: rounding that leaves the row
+    # off by 1e-10 would make mu * slack 4e-2 and fail the KKT check
+    q = np.array([[4.908422463367529, 4.14815571658198, -2.9190344898359686],
+                  [0.0, 3.5056468707476314, -2.4669045291602023],
+                  [0.0, 0.0, 1.7359472246824654]])
+    p = QpProblem(
+        Q=np.triu(q) + np.triu(q, 1).T,
+        c=np.array([-23.597723509240538, 3.202660656999765, -16.479100722151692]),
+        a_in=np.array([[-6.4569094173715503e-4, -0.36600939256937892, 1.1506415645286205]]),
+        b_in=np.array([309.26598570037254]),
+        lb=np.array([-np.inf, 69.18420380379654, 39.99587491560208]),
+        ub=np.array([75.16212776241939, 69.18420380379654, 263.96119478208016]))
+    sol = solve_qp(p)
+    assert sol.status == "optimal"
+    assert sol.x[2] == p.ub[2]
+    assert sol.in_multipliers[0] > 1e8
+    assert sol.max_violation <= 1e-9 * (1.0 + p.b_in[0])
+    report = kkt_report(p, sol)
+    assert report["complementarity"] <= 1e-6 * (1.0 + np.abs(p.c).max()) * (1.0 + p.b_in[0])
+    assert report["dual_feasibility"] >= -1e-9
+
+
 def test_start_validated():
     p = QpProblem(Q=np.eye(2), c=np.zeros(2))
     for bad in (np.zeros(3), np.array([0.0, np.nan]), np.array([np.inf, 0.0])):
@@ -204,16 +242,18 @@ def test_equal_bounds_pin_variables():
 
 
 @st.composite
-def boxed_qps_in_mixed_form(draw):
-    """A PD boxed QP, its box restated as bounds, rescaled rows or both.
+def boxed_qps_in_mixed_form(draw, pd=None):
+    """A boxed QP, its box restated as bounds, rescaled rows or both.
 
-    Returns (problem, Q, c, lb, ub) where the last four are the plain boxed
-    form the enumeration oracle solves; some variables are pinned (lb == ub).
+    Q is PD, or of rank 0 to n-1 unless pd is given as True.  Returns (pd,
+    problem, Q, c, lb, ub) where the last four are the plain boxed form the
+    enumeration oracle solves; some variables are pinned (lb == ub).
     """
     n = draw(st.integers(1, 6))
+    pd = draw(st.booleans()) if pd is None else pd
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    g = rng.standard_normal((n + 1, n))
-    Q = g.T @ g + 0.05 * np.eye(n)
+    g = rng.standard_normal((n + 1 if pd else draw(st.integers(0, n - 1)), n))
+    Q = g.T @ g + (0.05 * np.eye(n) if pd else 0.0)
     c = rng.standard_normal(n)
     lb = rng.uniform(-2.0, -0.5, size=n)
     ub = rng.uniform(0.5, 2.0, size=n)
@@ -236,18 +276,20 @@ def boxed_qps_in_mixed_form(draw):
                 rhs.append(k * bound[i])
     problem = QpProblem(Q=Q, c=c, a_in=np.array(rows) if rows else None,
                         b_in=np.array(rhs) if rows else None, lb=p_lb, ub=p_ub)
-    return problem, Q, c, lb, ub
+    return pd, problem, Q, c, lb, ub
 
 
 @settings(max_examples=150, deadline=None)
 @given(boxed_qps_in_mixed_form())
 def test_bounds_and_bound_rows_reach_the_same_optimum(case):
-    problem, Q, c, lb, ub = case
+    # a singular Q can have a whole face of optima; only a PD Q fixes x
+    pd, problem, Q, c, lb, ub = case
     sol = solve_qp(problem)
     assert sol.status == "optimal"
     x_ref, obj_ref = boxed_qp_oracle(Q, c, lb, ub)
     assert sol.objective == pytest.approx(obj_ref, abs=1e-8)
-    np.testing.assert_allclose(sol.x, x_ref, atol=1e-6)
+    if pd:
+        np.testing.assert_allclose(sol.x, x_ref, atol=1e-6)
     report = kkt_report(problem, sol)
     assert report["stationarity"] <= 1e-6
     assert report["complementarity"] <= 1e-6
@@ -260,7 +302,7 @@ def qps_with_any_verdict(draw):
     of rows and bounds, and QPs with a descending recession direction."""
     verdict = draw(st.sampled_from(("optimal", "infeasible", "unbounded")))
     if verdict == "optimal":
-        return verdict, draw(boxed_qps_in_mixed_form())[0]
+        return verdict, draw(boxed_qps_in_mixed_form(pd=True))[1]
     n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = rng.standard_normal((int(rng.integers(0, 4)), n))
