@@ -12,8 +12,8 @@ dense problems produced by the portfolio and lifetime-planning layers
 (n up to a few hundred):
 
 * a variable pinned by equal bounds is a bound that the active set holds
-  from the start and never drops; the PSD check, the null space of Q and
-  the Tikhonov eps below look at the unpinned variables only;
+  from the start and never drops; the PSD check and the curvature floor
+  below look at the unpinned variables only;
 * feasibility is decided by a phase-1 linear program that minimizes the
   Chebyshev (max) constraint violation, so an infeasible verdict comes with
   the smallest achievable violation as a certificate.  Rows that vanish
@@ -25,32 +25,36 @@ dense problems produced by the portfolio and lifetime-planning layers
   active at that point in the working set, which shortens its path.  If
   that LP finds no feasible point, the Chebyshev LP runs as without
   ``start``, so verdicts and certificates never depend on it;
-* when Q is singular, a second linear program searches the null space of Q
-  for a feasible direction d with c'd < 0, which certifies unboundedness;
-* the remaining bounded problem is made strictly convex with a Tikhonov
-  term eps = 1e-10 * trace(Q)/n and solved by primal active-set iterations
-  with null-space KKT solves.  Constraint rows are normalized internally
-  (over the unpinned variables), so solutions are invariant under positive
-  rescaling of any row;
+* constraint rows are normalized internally (over the unpinned
+  variables), so solutions are invariant under positive rescaling of any
+  row;
 * a bound enters the active set by fixing its variable at the bound, not
   as a constraint row, so the null-space solves only see the equality rows
   and the working general rows restricted to the free variables.  Every
   bound multiplier, for pinned and fixed variables alike, is read off the
   stationarity residual Qx + c - a_eq'lam - a_in'mu;
-* one column-pivoted QR of the working rows gives the null-space basis
+* one column-pivoted QR of the working rows gives the null-space basis Z
   and, by triangular solves with R, the multipliers and a least-norm step
   onto the rows; a row that the pivoting finds dependent on the others
   gets a zero multiplier;
-* when Q was regularized, one unregularized Newton step on the final
-  working face always removes the Tikhonov bias, of order eps*|x|, in its
-  curved directions.  A least-norm step from the final face's QR then
-  puts the working rows back on their right-hand sides, the multipliers
-  fit the true gradient Qx + c, and the result must pass a KKT check of
-  the true problem.
+* each step solves with the reduced Hessian Z'QZ of the true Q: by
+  Cholesky while its smallest pivot is above the curvature floor
+  max(1e-14, 1e-10 * lambda_max(Q)), otherwise by its eigendecomposition.
+  The reduced gradient's component along eigenvectors below the floor,
+  negated, descends with zero curvature and is followed to the first row
+  or bound that blocks it; if none does, it is a ray, checked (Qd = 0,
+  c'd < 0, every row and finite bound kept) before "unbounded" is
+  returned.  Without such a component the step is the minimum-norm Newton
+  step on the curved eigenvectors;
+* a least-norm step from the final face's QR puts the working rows back
+  on their right-hand sides, the multipliers fit Qx + c, and the result
+  must pass a KKT check.
 
-The regularized problem has a unique optimum, so ``start`` changes the
-path of the iterations and not the point they reach, up to the
-iterations' own tolerances.
+When the optimal face has a direction of zero curvature, the optimum is
+not unique and the solver returns the point its path reaches; ``start``
+changes that path and can select a different optimal point with the same
+objective.  Otherwise the optimum is unique and ``start`` changes only the
+path, up to the iterations' own tolerances.
 
 Ties are broken deterministically.  The ratio test scans general rows,
 then lower bounds, then upper bounds, each in index order, and takes the
@@ -321,49 +325,6 @@ def _nearest_feasible(problem: QpProblem, pinned: np.ndarray, start: np.ndarray,
     return x0 if violation <= tol else None
 
 
-def _null_space(q: np.ndarray, pinned: np.ndarray):
-    """Orthonormal basis of the (numerical) null space of q's block on the
-    unpinned variables, which must be PSD, as vectors zero where pinned."""
-    free = ~pinned
-    if not free.any():
-        return np.zeros((q.shape[0], 0))
-    eigvals, eigvecs = np.linalg.eigh(q[np.ix_(free, free)])
-    lam_max = float(eigvals[-1])
-    if eigvals[0] < -1e-8 * max(1.0, lam_max):
-        raise QpInputError("Q is not positive semidefinite")
-    null_mask = eigvals <= max(1e-14, 1e-10 * lam_max)
-    basis = np.zeros((q.shape[0], int(null_mask.sum())))
-    basis[free] = eigvecs[:, null_mask]
-    return basis
-
-
-def _unbounded_ray(problem: QpProblem, pinned: np.ndarray, null_basis: np.ndarray):
-    """Search null(Q) for a recession direction with c'd < 0.
-
-    Any feasible z with c'Nz <= -1, a_eq N z = 0, a_in N z >= 0 and sign
-    conditions from the finite bounds of unpinned variables gives an
-    improving feasible ray d = Nz.
-    """
-    nd = null_basis.shape[1]
-    if nd == 0:
-        return None
-    rows = np.vstack([problem.c @ null_basis, -(problem.a_in @ null_basis),
-                      -null_basis[~pinned & np.isfinite(problem.lb)],
-                      null_basis[~pinned & np.isfinite(problem.ub)]])
-    rhs = np.zeros(rows.shape[0])
-    rhs[0] = -1.0
-    n_eq = problem.a_eq.shape[0]
-    res = linprog(np.zeros(nd), A_ub=rows, b_ub=rhs,
-                  A_eq=problem.a_eq @ null_basis if n_eq else None,
-                  b_eq=np.zeros(n_eq) if n_eq else None,
-                  bounds=[(None, None)] * nd, method="highs")
-    if res.status == 0:
-        return null_basis @ res.x
-    if res.status == 2:  # certificate: no such direction exists
-        return None
-    raise QpError(f"unboundedness certificate LP failed: {res.message}")
-
-
 def _face(a_w: np.ndarray):
     """Null-space basis of the working rows a_w and two solves with them.
 
@@ -398,13 +359,13 @@ def _face(a_w: np.ndarray):
 
 
 def _ratio_test(problem: QpProblem, rows: _UnitRows, x: np.ndarray, p: np.ndarray,
-                working: list[int], free: np.ndarray):
-    """Longest step alpha <= 1 from x along p, and what blocks it.
+                working: list[int], free: np.ndarray, cap: float):
+    """Longest step alpha <= cap from x along p, and what blocks it.
 
     Candidates are the general rows outside the working list, then the
     finite lower and upper bounds of free variables, each in index order;
     the first near-minimal ratio blocks.  Returns (alpha, kind, i) with kind
-    "row", "lower" or "upper", or kind None when the full step is feasible.
+    "row", "lower" or "upper", or (cap, None, -1) when nothing blocks first.
     """
     a_in, b_in, lb, ub = rows.ineq, rows.b_in, problem.lb, problem.ub
     in_working = np.zeros(a_in.shape[0], dtype=bool)
@@ -418,25 +379,48 @@ def _ratio_test(problem: QpProblem, rows: _UnitRows, x: np.ndarray, p: np.ndarra
         np.maximum(x[lows] - lb[lows], 0.0) / -p[lows],
         np.maximum(ub[ups] - x[ups], 0.0) / p[ups],
     ])
-    if not ratios.size or ratios.min() >= 1.0:
-        return 1.0, None, -1
+    if not ratios.size or ratios.min() >= cap:
+        return cap, None, -1
     alpha = float(ratios.min())
     k = int(np.argmax(ratios <= alpha * (1.0 + 1e-9) + 1e-15))
     kind = "row" if k < blocking.size else "lower" if k < blocking.size + lows.size else "upper"
     return alpha, kind, int(np.concatenate([blocking, lows, ups])[k])
 
 
+def _face_step(h_red: np.ndarray, g_red: np.ndarray, floor: float, tol: float):
+    """(p, flat): the step on a face with reduced Hessian h_red, gradient g_red.
+
+    p is the Newton step while the smallest Cholesky pivot of h_red is
+    above floor.  Otherwise, if g_red has a component above tol along the
+    eigenvectors at or below floor, p is that component negated and flat
+    is True; if not, p is the minimum-norm Newton step on the others.
+    """
+    try:
+        factor = scipy.linalg.cho_factor(h_red)
+        if np.diag(factor[0]).min() ** 2 > floor:
+            return scipy.linalg.cho_solve(factor, -g_red), False
+    except np.linalg.LinAlgError:
+        pass
+    eigvals, eigvecs = np.linalg.eigh(h_red)
+    curved = eigvals > floor
+    g_flat = eigvecs[:, ~curved].T @ g_red
+    if np.abs(g_flat).max(initial=0.0) > tol:
+        return -(eigvecs[:, ~curved] @ g_flat), True
+    return -(eigvecs[:, curved] @ (eigvecs[:, curved].T @ g_red / eigvals[curved])), False
+
+
 def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
-                q: np.ndarray, x0: np.ndarray, max_iter: int):
-    """Primal active-set iterations for a problem strictly convex in Q = q.
+                lam_max: float, x0: np.ndarray, max_iter: int) -> QpSolution:
+    """Primal active-set iterations from the feasible point x0.
 
     A bound becomes active by fixing its variable (at_lower / at_upper) and
     snapping it to the bound; only general inequality rows enter the
     working list.  A pinned variable is at its lower bound from the start
-    and is never dropped.  Returns (x, working, at_lower, at_upper, face,
-    iterations), where face is the _face of the final working set.
+    and is never dropped.  Returns the optimum from _finish, or the ray
+    from _unbounded when a step of zero curvature meets no block.
     """
-    lb, ub = problem.lb, problem.ub
+    q, lb, ub = problem.Q, problem.lb, problem.ub
+    floor = max(1e-14, 1e-10 * lam_max)
     m_eq = rows.eq.shape[0]
     x = x0.copy()
     # Warm start: every row and bound active at x0.
@@ -447,29 +431,26 @@ def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
     x[at_upper] = ub[at_upper]
     for iteration in range(1, max_iter + 1):
         grad = q @ x + problem.c
+        mu_tol = 1e-9 * (1.0 + np.abs(grad).max(initial=0.0))
         free = ~(at_lower | at_upper)
         a_w = np.vstack([rows.eq, rows.ineq[working]])
         face = _face(a_w[:, free])
         z, multipliers, _ = face
-        p = np.zeros(problem.n)
+        p, flat = np.zeros(problem.n), False
         if z.shape[1]:
-            h_red = z.T @ q[np.ix_(free, free)] @ z
-            rhs = -(z.T @ grad[free])
-            try:
-                p_z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(h_red), rhs)
-            except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-                p_z = np.linalg.lstsq(h_red, rhs, rcond=None)[0]
+            p_z, flat = _face_step(z.T @ q[np.ix_(free, free)] @ z, z.T @ grad[free],
+                                   floor, mu_tol)
             p[free] = z @ p_z
 
-        if np.abs(p).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(x).max(initial=0.0)):
+        if not flat and np.abs(p).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(x).max(initial=0.0)):
             nu = multipliers(grad[free])
             resid = grad - a_w.T @ nu
             lower_idx, upper_idx = np.flatnonzero(at_lower & ~pinned), np.flatnonzero(at_upper)
             # Candidates in order: working rows, lower bounds, upper bounds.
             mults = np.concatenate([nu[m_eq:], resid[lower_idx], -resid[upper_idx]])
-            mu_tol = 1e-9 * (1.0 + np.abs(grad).max(initial=0.0))
             if mults.size == 0 or mults.min() >= -mu_tol:
-                return x, working, at_lower, at_upper, face, iteration
+                return _finish(problem, rows, pinned, x, working, at_lower, at_upper,
+                               face, iteration)
             # Drop the most negative multiplier; ties go to the first.
             drop = int(np.argmin(mults))
             if drop < len(working):
@@ -480,7 +461,12 @@ def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
                 at_upper[upper_idx[drop - len(working) - lower_idx.size]] = False
             continue
 
-        alpha, kind, i = _ratio_test(problem, rows, x, p, working, free)
+        if flat:
+            p /= np.abs(p).max()
+        alpha, kind, i = _ratio_test(problem, rows, x, p, working, free,
+                                     np.inf if flat else 1.0)
+        if kind is None and flat:
+            return _unbounded(problem, rows, pinned, lam_max, x, p, iteration)
         x = x + alpha * p
         if kind == "row":
             working.append(i)
@@ -491,31 +477,45 @@ def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
     raise QpIterationLimitError(f"active-set iteration cap {max_iter} exceeded")
 
 
-def _finish(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray, regularized: bool,
+def _unbounded(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray, lam_max: float,
+               x: np.ndarray, ray: np.ndarray, iterations: int) -> QpSolution:
+    """The unbounded verdict at x along ray, after checking the ray.
+
+    With |ray|_inf = 1 it must have |Q ray|_inf within 1e-8 * max(1,
+    lam_max), as in the PSD check, c'ray < 0, a_eq ray = 0 and a_in ray >= 0
+    within 1e-9 on the unit rows, and the sign of every finite bound of an
+    unpinned variable; otherwise QpError is raised.
+    """
+    unpinned, tol = ~pinned, 1e-9
+    failed = [name for name, bad in (
+        ("Qd = 0", np.abs(problem.Q @ ray).max() > 1e-8 * max(1.0, lam_max)),
+        ("c'd < 0", problem.c @ ray >= 0.0),
+        ("a_eq d = 0", np.abs(rows.eq @ ray).max(initial=0.0) > tol),
+        ("a_in d >= 0", (rows.ineq @ ray).min(initial=0.0) < -tol),
+        ("lower bounds", ray[unpinned & np.isfinite(problem.lb)].min(initial=0.0) < -tol),
+        ("upper bounds", ray[unpinned & np.isfinite(problem.ub)].max(initial=0.0) > tol),
+    ) if bad]
+    if failed:
+        raise QpError(f"internal ray verification failed: {', '.join(failed)}")
+    return QpSolution(x=x, objective=-np.inf, status=STATUS_UNBOUNDED,
+                      max_violation=problem.max_violation(x), iterations=iterations, ray=ray)
+
+
+def _finish(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
             x: np.ndarray, working: list[int], at_lower: np.ndarray, at_upper: np.ndarray,
             face, iterations: int) -> QpSolution:
     """The verified optimal solution on the active set's final face.
 
-    When the iterations ran on a Tikhonov-regularized Q, one Newton step of
-    the true problem on that face first removes the O(eps*|x|) bias in its
-    curved directions; directions of zero curvature keep the point eps
-    selected, and the step is cut short at the first non-working row or
-    free bound.  A least-norm step then puts the working rows back on
-    their right-hand sides: the steps leave them off by rounding in
+    A least-norm step from the face's QR first puts the working rows back
+    on their right-hand sides: the iterations leave them off by rounding in
     proportion to |x|, which a large multiplier turns into a false
-    complementarity failure.  The multipliers fit the true gradient Qx + c
-    through the face's QR, every bound dual (both of a pinned variable) is
+    complementarity failure.  The multipliers fit the gradient Qx + c
+    through the same QR, every bound dual (both of a pinned variable) is
     read off the stationarity residual, and the result must pass the KKT
-    check of the true problem.
+    check.
     """
     free = ~(at_lower | at_upper)
-    z, multipliers, restore = face
-    if regularized and z.shape[1]:
-        grad = problem.Q @ x + problem.c
-        h_red = z.T @ problem.Q[np.ix_(free, free)] @ z
-        p = np.zeros(problem.n)
-        p[free] = z @ np.linalg.lstsq(h_red, -(z.T @ grad[free]), rcond=None)[0]
-        x = x + _ratio_test(problem, rows, x, p, working, free)[0] * p
+    _, multipliers, restore = face
     b_w = np.concatenate([rows.b_eq, rows.b_in[working]])
     x[free] += restore(b_w - np.vstack([rows.eq, rows.ineq[working]]) @ x)
     x = np.clip(x, problem.lb, problem.ub)
@@ -554,11 +554,14 @@ def solve_qp(problem: QpProblem, *, start=None,
     start, when given, is any finite point of length n, feasible or not:
     phase 1 then begins from the feasible point nearest to it, which
     shortens the active-set path when start is close to the optimum (the
-    plan of a neighbouring problem).  It never changes the verdict, and it
-    changes the returned optimum only within the solver's tolerances.
+    plan of a neighbouring problem).  It never changes the verdict.  Where
+    the optimum is unique, it changes the returned point only within the
+    solver's tolerances; where Q leaves a face of optima, it can select a
+    different point of that face, with the same objective.
 
     Returns a solution with status "optimal", "infeasible" or "unbounded".
-    Raises QpInputError for malformed data or start and
+    Raises QpInputError for malformed data or start, or for a Q that is
+    not positive semidefinite on the unpinned variables, and
     QpIterationLimitError if the active-set cap of 50*n iterations is
     exceeded.
     """
@@ -570,7 +573,10 @@ def solve_qp(problem: QpProblem, *, start=None,
     pinned = problem.lb == problem.ub
     rows = _unit_rows(problem, pinned)
     feas_tol = FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
-    null_basis = _null_space(problem.Q, pinned)
+    eigvals = np.linalg.eigvalsh(problem.Q[np.ix_(~pinned, ~pinned)])
+    lam_max = float(eigvals.max(initial=0.0))
+    if eigvals.min(initial=0.0) < -1e-8 * max(1.0, lam_max):
+        raise QpInputError("Q is not positive semidefinite")
 
     x0 = None if start is None else _nearest_feasible(problem, pinned, start, feas_tol)
     if x0 is None:
@@ -579,16 +585,5 @@ def solve_qp(problem: QpProblem, *, start=None,
             return QpSolution(x=x0, objective=np.nan, status=STATUS_INFEASIBLE,
                               max_violation=t_star)
 
-    eps = 0.0
-    if null_basis.shape[1]:
-        ray = _unbounded_ray(problem, pinned, null_basis)
-        if ray is not None:
-            return QpSolution(x=x0, objective=-np.inf, status=STATUS_UNBOUNDED,
-                              max_violation=problem.max_violation(x0), ray=ray)
-        trace = float(problem.Q.diagonal()[~pinned].sum())
-        eps = 1e-10 * trace / (~pinned).sum() if trace > 0 else \
-            1e-10 * (1.0 + float(np.abs(problem.c[~pinned]).max(initial=0.0)))
-
     max_iter = _max_iter if _max_iter is not None else 50 * problem.n
-    state = _active_set(problem, rows, pinned, problem.Q + eps * np.eye(problem.n), x0, max_iter)
-    return _finish(problem, rows, pinned, eps > 0, *state)
+    return _active_set(problem, rows, pinned, lam_max, x0, max_iter)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longplan import lifecycle
+from longplan import lifecycle, qp
 from longplan.insurance import HazardModel, estimate_discount_factor, \
     expected_strike_year, spread_linear_coefficient, \
     spread_variance_coefficient, strike_time_estimates
@@ -387,6 +387,24 @@ def test_warm_started_branches_match_cold_solves():
         cold = solve_qp(QpProblem(Q=-q, c=-c, a_in=a, b_in=b, lb=lb, ub=ub))
         assert cold.status == "optimal" and objective is not None
         assert objective == pytest.approx(-cold.objective, rel=1e-9)
+
+
+def test_sample_plan_solves_at_most_one_lp_per_branch(monkeypatch):
+    # phase 1 of the first branch and the nearest-point LP of each of the
+    # 20 warm-started ones; boundedness needs no LP of its own
+    stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
+    fund = max_sharpe_long_only(stats, 0.025)
+    calls, linprog = [], qp.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "linprog", counting_linprog)
+    plan = solve_lifecycle(LifecycleConfig(),
+                           RiskyAssetSummary(r_stock=fund.mean, var_stock=fund.variance))
+    assert len(plan.branch_objectives) == 21
+    assert len(calls) <= 21
 
 
 @settings(max_examples=25, deadline=None)

@@ -176,8 +176,8 @@ def test_maximize_wrapper_examples():
 
 @pytest.mark.parametrize("b_in", [3e4, 3e5])
 def test_tikhonov_term_does_not_fail_kkt_at_large_scale(b_in):
-    # min x0^2 s.t. x0 + x1 >= b_in, x1 >= 0: Q is singular, so the solver
-    # regularizes, and eps*x grows with the scale of the optimum x = (0, b_in)
+    # min x0^2 s.t. x0 + x1 >= b_in, x1 >= 0: Q is singular and the optimum
+    # x = (0, b_in) is large, so any error in proportion to |x| would show
     p = QpProblem(Q=np.diag([2.0, 0.0]), c=np.zeros(2),
                   a_in=np.array([[1.0, 1.0]]), b_in=np.array([b_in]),
                   lb=np.array([-np.inf, 0.0]))
@@ -219,6 +219,48 @@ def test_start_validated():
     for bad in (np.zeros(3), np.array([0.0, np.nan]), np.array([np.inf, 0.0])):
         with pytest.raises(QpInputError, match="start"):
             solve_qp(p, start=bad)
+
+
+def test_psd_check_reads_the_unpinned_variables():
+    # Q = diag(-1, 1) is indefinite, but once x0 is pinned the solver sees
+    # only its block on x1, which is positive definite
+    q, c = np.diag([-1.0, 1.0]), np.array([0.0, -1.0])
+    with pytest.raises(QpInputError, match="positive semidefinite"):
+        solve_qp(QpProblem(Q=q, c=c, lb=np.array([1.0, -5.0]), ub=np.array([3.0, 5.0])))
+    sol = solve_qp(QpProblem(Q=q, c=c, lb=np.array([2.0, -5.0]), ub=np.array([2.0, 5.0])))
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [2.0, 1.0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("problem, start, status, objective", [
+    # Q = 0: the step along -c has no curvature and runs to the bound x = 3
+    (QpProblem(Q=np.zeros((1, 1)), c=np.array([-1.0]), lb=np.zeros(1), ub=np.array([3.0])),
+     None, "optimal", -3.0),
+    # every point of the face x0 + x1 = 1, x >= 0 is optimal; start picks one
+    (QpProblem(Q=np.zeros((2, 2)), c=np.ones(2), a_in=np.array([[1.0, 1.0]]),
+               b_in=np.array([1.0]), lb=np.zeros(2)),
+     np.array([5.0, 5.0]), "optimal", 1.0),
+    # unbounded along d = (2, 1, 0), which keeps x0 - 2 x1 + x2 = 1
+    (QpProblem(Q=np.diag([0.0, 0.0, 1.0]), c=np.array([-1.0, 0.0, 0.0]),
+               a_eq=np.array([[1.0, -2.0, 1.0]]), b_eq=np.array([1.0]), lb=np.zeros(3)),
+     None, "unbounded", -np.inf),
+], ids=["step_to_bound", "face_of_optima", "unbounded_with_equality"])
+def test_zero_curvature_steps(problem, start, status, objective):
+    sol = solve_qp(problem, start=start)
+    assert sol.status == status
+    assert sol.objective == pytest.approx(objective, abs=1e-12)
+    assert sol.max_violation <= 1e-12
+    if status == "optimal":
+        report = kkt_report(problem, sol)
+        assert report["stationarity"] <= 1e-12
+        assert report["complementarity"] <= 1e-12
+        assert report["dual_feasibility"] >= 0.0
+    else:
+        ray = sol.ray
+        assert problem.c @ ray < 0
+        np.testing.assert_allclose(problem.Q @ ray, 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(problem.a_eq @ ray, 0.0, rtol=0, atol=1e-12)
+        assert ray.min() >= 0.0
 
 
 def test_objective_recomputation_matches():
@@ -299,7 +341,8 @@ def test_bounds_and_bound_rows_reach_the_same_optimum(case):
 @st.composite
 def qps_with_any_verdict(draw):
     """(verdict, problem): the boxed mixed-form QPs above, infeasible systems
-    of rows and bounds, and QPs with a descending recession direction."""
+    of rows and bounds, and QPs with a descending recession direction, some
+    with an equality row."""
     verdict = draw(st.sampled_from(("optimal", "infeasible", "unbounded")))
     if verdict == "optimal":
         return verdict, draw(boxed_qps_in_mixed_form(pd=True))[1]
@@ -327,7 +370,11 @@ def qps_with_any_verdict(draw):
     rows *= np.where(rows @ d < 0, -1.0, 1.0)[:, None]
     lb = np.where((d >= 0) & (rng.random(n) < 0.5), -rng.uniform(0.5, 2.0, n), -np.inf)
     ub = np.where((d <= 0) & (rng.random(n) < 0.5), rng.uniform(0.5, 2.0, n), np.inf)
-    return verdict, QpProblem(Q=g.T @ g, c=c, a_in=rows if rows.size else None,
+    # an equality row orthogonal to d holds all along the ray
+    a_eq = rng.standard_normal((1 if n > 1 and draw(st.booleans()) else 0, n))
+    a_eq -= np.outer(a_eq @ d, d)
+    return verdict, QpProblem(Q=g.T @ g, c=c, a_eq=a_eq, b_eq=rng.standard_normal(a_eq.shape[0]),
+                              a_in=rows if rows.size else None,
                               b_in=rng.standard_normal(rows.shape[0]) if rows.size else None,
                               lb=lb, ub=ub)
 
@@ -346,11 +393,12 @@ def test_warm_start_reaches_the_cold_result(case, seed, magnitude):
         np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-7)  # Q is PD
     elif verdict == "infeasible":
         assert warm.max_violation == cold.max_violation
-    else:  # x is the phase-1 point, which start moves; the ray must descend
+    else:  # x is where the iterations found the ray, which start moves
         ray = warm.ray
         scale = np.abs(ray).max()
         assert problem.c @ ray < 0
         assert np.abs(problem.Q @ ray).max() <= 1e-8 * scale
+        assert np.abs(problem.a_eq @ ray).max(initial=0.0) <= 1e-9 * scale
         assert (problem.a_in @ ray).min(initial=0.0) >= -1e-9 * scale
         assert ray[np.isfinite(problem.lb)].min(initial=0.0) >= -1e-9 * scale
         assert ray[np.isfinite(problem.ub)].max(initial=0.0) <= 1e-9 * scale
@@ -367,7 +415,7 @@ def boxed_qps_with_copied_rows(draw):
     g = rng.standard_normal((n + 1 if pd else draw(st.integers(1, min(3, n))), n))
     Q = g.T @ g + (0.05 * np.eye(n) if pd else 0.0)
     c = rng.standard_normal(n) * 10.0 ** draw(st.integers(0, 2))
-    # a wide box makes the Tikhonov bias eps*|x| of a singular Q visible
+    # a wide box makes errors in proportion to |x| visible
     scale = 10.0 ** draw(st.integers(0, 3))
     lb, ub = scale * rng.uniform(-2.0, -0.5, n), scale * rng.uniform(0.5, 2.0, n)
     # rows through a point inside the box, some tight there, so the
