@@ -37,15 +37,15 @@ dense problems produced by the portfolio and lifetime-planning layers
   and, by triangular solves with R, the multipliers and a least-norm step
   onto the rows; a row that the pivoting finds dependent on the others
   gets a zero multiplier;
-* each step solves with the reduced Hessian Z'QZ of the true Q: by
-  Cholesky while its smallest pivot is above the curvature floor
-  max(1e-14, 1e-10 * lambda_max(Q)), otherwise by its eigendecomposition.
-  The reduced gradient's component along eigenvectors below the floor,
-  negated, descends with zero curvature and is followed to the first row
-  or bound that blocks it; if none does, it is a ray, checked (Qd = 0,
+* each step solves with the reduced Hessian Z'QZ of the true Q.  An
+  eigenvalue of Z'QZ at rounding level (dim * eps * lambda_max(Q)) counts
+  as zero curvature.  Minus the reduced gradient's component along those
+  eigenvectors descends without curvature and is followed to the first
+  row or bound that blocks it; if none does, it is a ray, checked (Qd = 0,
   c'd < 0, every row and finite bound kept) before "unbounded" is
   returned.  Without such a component the step is the minimum-norm Newton
-  step on the curved eigenvectors;
+  step; a Cholesky factor gives it without an eigendecomposition when it
+  proves every eigenvalue above max(1e-14, 1e-10 * lambda_max(Q));
 * a least-norm step from the final face's QR puts the working rows back
   on their right-hand sides, the multipliers fit Qx + c, and the result
   must pass a KKT check.
@@ -387,26 +387,31 @@ def _ratio_test(problem: QpProblem, rows: _UnitRows, x: np.ndarray, p: np.ndarra
     return alpha, kind, int(np.concatenate([blocking, lows, ups])[k])
 
 
-def _face_step(h_red: np.ndarray, g_red: np.ndarray, floor: float, tol: float):
+def _face_step(h_red: np.ndarray, g_red: np.ndarray, lam_max: float, tol: float):
     """(p, flat): the step on a face with reduced Hessian h_red, gradient g_red.
 
-    p is the Newton step while the smallest Cholesky pivot of h_red is
-    above floor.  Otherwise, if g_red has a component above tol along the
-    eigenvectors at or below floor, p is that component negated and flat
-    is True; if not, p is the minimum-norm Newton step on the others.
+    An eigenvalue of h_red at or below dim * eps * lam_max, lam_max the
+    largest eigenvalue of Q on the unpinned variables, is rounding: zero
+    curvature.  If g_red has a component above tol along those
+    eigenvectors, p is that component negated and flat is True; otherwise
+    p is the minimum-norm Newton step on the other eigenvectors.  When the
+    Cholesky factor L shows every eigenvalue to be above the floor
+    max(1e-14, 1e-10 * lam_max), by |L^-1|_F^2 = trace(h_red^-1) < 1/floor,
+    p is the Newton step from L and no eigendecomposition is needed.
     """
+    floor = max(1e-14, 1e-10 * lam_max)
     try:
-        factor = scipy.linalg.cho_factor(h_red)
-        if np.diag(factor[0]).min() ** 2 > floor:
-            return scipy.linalg.cho_solve(factor, -g_red), False
+        inv = scipy.linalg.lapack.dtrtri(scipy.linalg.cholesky(h_red, lower=True), lower=1)[0]
+        if np.sum(inv * inv) < 1.0 / floor:
+            return -(inv.T @ (inv @ g_red)), False
     except np.linalg.LinAlgError:
         pass
     eigvals, eigvecs = np.linalg.eigh(h_red)
-    curved = eigvals > floor
-    g_flat = eigvecs[:, ~curved].T @ g_red
+    flat = eigvals <= h_red.shape[0] * np.finfo(float).eps * lam_max
+    g_flat = eigvecs[:, flat].T @ g_red
     if np.abs(g_flat).max(initial=0.0) > tol:
-        return -(eigvecs[:, ~curved] @ g_flat), True
-    return -(eigvecs[:, curved] @ (eigvecs[:, curved].T @ g_red / eigvals[curved])), False
+        return -(eigvecs[:, flat] @ g_flat), True
+    return -(eigvecs[:, ~flat] @ (eigvecs[:, ~flat].T @ g_red / eigvals[~flat])), False
 
 
 def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
@@ -420,7 +425,6 @@ def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
     from _unbounded when a step of zero curvature meets no block.
     """
     q, lb, ub = problem.Q, problem.lb, problem.ub
-    floor = max(1e-14, 1e-10 * lam_max)
     m_eq = rows.eq.shape[0]
     x = x0.copy()
     # Warm start: every row and bound active at x0.
@@ -439,7 +443,7 @@ def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
         p, flat = np.zeros(problem.n), False
         if z.shape[1]:
             p_z, flat = _face_step(z.T @ q[np.ix_(free, free)] @ z, z.T @ grad[free],
-                                   floor, mu_tol)
+                                   lam_max, mu_tol)
             p[free] = z @ p_z
 
         if not flat and np.abs(p).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(x).max(initial=0.0)):

@@ -244,7 +244,20 @@ def test_psd_check_reads_the_unpinned_variables():
     (QpProblem(Q=np.diag([0.0, 0.0, 1.0]), c=np.array([-1.0, 0.0, 0.0]),
                a_eq=np.array([[1.0, -2.0, 1.0]]), b_eq=np.array([1.0]), lb=np.zeros(3)),
      None, "unbounded", -np.inf),
-], ids=["step_to_bound", "face_of_optima", "unbounded_with_equality"])
+    # x1 has curvature 2**-37, below 1e-10 * lambda_max but far above
+    # rounding: it stops at its minimizer 2**37 (boxed or not) instead of
+    # running to the bound and back, or off as a ray
+    (QpProblem(Q=np.diag([1.0, 2.0**-37]), c=np.array([0.0, -1.0]),
+               lb=np.array([-1.0, 0.0]), ub=np.array([1.0, 1e12])),
+     None, "optimal", -2.0**36),
+    (QpProblem(Q=np.diag([1.0, 2.0**-37]), c=np.array([0.0, -1.0]),
+               lb=np.array([-1.0, 0.0])),
+     None, "optimal", -2.0**36),
+    # beside that curvature, a direction with none at all is a ray
+    (QpProblem(Q=np.diag([1.0, 2.0**-37, 0.0]), c=np.array([0.0, -1.0, -1.0])),
+     None, "unbounded", -np.inf),
+], ids=["step_to_bound", "face_of_optima", "unbounded_with_equality",
+        "tiny_curvature_boxed", "tiny_curvature_open", "ray_beside_tiny_curvature"])
 def test_zero_curvature_steps(problem, start, status, objective):
     sol = solve_qp(problem, start=start)
     assert sol.status == status
