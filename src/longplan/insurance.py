@@ -1,10 +1,9 @@
 """Insurance valuation under a constant-hazard strike-time model.
 
 The strike event (job loss) arrives with constant hazard h, so its time T
-is exponential: F(t) = 1 - exp(-h t).  Sampling goes through a latent
-standard normal Y via T = -ln(1 - Phi(Y)) / h, which is the inverse-CDF
-transform composed with the probability integral: if Y ~ N(0,1) then
-1 - Phi(Y) ~ U(0,1) and T ~ Exp(h).
+is exponential: F(t) = 1 - exp(-h t).  Sampling inverts F: if U ~ U(0,1)
+then T = -ln(1 - U) / h ~ Exp(h).  The same map from a latent standard
+normal Y is T = -ln(1 - Phi(Y)) / h, because 1 - Phi(Y) ~ U(0,1) too.
 
 The product pays a lump sum L at the strike and charges an annual spread s
 until then.  Its per-unit value uses V = E[exp(-r T)], which for the
@@ -19,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 
 @dataclass(frozen=True)
@@ -82,6 +80,8 @@ def strike_time_from_latent(y, h: float):
     """
     if not h > 0:
         raise ValueError("hazard rate h must be positive")
+    from scipy.special import ndtr  # imported here: only this map needs it
+
     t = -np.log(ndtr(-np.asarray(y, dtype=float))) / h
     return float(t) if np.isscalar(y) else t
 
@@ -97,16 +97,18 @@ def strike_time_estimates(model: HazardModel, n_draws: int,
                           seed: int) -> tuple[McEstimate, int]:
     """V = E[exp(-r T)] and the income-drop year from one seeded stream.
 
-    Draws n standard normals from the seeded generator (inverse-CDF
-    method) and maps each through :func:`strike_time_from_latent`.  The
-    first result averages exp(-r T), whose analytic value is h / (h + r);
-    the second is the ceiling of the sample mean of T, whose large-n value
-    is ceil(1/h).  Callers needing both draw the stream once.
+    Maps n seeded uniforms u straight to strike times T = -log1p(-u) / h,
+    the inverse exponential CDF.  In exact arithmetic this equals
+    :func:`strike_time_from_latent` at the normal quantile Phi^-1(u),
+    since 1 - Phi(Phi^-1(u)) = 1 - u.  The first result averages
+    exp(-r T), whose analytic value is h / (h + r); the second is the
+    ceiling of the sample mean of T, whose large-n value is ceil(1/h).
+    Callers needing both draw the stream once.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
     rng = np.random.default_rng(seed)
-    times = strike_time_from_latent(ndtri(rng.random(n_draws)), model.h)
+    times = -np.log1p(-rng.random(n_draws)) / model.h
     values = np.exp(-model.r * times)
     if n_draws > 1:
         std_error = float(values.std(ddof=1) / math.sqrt(n_draws))

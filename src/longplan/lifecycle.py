@@ -35,13 +35,7 @@ from .insurance import (
     spread_variance_coefficient,
     strike_time_estimates,
 )
-from .qp import (
-    QpError,
-    QpProblem,
-    STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    solve_qp,
-)
+from .qp import QpError, QpProblem, STATUS_OPTIMAL, solve_qp
 
 # Reported plan values below this are solver dust and are clamped to zero.
 VALUE_CLAMP = 1e-9
@@ -348,6 +342,26 @@ def _branch_label(year: int | None) -> str:
     return "none" if year is None else f"house-year-{year}"
 
 
+def _branch_start(plan: np.ndarray, year: int | None, a: np.ndarray,
+                  b: np.ndarray, years_M: int) -> np.ndarray:
+    """A feasible start for house branch year, built from another plan.
+
+    The house block is switched to year, and a floor shortfall in year k is
+    covered by borrowing in year k.  That borrowing raises row k by 1 and
+    lowers row k+1 by 1 + r_borrow, so the rows are repaired in year order
+    and the shortfall carries forward; year M's borrowing matures after the
+    horizon.  Borrowing has no upper bound, so every branch has such a point.
+    """
+    m = years_M
+    x = plan.copy()
+    x[3 * m:4 * m] = 0.0
+    if year is not None:
+        x[3 * m + year - 1] = 1.0
+    for k in range(m):
+        x[m + k] += max(b[k] - a[k] @ x, 0.0)
+    return x
+
+
 def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
                     seed: int = 0, *, paper_faithful_v: bool = False,
                     mc_kstart: bool = False,
@@ -363,7 +377,8 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
     ------
     LifecycleInfeasibleError
         If the zero-decision baseline already breaks the consumption floor
-        (income does not cover d_floor), or every branch is infeasible.
+        (income does not cover d_floor).  Unbounded borrowing then makes
+        every house branch feasible.
     LifecycleBranchError
         If any branch QP fails; the message names the branch.
     """
@@ -400,10 +415,11 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
     best_x = None
     best_year: int | None = None
     best_objective = -math.inf
-    branch_objectives: list[tuple[str, float | None]] = []
+    branch_objectives: list[tuple[str, float]] = []
     # Branches share Q, c and the rows and differ only in the pinned house
-    # column, so each starts from the last feasible branch's plan.
-    start = None
+    # column, so each starts from the previous branch's plan, repaired to
+    # meet its rows; the first starts from the zero plan checked above.
+    plan = np.zeros(n)
     for year in candidates:
         lb = np.zeros(n)
         ub = np.full(n, np.inf)
@@ -414,27 +430,21 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
         # Maximize c'x + 0.5 x'qx as the minimization of its negation.
         problem = QpProblem(Q=-q, c=-c, a_in=a, b_in=b, lb=lb, ub=ub)
         try:
-            sol = solve_qp(problem, start=start)
+            sol = solve_qp(problem, start=_branch_start(plan, year, a, b, m))
         except QpError as exc:
             raise LifecycleBranchError(
                 f"branch {_branch_label(year)}: {exc}") from exc
-        if sol.status == STATUS_INFEASIBLE:
-            branch_objectives.append((_branch_label(year), None))
-            continue
         if sol.status != STATUS_OPTIMAL:
             raise LifecycleBranchError(
                 f"branch {_branch_label(year)}: solver status {sol.status!r}"
             )
-        start = sol.x
+        plan = sol.x
         objective = -sol.objective
         branch_objectives.append((_branch_label(year), objective))
         if objective > best_objective:
             best_objective = objective
             best_x = sol.x
             best_year = year
-
-    if best_x is None:
-        raise LifecycleInfeasibleError("every house branch is infeasible")
 
     x = np.where(best_x < VALUE_CLAMP, 0.0, best_x)
     decision = DecisionVector.from_vector(x, m)

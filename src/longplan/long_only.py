@@ -86,8 +86,10 @@ class ConstrainedFrontier:
         object.__setattr__(self, "points", points)
 
 
-def _simplex_min_variance(stats: AssetStats, a_in=None, b_in=None) -> np.ndarray:
-    """Minimize w'Sigma w over the simplex, optionally with extra rows."""
+def _simplex_min_variance(stats: AssetStats, start: np.ndarray,
+                          a_in=None, b_in=None) -> np.ndarray:
+    """Minimize w'Sigma w over the simplex, optionally with extra rows,
+    from a start that is feasible for all of them."""
     n = stats.mu.shape[0]
     problem = QpProblem(
         Q=2.0 * stats.sigma,
@@ -98,7 +100,7 @@ def _simplex_min_variance(stats: AssetStats, a_in=None, b_in=None) -> np.ndarray
         b_in=b_in,
         lb=np.zeros(n),
     )
-    sol = solve_qp(problem)
+    sol = solve_qp(problem, start=start)
     if sol.status != STATUS_OPTIMAL:
         raise QpError(f"simplex variance QP returned status {sol.status!r}")
     return sol.x
@@ -154,7 +156,9 @@ def max_sharpe_long_only(stats: AssetStats, r_f: float) -> PortfolioWeights:
         b_eq=np.array([1.0]),
         lb=zeros,
     )
-    sol = solve_qp(homogenized)
+    # All weight on the asset with the largest excess return meets the row.
+    best = int(np.argmax(excess))
+    sol = solve_qp(homogenized, start=np.eye(n)[best] / excess[best])
     if sol.status != STATUS_OPTIMAL:
         raise QpError(f"homogenized Sharpe QP returned status {sol.status!r}")
     y = sol.x
@@ -169,7 +173,7 @@ def max_sharpe_long_only(stats: AssetStats, r_f: float) -> PortfolioWeights:
         b_eq=np.concatenate([[1.0], stats.sigma @ y]),
         lb=zeros,
     )
-    refined = solve_qp(face)
+    refined = solve_qp(face, start=y)
     if refined.status == STATUS_OPTIMAL:
         y = refined.x
 
@@ -205,7 +209,9 @@ def min_variance_at_return(stats: AssetStats, mu_target: float) -> FrontierPoint
             f"target mean {mu_target:.6g} exceeds the best asset mean "
             f"{max_e:.6g}; no long-only portfolio attains it"
         )
-    x = _simplex_min_variance(stats, a_in=stats.mu[None, :],
+    # The best-mean vertex attains every admissible target.
+    best = np.eye(stats.mu.shape[0])[int(np.argmax(stats.mu))]
+    x = _simplex_min_variance(stats, best, a_in=stats.mu[None, :],
                               b_in=np.array([mu_target]))
     w = _clamp_and_renormalize(x)
     variance = float(w @ stats.sigma @ w)
@@ -219,7 +225,8 @@ def min_variance_at_return(stats: AssetStats, mu_target: float) -> FrontierPoint
 
 def long_only_gmv(stats: AssetStats) -> FrontierPoint:
     """Global minimum-variance point of the simplex-constrained frontier."""
-    w = _clamp_and_renormalize(_simplex_min_variance(stats))
+    n = stats.mu.shape[0]
+    w = _clamp_and_renormalize(_simplex_min_variance(stats, np.full(n, 1.0 / n)))
     return FrontierPoint(mu_target=float(stats.mu @ w),
                          variance=float(w @ stats.sigma @ w), weights=w)
 

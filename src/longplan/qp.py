@@ -18,13 +18,13 @@ dense problems produced by the portfolio and lifetime-planning layers
   Chebyshev (max) constraint violation, so an infeasible verdict comes with
   the smallest achievable violation as a certificate.  Rows that vanish
   on the unpinned variables are judged only there, so it covers them too;
-* a caller that holds a point near the optimum, such as the plan of a
-  neighbouring problem, passes it as ``start``.  Phase 1 then first solves
-  a different LP: the feasible point nearest ``start`` in the 1-norm, with
-  every row and bound hard.  The active set begins there, with everything
-  active at that point in the working set, which shortens its path.  If
-  that LP finds no feasible point, the Chebyshev LP runs as without
-  ``start``, so verdicts and certificates never depend on it;
+* a caller that holds a feasible point, such as the plan of a
+  neighbouring problem repaired to meet its rows, passes it as ``start``.
+  A point that keeps every bound and meets every row within the
+  feasibility tolerance settles feasibility, so no LP runs: the active set
+  begins there, with everything active at that point in the working set.
+  Any other ``start`` is ignored and the Chebyshev LP runs as without it,
+  so verdicts and certificates never depend on ``start``;
 * constraint rows are normalized internally (over the unpinned
   variables), so solutions are invariant under positive rescaling of any
   row;
@@ -71,7 +71,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -270,11 +269,6 @@ def _unit_rows(problem: QpProblem, pinned: np.ndarray) -> _UnitRows:
     return _UnitRows(eq, b_eq, ineq, b_in, eq_norm, in_norm)
 
 
-def _hard_bounds(problem: QpProblem) -> list:
-    return [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-            for lo, hi in zip(problem.lb, problem.ub)]
-
-
 def _phase1(problem: QpProblem):
     """Chebyshev feasibility LP: minimize the max constraint violation t.
 
@@ -287,42 +281,20 @@ def _phase1(problem: QpProblem):
     a_ub = np.vstack([-problem.a_in, problem.a_eq, -problem.a_eq])
     if a_ub.shape[0] == 0:
         return np.clip(np.zeros(n), problem.lb, problem.ub), 0.0
+    # Imported here: scipy.optimize is slow to import, and a caller that
+    # passes feasible starts never needs it.
+    from scipy.optimize import linprog
+
     a_ub = np.hstack([a_ub, -np.ones((a_ub.shape[0], 1))])
     b_ub = np.concatenate([-problem.b_in, problem.b_eq, -problem.b_eq])
+    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+              for lo, hi in zip(problem.lb, problem.ub)]
     res = linprog(np.r_[np.zeros(n), 1.0], A_ub=a_ub, b_ub=b_ub,
-                  bounds=_hard_bounds(problem) + [(0.0, None)], method="highs")
+                  bounds=bounds + [(0.0, None)], method="highs")
     if not res.success:
         raise QpError(f"phase-1 feasibility LP failed: {res.message}")
     x0 = np.clip(res.x[:n], problem.lb, problem.ub)
     return x0, float(res.x[n])
-
-
-def _nearest_feasible(problem: QpProblem, pinned: np.ndarray, start: np.ndarray, tol: float):
-    """Feasible point nearest start in the 1-norm, every row and bound hard.
-
-    Solves min sum(u) over (x, u) with -u <= x - start <= u on the unpinned
-    variables.  Returns None unless HiGHS finds a point violating no row by
-    more than tol; the caller then falls back to the Chebyshev LP, which
-    alone decides infeasibility and certifies it, so the verdict never
-    depends on start.
-    """
-    n, n_in, n_eq = problem.n, problem.a_in.shape[0], problem.a_eq.shape[0]
-    if n_eq == 0 and n_in == 0:
-        return np.clip(start, problem.lb, problem.ub)
-    pick = np.eye(n)[~pinned]
-    k = pick.shape[0]
-    a_ub = np.block([[-problem.a_in, np.zeros((n_in, k))], [pick, -np.eye(k)], [-pick, -np.eye(k)]])
-    b_ub = np.concatenate([-problem.b_in, start[~pinned], -start[~pinned]])
-    a_eq = np.hstack([problem.a_eq, np.zeros((n_eq, k))]) if n_eq else None
-    res = linprog(np.concatenate([np.zeros(n), np.ones(k)]), A_ub=a_ub, b_ub=b_ub,
-                  A_eq=a_eq, b_eq=problem.b_eq if n_eq else None,
-                  bounds=_hard_bounds(problem) + [(0.0, None)] * k, method="highs")
-    if not res.success:
-        return None
-    x0 = np.clip(res.x[:n], problem.lb, problem.ub)
-    violation = max(np.abs(problem.a_eq @ x0 - problem.b_eq).max(initial=0.0),
-                    (problem.b_in - problem.a_in @ x0).max(initial=0.0))
-    return x0 if violation <= tol else None
 
 
 def _face(a_w: np.ndarray):
@@ -555,13 +527,15 @@ def solve_qp(problem: QpProblem, *, start=None,
              _max_iter: int | None = None) -> QpSolution:
     """Minimize 0.5 x'Qx + c'x subject to the problem's constraints.
 
-    start, when given, is any finite point of length n, feasible or not:
-    phase 1 then begins from the feasible point nearest to it, which
-    shortens the active-set path when start is close to the optimum (the
-    plan of a neighbouring problem).  It never changes the verdict.  Where
-    the optimum is unique, it changes the returned point only within the
-    solver's tolerances; where Q leaves a face of optima, it can select a
-    different point of that face, with the same objective.
+    start, when given, is any finite point of length n.  If it keeps every
+    bound and violates no row by more than the feasibility tolerance
+    1e-7 * (1 + |b|_inf), the active set begins there and no LP is solved;
+    a start near the optimum (the plan of a neighbouring problem) also
+    shortens the path.  Any other start is ignored and the Chebyshev
+    phase-1 LP runs exactly as without it, so start never changes the
+    verdict.  Where the optimum is unique, start changes the returned point
+    only within the solver's tolerances; where Q leaves a face of optima,
+    it can select a different point of that face, with the same objective.
 
     Returns a solution with status "optimal", "infeasible" or "unbounded".
     Raises QpInputError for malformed data or start, or for a Q that is
@@ -582,8 +556,10 @@ def solve_qp(problem: QpProblem, *, start=None,
     if eigvals.min(initial=0.0) < -1e-8 * max(1.0, lam_max):
         raise QpInputError("Q is not positive semidefinite")
 
-    x0 = None if start is None else _nearest_feasible(problem, pinned, start, feas_tol)
-    if x0 is None:
+    if start is not None and np.all((problem.lb <= start) & (start <= problem.ub)) \
+            and problem.max_violation(start) <= feas_tol:
+        x0 = start
+    else:
         x0, t_star = _phase1(problem)
         if t_star > feas_tol:
             return QpSolution(x=x0, objective=np.nan, status=STATUS_INFEASIBLE,

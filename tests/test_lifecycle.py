@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -389,22 +391,38 @@ def test_warm_started_branches_match_cold_solves():
         assert objective == pytest.approx(-cold.objective, rel=1e-9)
 
 
-def test_sample_plan_solves_at_most_one_lp_per_branch(monkeypatch):
-    # phase 1 of the first branch and the nearest-point LP of each of the
-    # 20 warm-started ones; boundedness needs no LP of its own
+def test_sample_plan_solves_no_lp():
+    # the first branch starts from the zero plan and every later one from
+    # the previous plan repaired by borrowing, so phase 1 never runs
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
     fund = max_sharpe_long_only(stats, 0.025)
-    calls, linprog = [], qp.linprog
-
-    def counting_linprog(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(qp, "linprog", counting_linprog)
-    plan = solve_lifecycle(LifecycleConfig(),
-                           RiskyAssetSummary(r_stock=fund.mean, var_stock=fund.variance))
+    with mock.patch("scipy.optimize.linprog", wraps=scipy.optimize.linprog) as linprog:
+        plan = solve_lifecycle(LifecycleConfig(),
+                               RiskyAssetSummary(r_stock=fund.mean, var_stock=fund.variance))
     assert len(plan.branch_objectives) == 21
-    assert len(calls) <= 21
+    assert linprog.call_count == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_branch_starts_from_a_feasible_point(seed):
+    rng = np.random.default_rng(seed)
+    config = _random_margin_config(rng)
+    asset = RiskyAssetSummary(r_stock=rng.uniform(0.04, 0.14),
+                              var_stock=rng.uniform(0.005, 0.05))
+    calls = []
+
+    def recording_solve_qp(problem, *, start=None):
+        calls.append((problem, start))
+        return solve_qp(problem, start=start)
+
+    with mock.patch.object(lifecycle, "solve_qp", recording_solve_qp):
+        plan = solve_lifecycle(config, asset)
+    assert len(calls) == len(plan.branch_objectives)
+    for problem, start in calls:
+        assert np.all(problem.lb <= start) and np.all(start <= problem.ub)
+        feas_tol = qp.FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
+        assert problem.max_violation(start) <= feas_tol
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.optimize
 
-from longplan.market import AssetStats
+from longplan.market import AssetStats, estimate_stats, load_returns
+from longplan.report import SAMPLE_RETURNS
 from longplan.closed_form import frontier_constants, tangency_portfolio
 from longplan.long_only import (
     InfeasibleTargetError,
@@ -164,3 +168,14 @@ def test_frontier_point_mean_attained():
         assert achieved >= point.mu_target - 1e-9
         assert point.weights.min() >= -1e-9
         assert point.weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_sample_fund_and_frontier_solve_no_lp():
+    # every QP starts from a point its caller knows to be feasible: uniform
+    # weights, e_k / excess_k, the homogenized optimum, the best-mean vertex
+    stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
+    with mock.patch("scipy.optimize.linprog", wraps=scipy.optimize.linprog) as linprog:
+        max_sharpe_long_only(stats, 0.025)
+        frontier = trace_frontier(stats, 30)
+    assert len(frontier.points) == 30
+    assert linprog.call_count == 0

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longplan.qp import (
+    FEASIBILITY_TOL,
     QpInputError,
     QpProblem,
     kkt_report,
@@ -419,9 +423,10 @@ def test_warm_start_reaches_the_cold_result(case, seed, magnitude):
 
 @st.composite
 def boxed_qps_with_copied_rows(draw):
-    """(pd, plain, copied): a QP kept bounded by a box, with Q PD or of rank
-    1-3 and some general rows, and the same QP with copies of some of those
-    rows appended, each scaled by a factor in [1e-2, 1e2]."""
+    """(pd, plain, copied, x_in): a QP kept bounded by a box, with Q PD or
+    of rank 1-3 and some general rows, the same QP with copies of some of
+    those rows appended, each scaled by a factor in [1e-2, 1e2], and a point
+    inside the box that meets every row."""
     n = draw(st.integers(2, 7))
     pd = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -450,7 +455,7 @@ def boxed_qps_with_copied_rows(draw):
         b_eq=np.concatenate([b_eq, k_eq * b_eq[copies_eq]]),
         a_in=np.vstack([a_in, k_in[:, None] * a_in[copies_in]]),
         b_in=np.concatenate([b_in, k_in * b_in[copies_in]]))
-    return pd, plain, copied
+    return pd, plain, copied, x_in
 
 
 @settings(max_examples=150, deadline=None)
@@ -458,7 +463,7 @@ def boxed_qps_with_copied_rows(draw):
 def test_copied_rows_leave_the_optimum_and_kkt_unchanged(case):
     # copies are dependent working rows; the face QR gives them zero
     # multipliers, and the optimum must not notice them
-    pd, plain, copied = case
+    pd, plain, copied, _ = case
     base, dup = solve_qp(plain), solve_qp(copied)
     assert base.status == dup.status == "optimal"
     assert dup.objective == pytest.approx(base.objective, rel=1e-9, abs=1e-12)
@@ -469,3 +474,50 @@ def test_copied_rows_leave_the_optimum_and_kkt_unchanged(case):
         assert report["stationarity"] <= 1e-8 * (1.0 + np.abs(problem.c).max())
         assert report["complementarity"] <= 1e-6
         assert report["dual_feasibility"] >= -1e-9
+
+
+@st.composite
+def qps_at_a_degenerate_vertex(draw):
+    """(pd, problem, v): a boxed QP, with Q PD or of rank 1-3, whose integer
+    rows outnumber the variables and are all tight at the integer point v;
+    some bounds are tight there too."""
+    n = draw(st.integers(1, 6))
+    pd = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n + 1 if pd else draw(st.integers(1, min(3, n))), n))
+    Q = g.T @ g + (0.05 * np.eye(n) if pd else 0.0)
+    c = rng.standard_normal(n) * 10.0 ** draw(st.integers(0, 2))
+    v = rng.integers(-3, 4, n).astype(float)
+    a_in = rng.integers(-3, 4, (n + draw(st.integers(1, 4)), n)).astype(float)
+    a_in[~a_in.any(axis=1), 0] = 1.0
+    lb = np.where(rng.random(n) < 0.3, v, v - rng.uniform(0.5, 2.0, n))
+    ub = np.where(rng.random(n) < 0.3, v, v + rng.uniform(0.5, 2.0, n))
+    return pd, QpProblem(Q=Q, c=c, a_in=a_in, b_in=a_in @ v, lb=lb, ub=ub), v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(boxed_qps_with_copied_rows().map(lambda case: (case[0], case[2], case[3])),
+                 qps_at_a_degenerate_vertex()))
+def test_feasible_start_skips_phase_1_and_reaches_the_cold_result(case):
+    pd, problem, start = case
+    # the same point moved across its first row by 1e4 times the
+    # feasibility tolerance: not a feasible start
+    a0, feas_tol = problem.a_in[0], FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
+    outside = start - (a0 @ start - problem.b_in[0] + 1e4 * feas_tol) * a0 / (a0 @ a0)
+    cold = solve_qp(problem)
+    with mock.patch("scipy.optimize.linprog", wraps=scipy.optimize.linprog) as linprog:
+        warm = solve_qp(problem, start=start)
+        assert linprog.call_count == 0
+        ignored = solve_qp(problem, start=outside)
+        assert linprog.call_count == 1
+    # an infeasible start runs exactly the path of no start
+    np.testing.assert_array_equal(ignored.x, cold.x)
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+    assert warm.max_violation <= feas_tol
+    if pd:
+        np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-7)
+    report = kkt_report(problem, warm)
+    assert report["stationarity"] <= 1e-8 * (1.0 + np.abs(problem.c).max())
+    assert report["complementarity"] <= 1e-6
+    assert report["dual_feasibility"] >= -1e-9

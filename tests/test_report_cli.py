@@ -5,10 +5,14 @@ from __future__ import annotations
 import csv
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import longplan
 from longplan.cli import main
 from longplan.lifecycle import DecisionVector, RiskyAssetSummary, \
     implied_consumption
@@ -354,3 +358,17 @@ def test_cli_degenerate_lifecycle_errors_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("longplan.lifecycle.LifecycleInfeasibleError:")
     assert os.listdir(out) == []
+
+
+def test_cli_all_imports_neither_scipy_optimize_nor_special(tmp_path):
+    # both are slow to import and only off-path helpers use them
+    code = ("import sys\n"
+            "from longplan.cli import main\n"
+            f"status = main(['all', '--emit-svg', '--out', {str(tmp_path)!r}])\n"
+            "print(status, 'scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)\n")
+    src = str(Path(longplan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False False"
