@@ -13,7 +13,11 @@ points come from the direct quadratic program
     minimize w' Sigma w   subject to  e'w >= mu_target, 1'w = 1, w >= 0
 
 whose ">=" target constraint makes the curve flat below the long-only
-global-minimum-variance mean instead of bending back.
+global-minimum-variance mean instead of bending back.  trace_frontier
+solves it for every target in one critical-line pass: from the GMV, the
+target's right-hand side runs up to max(e) (qp.solve_qp_path), and between
+turning points, where an asset enters or leaves the support, the weights
+are affine in the target.  min_variance_at_return solves one target alone.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .closed_form import PortfolioWeights
 from .market import AssetStats
-from .qp import QpProblem, STATUS_OPTIMAL, QpError, solve_qp
+from .qp import QpProblem, STATUS_OPTIMAL, QpError, solve_qp, solve_qp_path
 
 # Reported weights below this are solver dust and get clamped to zero.
 WEIGHT_CLAMP = 1e-9
@@ -86,12 +90,10 @@ class ConstrainedFrontier:
         object.__setattr__(self, "points", points)
 
 
-def _simplex_min_variance(stats: AssetStats, start: np.ndarray,
-                          a_in=None, b_in=None) -> np.ndarray:
-    """Minimize w'Sigma w over the simplex, optionally with extra rows,
-    from a start that is feasible for all of them."""
+def _simplex_problem(stats: AssetStats, a_in=None, b_in=None) -> QpProblem:
+    """Minimize w'Sigma w over the simplex, optionally with extra rows."""
     n = stats.mu.shape[0]
-    problem = QpProblem(
+    return QpProblem(
         Q=2.0 * stats.sigma,
         c=np.zeros(n),
         a_eq=np.ones((1, n)),
@@ -100,7 +102,12 @@ def _simplex_min_variance(stats: AssetStats, start: np.ndarray,
         b_in=b_in,
         lb=np.zeros(n),
     )
-    sol = solve_qp(problem, start=start)
+
+
+def _simplex_min_variance(stats: AssetStats, start: np.ndarray,
+                          a_in=None, b_in=None) -> np.ndarray:
+    """The simplex QP's optimum from a start that is feasible for it."""
+    sol = solve_qp(_simplex_problem(stats, a_in, b_in), start=start)
     if sol.status != STATUS_OPTIMAL:
         raise QpError(f"simplex variance QP returned status {sol.status!r}")
     return sol.x
@@ -213,6 +220,11 @@ def min_variance_at_return(stats: AssetStats, mu_target: float) -> FrontierPoint
     best = np.eye(stats.mu.shape[0])[int(np.argmax(stats.mu))]
     x = _simplex_min_variance(stats, best, a_in=stats.mu[None, :],
                               b_in=np.array([mu_target]))
+    return _frontier_point(stats, mu_target, x)
+
+
+def _frontier_point(stats: AssetStats, mu_target: float, x: np.ndarray) -> FrontierPoint:
+    """The frontier point of the QP optimum x at mu_target, clamped."""
     w = _clamp_and_renormalize(x)
     variance = float(w @ stats.sigma @ w)
     achieved = float(stats.mu @ w)
@@ -232,11 +244,16 @@ def long_only_gmv(stats: AssetStats) -> FrontierPoint:
 
 
 def trace_frontier(stats: AssetStats, n_points: int) -> ConstrainedFrontier:
-    """Trace the long-only frontier on an even mean grid.
+    """Trace the long-only frontier on an even mean grid in one pass.
 
-    Targets are evenly spaced on [long-only GMV mean, max(e)].  When the
-    two endpoints coincide (single asset, or all means equal) the frontier
-    degenerates to the single GMV point.
+    Targets are evenly spaced on [long-only GMV mean, max(e)].  One
+    critical-line pass from the GMV gives them all: the target row's
+    right-hand side runs from the GMV mean to max(e) (solve_qp_path), and
+    between turning points the weights are affine in the target.  Each
+    point is the optimum min_variance_at_return finds for its target; where
+    Sigma is singular on the optimal face, it is the point the pass reaches
+    from the GMV.  When the two endpoints coincide (single asset, or all
+    means equal) the frontier degenerates to the single GMV point.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -245,5 +262,8 @@ def trace_frontier(stats: AssetStats, n_points: int) -> ConstrainedFrontier:
     if max_e - gmv.mu_target <= 1e-12 * max(1.0, abs(max_e)):
         return ConstrainedFrontier(points=(gmv,), gmv_point=gmv)
     targets = np.linspace(gmv.mu_target, max_e, n_points)
-    points = tuple(min_variance_at_return(stats, t) for t in targets)
+    problem = _simplex_problem(stats, stats.mu[None, :], np.array([gmv.mu_target]))
+    path = solve_qp_path(problem, np.array([max_e - gmv.mu_target]),
+                         np.linspace(0.0, 1.0, n_points), start=gmv.weights)
+    points = tuple(_frontier_point(stats, t, sol.x) for t, sol in zip(targets, path))
     return ConstrainedFrontier(points=points, gmv_point=gmv)

@@ -50,6 +50,29 @@ dense problems produced by the portfolio and lifetime-planning layers
   on their right-hand sides, the multipliers fit Qx + c, and the result
   must pass a KKT check.
 
+solve_qp_path follows one right-hand-side path, b_in + tau * db_in for tau
+in [0, 1], from the tau = 0 optimum that the same active set finds (the
+parametric active-set method of Best 1996; for the long-only frontier it
+is Markowitz's critical line):
+
+* between breakpoints the working set is fixed and x and the multipliers
+  are affine in tau; the derivative of x is the least-norm step from the
+  face's QR onto the working rows' moving right-hand sides plus a
+  minimum-norm reduced-Hessian solve on Z, exact for a PSD Q because its
+  right-hand side lies in the range of Z'QZ;
+* at a breakpoint the first row or bound that blocks enters (the ratio
+  test's order) or else the first working row or bound whose multiplier
+  reaches zero leaves (the drop's order: working rows as added, lower
+  bounds, upper bounds);
+* the multipliers are carried, not refitted: on a face whose rows the QR
+  finds dependent they are not unique, and the carried ones stay
+  nonnegative.  Where the moving right-hand sides contradict such rows (a
+  single-asset vertex, where the budget and the target row are one row),
+  no step exists; the multipliers move along the dependency, in the
+  direction that raises the optimal value's rate of change, until one of
+  them reaches zero, and that row or bound leaves;
+* every returned point passes the same restore step and KKT check.
+
 When the optimal face has a direction of zero curvature, the optimum is
 not unique and the solver returns the point its path reaches; ``start``
 changes that path and can select a different optimal point with the same
@@ -66,6 +89,7 @@ reproducible run to run.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -330,19 +354,28 @@ def _face(a_w: np.ndarray):
     return qfull[:, rank:], multipliers, restore
 
 
+def _first_min(ratios: np.ndarray, least: float) -> int:
+    """Index of the first ratio within rounding of the least one."""
+    return int(np.argmax(ratios <= least * (1.0 + 1e-9) + 1e-15))
+
+
 def _ratio_test(problem: QpProblem, rows: _UnitRows, x: np.ndarray, p: np.ndarray,
-                working: list[int], free: np.ndarray, cap: float):
+                working: list[int], free: np.ndarray, cap: float, d_in=None):
     """Longest step alpha <= cap from x along p, and what blocks it.
 
-    Candidates are the general rows outside the working list, then the
-    finite lower and upper bounds of free variables, each in index order;
-    the first near-minimal ratio blocks.  Returns (alpha, kind, i) with kind
-    "row", "lower" or "upper", or (cap, None, -1) when nothing blocks first.
+    On a path the inequality right-hand sides move by d_in per unit step;
+    within one QP they stay put (d_in None).  Candidates are the general rows outside the
+    working list, then the finite lower and upper bounds of free variables,
+    each in index order; the first near-minimal ratio blocks.  Returns
+    (alpha, kind, i) with kind "row", "lower" or "upper", or (cap, None, -1)
+    when nothing blocks first.
     """
     a_in, b_in, lb, ub = rows.ineq, rows.b_in, problem.lb, problem.ub
     in_working = np.zeros(a_in.shape[0], dtype=bool)
     in_working[working] = True
     ap = a_in @ p
+    if d_in is not None:
+        ap -= d_in
     blocking = np.flatnonzero(~in_working & (ap < -1e-12))
     lows = np.flatnonzero(free & np.isfinite(lb) & (p < -1e-12))
     ups = np.flatnonzero(free & np.isfinite(ub) & (p > 1e-12))
@@ -354,7 +387,7 @@ def _ratio_test(problem: QpProblem, rows: _UnitRows, x: np.ndarray, p: np.ndarra
     if not ratios.size or ratios.min() >= cap:
         return cap, None, -1
     alpha = float(ratios.min())
-    k = int(np.argmax(ratios <= alpha * (1.0 + 1e-9) + 1e-15))
+    k = _first_min(ratios, alpha)
     kind = "row" if k < blocking.size else "lower" if k < blocking.size + lows.size else "upper"
     return alpha, kind, int(np.concatenate([blocking, lows, ups])[k])
 
@@ -386,15 +419,49 @@ def _face_step(h_red: np.ndarray, g_red: np.ndarray, lam_max: float, tol: float)
     return -(eigvecs[:, ~flat] @ (eigvecs[:, ~flat].T @ g_red / eigvals[~flat])), False
 
 
+class _Optimum(NamedTuple):
+    """Where the active set stops: x on the face of the working rows and
+    fixed bounds, that face's _face factorization and the iterations."""
+
+    x: np.ndarray
+    working: list[int]
+    at_lower: np.ndarray
+    at_upper: np.ndarray
+    face: tuple
+    iterations: int
+
+
+def _release(k: int, working: list[int], lower_idx: np.ndarray, upper_idx: np.ndarray,
+             at_lower: np.ndarray, at_upper: np.ndarray) -> None:
+    """Drop candidate k of the order working rows, lower bounds, upper bounds."""
+    if k < len(working):
+        working.pop(k)
+    elif k < len(working) + lower_idx.size:
+        at_lower[lower_idx[k - len(working)]] = False
+    else:
+        at_upper[upper_idx[k - len(working) - lower_idx.size]] = False
+
+
+def _enter(problem: QpProblem, kind: str | None, i: int, x: np.ndarray, working: list[int],
+           at_lower: np.ndarray, at_upper: np.ndarray) -> None:
+    """Add what _ratio_test found blocking; a bound snaps x[i] onto it."""
+    if kind == "row":
+        working.append(i)
+    elif kind == "lower":
+        at_lower[i], x[i] = True, problem.lb[i]
+    elif kind == "upper":
+        at_upper[i], x[i] = True, problem.ub[i]
+
+
 def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
-                lam_max: float, x0: np.ndarray, max_iter: int) -> QpSolution:
+                lam_max: float, x0: np.ndarray, max_iter: int) -> _Optimum | QpSolution:
     """Primal active-set iterations from the feasible point x0.
 
     A bound becomes active by fixing its variable (at_lower / at_upper) and
     snapping it to the bound; only general inequality rows enter the
     working list.  A pinned variable is at its lower bound from the start
-    and is never dropped.  Returns the optimum from _finish, or the ray
-    from _unbounded when a step of zero curvature meets no block.
+    and is never dropped.  Returns the stationary _Optimum for _finish, or
+    the ray from _unbounded when a step of zero curvature meets no block.
     """
     q, lb, ub = problem.Q, problem.lb, problem.ub
     m_eq = rows.eq.shape[0]
@@ -425,16 +492,9 @@ def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
             # Candidates in order: working rows, lower bounds, upper bounds.
             mults = np.concatenate([nu[m_eq:], resid[lower_idx], -resid[upper_idx]])
             if mults.size == 0 or mults.min() >= -mu_tol:
-                return _finish(problem, rows, pinned, x, working, at_lower, at_upper,
-                               face, iteration)
+                return _Optimum(x, working, at_lower, at_upper, face, iteration)
             # Drop the most negative multiplier; ties go to the first.
-            drop = int(np.argmin(mults))
-            if drop < len(working):
-                working.pop(drop)
-            elif drop < len(working) + lower_idx.size:
-                at_lower[lower_idx[drop - len(working)]] = False
-            else:
-                at_upper[upper_idx[drop - len(working) - lower_idx.size]] = False
+            _release(int(np.argmin(mults)), working, lower_idx, upper_idx, at_lower, at_upper)
             continue
 
         if flat:
@@ -444,12 +504,7 @@ def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
         if kind is None and flat:
             return _unbounded(problem, rows, pinned, lam_max, x, p, iteration)
         x = x + alpha * p
-        if kind == "row":
-            working.append(i)
-        elif kind == "lower":
-            at_lower[i], x[i] = True, lb[i]
-        elif kind == "upper":
-            at_upper[i], x[i] = True, ub[i]
+        _enter(problem, kind, i, x, working, at_lower, at_upper)
     raise QpIterationLimitError(f"active-set iteration cap {max_iter} exceeded")
 
 
@@ -478,8 +533,7 @@ def _unbounded(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray, lam_max:
 
 
 def _finish(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
-            x: np.ndarray, working: list[int], at_lower: np.ndarray, at_upper: np.ndarray,
-            face, iterations: int) -> QpSolution:
+            optimum: _Optimum) -> QpSolution:
     """The verified optimal solution on the active set's final face.
 
     A least-norm step from the face's QR first puts the working rows back
@@ -490,9 +544,10 @@ def _finish(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
     read off the stationarity residual, and the result must pass the KKT
     check.
     """
+    x, working, at_lower, at_upper, (_, multipliers, restore), iterations = optimum
     free = ~(at_lower | at_upper)
-    _, multipliers, restore = face
     b_w = np.concatenate([rows.b_eq, rows.b_in[working]])
+    x = x.copy()
     x[free] += restore(b_w - np.vstack([rows.eq, rows.ineq[working]]) @ x)
     x = np.clip(x, problem.lb, problem.ub)
     nu = multipliers((problem.Q @ x + problem.c)[free])
@@ -523,25 +578,11 @@ def _finish(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
     return sol
 
 
-def solve_qp(problem: QpProblem, *, start=None,
-             _max_iter: int | None = None) -> QpSolution:
-    """Minimize 0.5 x'Qx + c'x subject to the problem's constraints.
+def _solve(problem: QpProblem, start, max_iter: int | None):
+    """solve_qp up to the active set's stop: (rows, pinned, lam_max, result).
 
-    start, when given, is any finite point of length n.  If it keeps every
-    bound and violates no row by more than the feasibility tolerance
-    1e-7 * (1 + |b|_inf), the active set begins there and no LP is solved;
-    a start near the optimum (the plan of a neighbouring problem) also
-    shortens the path.  Any other start is ignored and the Chebyshev
-    phase-1 LP runs exactly as without it, so start never changes the
-    verdict.  Where the optimum is unique, start changes the returned point
-    only within the solver's tolerances; where Q leaves a face of optima,
-    it can select a different point of that face, with the same objective.
-
-    Returns a solution with status "optimal", "infeasible" or "unbounded".
-    Raises QpInputError for malformed data or start, or for a Q that is
-    not positive semidefinite on the unpinned variables, and
-    QpIterationLimitError if the active-set cap of 50*n iterations is
-    exceeded.
+    result is the infeasible or unbounded QpSolution, or the _Optimum that
+    _finish turns into the optimal one.
     """
     if start is not None:
         start = np.asarray(start, dtype=float).ravel()
@@ -562,8 +603,179 @@ def solve_qp(problem: QpProblem, *, start=None,
     else:
         x0, t_star = _phase1(problem)
         if t_star > feas_tol:
-            return QpSolution(x=x0, objective=np.nan, status=STATUS_INFEASIBLE,
-                              max_violation=t_star)
+            return rows, pinned, lam_max, QpSolution(
+                x=x0, objective=np.nan, status=STATUS_INFEASIBLE, max_violation=t_star)
 
-    max_iter = _max_iter if _max_iter is not None else 50 * problem.n
-    return _active_set(problem, rows, pinned, lam_max, x0, max_iter)
+    max_iter = max_iter if max_iter is not None else 50 * problem.n
+    return rows, pinned, lam_max, _active_set(problem, rows, pinned, lam_max, x0, max_iter)
+
+
+def solve_qp(problem: QpProblem, *, start=None,
+             _max_iter: int | None = None) -> QpSolution:
+    """Minimize 0.5 x'Qx + c'x subject to the problem's constraints.
+
+    start, when given, is any finite point of length n.  If it keeps every
+    bound and violates no row by more than the feasibility tolerance
+    1e-7 * (1 + |b|_inf), the active set begins there and no LP is solved;
+    a start near the optimum (the plan of a neighbouring problem) also
+    shortens the path.  Any other start is ignored and the Chebyshev
+    phase-1 LP runs exactly as without it, so start never changes the
+    verdict.  Where the optimum is unique, start changes the returned point
+    only within the solver's tolerances; where Q leaves a face of optima,
+    it can select a different point of that face, with the same objective.
+
+    Returns a solution with status "optimal", "infeasible" or "unbounded".
+    Raises QpInputError for malformed data or start, or for a Q that is
+    not positive semidefinite on the unpinned variables, and
+    QpIterationLimitError if the active-set cap of 50*n iterations is
+    exceeded.
+    """
+    rows, pinned, _, result = _solve(problem, start, _max_iter)
+    if isinstance(result, QpSolution):
+        return result
+    return _finish(problem, rows, pinned, result)
+
+
+def _multiplier_test(mults: np.ndarray, rates: np.ndarray, tol: float):
+    """(beta, k): the least beta >= 0 at which mults + beta * rates first
+    reaches zero, and the candidate k that does; (inf, -1) if none falls
+    faster than tol."""
+    falling = np.flatnonzero(rates < -tol)
+    if not falling.size:
+        return np.inf, -1
+    ratios = np.maximum(mults[falling], 0.0) / -rates[falling]
+    least = float(ratios.min())
+    return least, int(falling[_first_min(ratios, least)])
+
+
+def _carrying(face, a_f: np.ndarray, nu: np.ndarray):
+    """face with multipliers that keep nu's part in the null space of a_f'.
+
+    The QR's own multipliers give a row it finds dependent a zero; these
+    fit the gradient the same way but start from nu, the path's carried
+    multipliers, so a dependency keeps the share nu gave it.
+    """
+    z, multipliers, restore = face
+    return z, lambda g: nu + multipliers(g - a_f.T @ nu), restore
+
+
+def _at_tau(problem: QpProblem, rows: _UnitRows, db_in: np.ndarray, d_in: np.ndarray,
+            tau: float):
+    """The problem and its unit rows with b_in moved to b_in + tau * db_in.
+
+    The copy skips __post_init__: a finite b_in is all that changes, and
+    validating the rest again would cost more than the KKT check it feeds.
+    """
+    b_in = problem.b_in + tau * db_in
+    b_in.setflags(write=False)
+    problem_t = copy.copy(problem)
+    object.__setattr__(problem_t, "b_in", b_in)
+    return problem_t, rows._replace(b_in=rows.b_in + tau * d_in)
+
+
+def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]:
+    """Optima of the problem with b_in moved to b_in + tau * db_in, per tau.
+
+    The problem's own b_in is the path's start, tau = 0.  start is checked
+    there exactly as solve_qp checks it (one that fails runs the phase-1
+    LP), and the same active-set iterations give the tau = 0 optimum, so
+    that point's x equals solve_qp(problem, start=start).x bit for bit.
+    From there the path is followed, as the module docstring describes, to
+    each tau of taus, a nondecreasing sequence in [0, 1]; a block wins a
+    tie with a drop.  If no multiplier falls along a contradicted
+    dependency, the rows cannot be met past that tau: a requested tau whose
+    rows the point still meets within the feasibility tolerance gets the
+    point (the frontier's last target, max(e) up to rounding, ends at such
+    a vertex), and a later one raises QpError.
+
+    Every returned point passes _finish's restore step and KKT check at
+    its own tau.  Its iterations are those of tau = 0 plus the breakpoints
+    passed.  Where Q leaves a face of optima, the path returns the points
+    it reaches from the tau = 0 optimum.
+
+    Raises QpInputError for a malformed db_in or taus (and as solve_qp
+    does), QpError if the QP at tau = 0 is infeasible or unbounded or the
+    rows cannot be met at a requested tau, and QpIterationLimitError past
+    50*n breakpoints.
+    """
+    db_in = np.asarray(db_in, dtype=float).ravel()
+    taus = np.asarray(taus, dtype=float).ravel()
+    if db_in.shape != problem.b_in.shape or not np.all(np.isfinite(db_in)):
+        raise QpInputError(f"db_in must be a finite vector of length {problem.b_in.shape[0]}")
+    if not (taus.size and np.all((taus >= 0.0) & (taus <= 1.0)) and np.all(np.diff(taus) >= 0.0)):
+        raise QpInputError("taus must be a nonempty nondecreasing sequence in [0, 1]")
+    rows, pinned, lam_max, result = _solve(problem, start, None)
+    if isinstance(result, QpSolution):
+        raise QpError(f"the path needs an optimum at tau = 0, where the QP is {result.status}")
+    x, working, at_lower, at_upper, _, iterations = result
+    q, n, m_eq = problem.Q, problem.n, rows.eq.shape[0]
+    d_in = db_in / rows.in_norm
+    # multipliers of the rows of a_w: the equality rows, then the working rows
+    tau, path, nu = 0.0, [], np.zeros(m_eq + len(working))
+    for events in range(50 * n + 1):
+        free = ~(at_lower | at_upper)
+        a_w = np.vstack([rows.eq, rows.ineq[working]])
+        a_f, d_w = a_w[:, free], np.concatenate([np.zeros(m_eq), d_in[working]])
+        face = _face(a_f)
+        z, multipliers, restore = face
+        grad = q @ x + problem.c
+        nu = nu + multipliers(grad[free] - a_f.T @ nu)    # refit the part a_f' sees
+        resid = grad - a_w.T @ nu
+        lower_idx, upper_idx = np.flatnonzero(at_lower & ~pinned), np.flatnonzero(at_upper)
+        mults = np.concatenate([nu[m_eq:], resid[lower_idx], -resid[upper_idx]])
+        dx = np.zeros(n)
+        dx[free] = restore(d_w)
+        gap = a_f @ dx[free] - d_w
+        inconsistent = np.abs(gap) > 1e-9 * (np.abs(d_w).max(initial=0.0)
+                                             + np.abs(dx).max(initial=0.0))
+        if inconsistent.any():
+            # y'a_f = 0 and y'd_w > 0: moving nu along y keeps the free
+            # variables stationary and raises the value's rate nu'd_w
+            j = int(np.argmax(inconsistent))
+            y = np.sign(gap[j]) * (multipliers(a_f[j]) - np.eye(a_w.shape[0])[j])
+            ay = a_w.T @ y
+            theta, drop = _multiplier_test(
+                mults, np.concatenate([y[m_eq:], -ay[lower_idx], ay[upper_idx]]),
+                1e-12 * (1.0 + np.abs(y).max()))
+            if drop < 0:
+                for t in taus[len(path):]:
+                    problem_t, rows_t = _at_tau(problem, rows, db_in, d_in, t)
+                    if problem_t.max_violation(x) > FEASIBILITY_TOL * (1.0 + problem_t.rhs_scale()):
+                        raise QpError(f"the rows cannot be met past tau = {tau!r}")
+                    path.append(_finish(problem_t, rows_t, pinned, _Optimum(
+                        x, working, at_lower, at_upper, _carrying(face, a_f, nu),
+                        iterations + events)))
+                return path
+            nu = nu + theta * y
+        else:
+            if z.shape[1]:
+                q_ff = q[np.ix_(free, free)]
+                v, _ = _face_step(z.T @ q_ff @ z, z.T @ (q_ff @ dx[free]), lam_max, np.inf)
+                dx[free] += z @ v
+            q_dx = q @ dx
+            d_nu = multipliers(q_dx[free])
+            d_resid = q_dx - a_w.T @ d_nu
+            # A multiplier falling slower than the active set's tolerance
+            # on it stays within that tolerance for the rest of the path.
+            beta, drop = _multiplier_test(
+                mults, np.concatenate([d_nu[m_eq:], d_resid[lower_idx], -d_resid[upper_idx]]),
+                1e-9 * (1.0 + np.abs(grad).max(initial=0.0)))
+            alpha, kind, i = _ratio_test(problem, rows._replace(b_in=rows.b_in + tau * d_in), x,
+                                         dx, working, free, taus[-1] - tau, d_in)
+            step = min(alpha, beta)
+            while len(path) < taus.size and taus[len(path)] - tau <= step:
+                t = taus[len(path)]
+                path.append(_finish(*_at_tau(problem, rows, db_in, d_in, t), pinned, _Optimum(
+                    x + (t - tau) * dx, working, at_lower, at_upper,
+                    _carrying(face, a_f, nu + (t - tau) * d_nu), iterations + events)))
+            if len(path) == taus.size:
+                return path
+            x, tau, nu = x + step * dx, tau + step, nu + step * d_nu
+            if kind is not None and alpha <= beta:
+                nu = np.append(nu, 0.0) if kind == "row" else nu
+                _enter(problem, kind, i, x, working, at_lower, at_upper)
+                continue
+        if drop < len(working):
+            nu = np.delete(nu, m_eq + drop)
+        _release(drop, working, lower_idx, upper_idx, at_lower, at_upper)
+    raise QpIterationLimitError(f"path breakpoint cap {50 * n} exceeded")

@@ -216,7 +216,7 @@ def write_insurance_txt(path: str, model: HazardModel, estimate) -> None:
         f"std_error = {estimate.std_error:.10f}",
         f"n_draws = {estimate.n_draws}",
         f"seed = {estimate.seed}",
-        "method = inverse-cdf standard normals",
+        "method = exponential inverse-cdf T = -log1p(-u) / h on seeded uniforms",
         f"analytic = {analytic:.10f}",
         f"hazard_h = {model.h:.10g}",
         f"discount_r = {model.r:.10g}",

@@ -7,8 +7,11 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from longplan.market import AssetStats, estimate_stats, load_returns
+from longplan import long_only
 from longplan.report import SAMPLE_RETURNS
 from longplan.closed_form import frontier_constants, tangency_portfolio
 from longplan.long_only import (
@@ -172,10 +175,69 @@ def test_frontier_point_mean_attained():
 
 def test_sample_fund_and_frontier_solve_no_lp():
     # every QP starts from a point its caller knows to be feasible: uniform
-    # weights, e_k / excess_k, the homogenized optimum, the best-mean vertex
+    # weights, e_k / excess_k, the homogenized optimum, the GMV; and the
+    # frontier is one GMV solve plus one path, not a QP per target
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
     with mock.patch("scipy.optimize.linprog", wraps=scipy.optimize.linprog) as linprog:
         max_sharpe_long_only(stats, 0.025)
-        frontier = trace_frontier(stats, 30)
+        with mock.patch("longplan.long_only.solve_qp", wraps=long_only.solve_qp) as solve_qp, \
+                mock.patch("longplan.long_only.solve_qp_path",
+                           wraps=long_only.solve_qp_path) as solve_qp_path:
+            frontier = trace_frontier(stats, 30)
     assert len(frontier.points) == 30
     assert linprog.call_count == 0
+    assert solve_qp.call_count == 1
+    assert solve_qp_path.call_count == 1
+
+
+@st.composite
+def frontier_stats(draw):
+    """AssetStats with N in 1..40: a sample covariance of T > N factor-model
+    returns (PD), of T <= N returns (rank-deficient), or a PD covariance in
+    which every asset loads on asset 0 with beta > 1, so the long-only GMV
+    is the single-asset vertex e_0; some instances tie the maximum mean."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("pd", "rank_deficient", "vertex")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "vertex":
+        beta = np.r_[1.0, rng.uniform(1.2, 2.0, n - 1)]
+        sigma = 0.02 * np.outer(beta, beta) + np.diag(rng.uniform(0.001, 0.004, n))
+        sigma[0, 0] = 0.0201
+        mu = rng.uniform(0.02, 0.15, n)
+    else:
+        periods = draw(st.integers(n + 1, n + 40)) if kind == "pd" or n == 1 \
+            else draw(st.integers(2, n))
+        returns = (rng.normal(0.008, 0.03, (periods, 3)) @ rng.normal(1.0, 0.3, (3, n))
+                   + rng.normal(0.0, 1.0, (periods, n)) * rng.uniform(0.02, 0.06, n))
+        mu = returns.mean(axis=0) * 12.0
+        centered = returns - returns.mean(axis=0)
+        sigma = centered.T @ centered / (periods - 1) * 12.0
+        sigma = (sigma + sigma.T) / 2.0
+    if n > 1 and draw(st.booleans()):
+        best = int(np.argmax(mu))
+        mu[(best + 1) % n] = mu[best]
+    return _stats(mu, sigma)
+
+
+# The GMV at a single-asset vertex: on that one-asset face the budget and
+# target rows are dependent, and the path must let asset 1 enter there.
+@example(_stats([0.05, 0.10], [[0.01, 0.015], [0.015, 0.09]]), 7)
+@settings(max_examples=60, deadline=None)
+@given(frontier_stats(), st.integers(2, 30))
+def test_frontier_matches_per_target_solves(stats, n_points):
+    # Where Sigma is singular on the optimal face the optimum is not
+    # unique: the path returns the point it reaches from the GMV, and only
+    # the variance is compared
+    frontier = trace_frontier(stats, n_points)
+    scale = float(np.abs(stats.sigma).max())
+    lam_max = float(np.linalg.eigvalsh(stats.sigma).max())
+    max_e = float(stats.mu.max())
+    for point in frontier.points:
+        # when all means are equal the frontier is the GMV alone, whose
+        # mean can exceed max(e) by rounding
+        ref = min_variance_at_return(stats, min(point.mu_target, max_e))
+        assert point.variance == pytest.approx(ref.variance, rel=1e-9, abs=1e-12 * scale)
+        support = (point.weights > 0.0) | (ref.weights > 0.0)
+        block = stats.sigma[np.ix_(support, support)]
+        if np.linalg.eigvalsh(block).min() > 1e-6 * lam_max:
+            np.testing.assert_allclose(point.weights, ref.weights, rtol=0, atol=1e-7)

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from longplan.qp import (
     FEASIBILITY_TOL,
+    QpError,
     QpInputError,
     QpProblem,
     kkt_report,
     solve_qp,
+    solve_qp_path,
 )
 from oracles import boxed_qp_oracle
 
@@ -521,3 +523,149 @@ def test_feasible_start_skips_phase_1_and_reaches_the_cold_result(case):
     assert report["stationarity"] <= 1e-8 * (1.0 + np.abs(problem.c).max())
     assert report["complementarity"] <= 1e-6
     assert report["dual_feasibility"] >= -1e-9
+
+
+def _at(problem, db_in, tau):
+    """The problem with b_in moved to b_in + tau * db_in."""
+    return QpProblem(Q=problem.Q, c=problem.c, a_eq=problem.a_eq, b_eq=problem.b_eq,
+                     a_in=problem.a_in, b_in=problem.b_in + tau * db_in,
+                     lb=problem.lb, ub=problem.ub)
+
+
+def test_path_on_the_two_asset_frontier():
+    # min w'Sigma w, Sigma = diag(0.04, 0.09), s.t. w0 + w1 = 1,
+    # 0.10 w0 + 0.05 w1 >= b, w >= 0, with b from 0.07 to 0.10.  Below the
+    # GMV mean 1.1/13 the target is slack and w is the GMV (9/13, 4/13);
+    # above it both rows hold, w0 = (b - 0.05) / 0.05, until w = (1, 0)
+    problem = QpProblem(Q=np.diag([0.08, 0.18]), c=np.zeros(2),
+                        a_eq=np.ones((1, 2)), b_eq=np.array([1.0]),
+                        a_in=np.array([[0.10, 0.05]]), b_in=np.array([0.07]),
+                        lb=np.zeros(2))
+    db_in = np.array([0.03])
+    taus = np.linspace(0.0, 1.0, 13)
+    path = solve_qp_path(problem, db_in, taus, start=np.array([1.0, 0.0]))
+    assert len(path) == taus.size
+    turn = (1.1 / 13 - 0.07) / 0.03
+    for tau, sol in zip(taus, path):
+        b = 0.07 + 0.03 * tau
+        w0 = 9 / 13 if tau <= turn else (b - 0.05) / 0.05
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.x, [w0, 1.0 - w0], rtol=0, atol=1e-12)
+        report = kkt_report(_at(problem, db_in, tau), sol)
+        assert report["stationarity"] <= 1e-14
+        assert report["complementarity"] <= 1e-14
+        assert report["dual_feasibility"] >= 0.0
+    # the target row's multiplier is zero before the turning point, then
+    # rises affinely: stationarity on w0 reads 0.08 w0 = lam + 0.10 mu
+    mus = np.array([sol.in_multipliers[0] for sol in path])
+    assert np.all(mus[taus < turn] == 0.0)
+    above = taus > turn
+    w0 = (0.07 + 0.03 * taus[above] - 0.05) / 0.05
+    np.testing.assert_allclose(mus[above], (0.08 * w0 - 0.18 * (1.0 - w0)) / 0.05,
+                               rtol=0, atol=1e-12)
+    # one breakpoint at the turn, where the target row enters
+    assert path[-1].iterations - path[0].iterations >= 1
+
+
+@st.composite
+def qps_on_a_feasible_path(draw):
+    """(pd, problem, db_in, start): a boxed QP, Q PD or of rank 1-3, whose
+    rows hold along x(tau) = start + tau (x_end - start) for tau in [0, 1]
+    with slacks that move affinely from one random set to another.  start
+    is inside the box, or an integer vertex where more rows than variables
+    are tight."""
+    n = draw(st.integers(1, 6))
+    pd = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n + 1 if pd else draw(st.integers(1, min(3, n))), n))
+    Q = g.T @ g + (0.05 * np.eye(n) if pd else 0.0)
+    c = rng.standard_normal(n) * 10.0 ** draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        start = rng.integers(-3, 4, n).astype(float)
+        a_in = rng.integers(-3, 4, (n + draw(st.integers(1, 4)), n)).astype(float)
+        a_in[~a_in.any(axis=1), 0] = 1.0
+        lb, ub = start - rng.uniform(0.5, 2.0, n), start + rng.uniform(0.5, 2.0, n)
+        a_eq, slack0 = np.zeros((0, n)), np.zeros(a_in.shape[0])
+    else:
+        lb, ub = rng.uniform(-2.0, -0.5, n), rng.uniform(0.5, 2.0, n)
+        start = rng.uniform(lb, ub)
+        a_in = rng.standard_normal((draw(st.integers(1, 4)), n))
+        a_eq = rng.standard_normal((draw(st.integers(0, min(1, n - 1))), n))
+        slack0 = rng.uniform(0.0, 0.5, a_in.shape[0]) * (rng.random(a_in.shape[0]) < 0.5)
+    # a move that keeps the equality rows, scaled to stay in the box
+    move = rng.standard_normal(n)
+    if a_eq.shape[0]:
+        move -= a_eq.T @ np.linalg.lstsq(a_eq.T, move, rcond=None)[0]
+    room = np.where(move > 0, (ub - start) / np.maximum(move, 1e-300),
+                    (lb - start) / np.minimum(move, -1e-300))
+    move *= rng.uniform(0.2, 1.0) * min(1.0, float(room.min()))
+    slack1 = rng.uniform(0.0, 0.5, a_in.shape[0]) * (rng.random(a_in.shape[0]) < 0.5)
+    problem = QpProblem(Q=Q, c=c, a_eq=a_eq, b_eq=a_eq @ start, a_in=a_in,
+                        b_in=a_in @ start - slack0, lb=lb, ub=ub)
+    return pd, problem, a_in @ move - (slack1 - slack0), start
+
+
+@settings(max_examples=150, deadline=None)
+@given(qps_on_a_feasible_path(), st.lists(st.integers(0, 16), min_size=1, max_size=8))
+def test_path_matches_cold_solves(case, grid):
+    # taus on a grid of sixteenths: at a tau like 1e-7, rows 1e-8 apart
+    # are one row to the cold solve's feasibility tolerance, and its
+    # optimum is off by that much
+    pd, problem, db_in, start = case
+    taus = np.sort(grid) / 16.0
+    path = solve_qp_path(problem, db_in, taus, start=start)
+    assert len(path) == taus.size
+    for tau, sol in zip(taus, path):
+        at_tau = _at(problem, db_in, tau)
+        cold = solve_qp(at_tau)
+        assert sol.status == cold.status == "optimal"
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+        if pd:
+            np.testing.assert_allclose(sol.x, cold.x, rtol=0, atol=1e-7)
+        assert sol.max_violation <= FEASIBILITY_TOL * (1.0 + at_tau.rhs_scale())
+        report = kkt_report(at_tau, sol)
+        assert report["stationarity"] <= 1e-8 * (1.0 + np.abs(problem.c).max())
+        assert report["complementarity"] <= 1e-6
+        assert report["dual_feasibility"] >= -1e-9
+
+
+def test_path_start_is_checked_as_solve_qp_checks_it():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((5, 4))
+    problem = QpProblem(Q=g.T @ g + 0.1 * np.eye(4), c=rng.standard_normal(4),
+                        a_eq=np.ones((1, 4)), b_eq=np.array([1.0]),
+                        a_in=rng.standard_normal((2, 4)), b_in=np.array([-1.0, -1.5]),
+                        lb=np.zeros(4))
+    db_in, taus = np.array([0.5, 0.2]), np.array([0.0, 0.5, 1.0])
+    outside = np.array([2.0, -1.0, 0.0, 0.0])      # breaks a bound
+    with mock.patch("scipy.optimize.linprog", wraps=scipy.optimize.linprog) as linprog:
+        path = solve_qp_path(problem, db_in, taus, start=outside)
+        assert linprog.call_count == 1
+        cold = solve_qp(problem, start=outside)
+        assert linprog.call_count == 2
+        solve_qp_path(problem, db_in, taus, start=np.full(4, 0.25))
+        assert linprog.call_count == 2
+    # the tau = 0 point is solve_qp's, bit for bit
+    np.testing.assert_array_equal(path[0].x, cold.x)
+    assert path[0].iterations == cold.iterations
+    with pytest.raises(QpInputError, match="start"):
+        solve_qp_path(problem, db_in, taus, start=np.zeros(3))
+    # no optimum at tau = 0: the path cannot start
+    infeasible = QpProblem(Q=np.eye(1), c=np.zeros(1), a_in=np.array([[1.0], [-1.0]]),
+                           b_in=np.array([2.0, -1.0]))
+    with pytest.raises(QpError, match="infeasible"):
+        solve_qp_path(infeasible, np.zeros(2), taus, start=np.zeros(1))
+
+
+def test_path_input_validated_and_infeasible_tail_raises():
+    # x >= b with x <= 1: the rows cannot be met past tau = 0.5
+    problem = QpProblem(Q=np.eye(1), c=np.zeros(1), a_in=np.array([[1.0]]),
+                        b_in=np.array([0.0]), ub=np.array([1.0]))
+    for db_in, taus in ((np.ones(2), [0.0]), (np.array([np.nan]), [0.0]),
+                        (np.ones(1), []), (np.ones(1), [0.5, 0.2]), (np.ones(1), [1.5])):
+        with pytest.raises(QpInputError):
+            solve_qp_path(problem, db_in, taus, start=np.zeros(1))
+    path = solve_qp_path(problem, np.array([2.0]), [0.25, 0.5], start=np.zeros(1))
+    np.testing.assert_allclose([sol.x[0] for sol in path], [0.5, 1.0], rtol=0, atol=1e-15)
+    with pytest.raises(QpError, match="cannot be met"):
+        solve_qp_path(problem, np.array([2.0]), [0.25, 0.75], start=np.zeros(1))

@@ -231,7 +231,8 @@ def test_insurance_txt_fields(pipeline_out):
     out, config, _ = pipeline_out
     text = (out / "insurance.txt").read_text()
     for key in ("estimate =", "std_error =", "n_draws = 4000", "seed = 0",
-                "method = inverse-cdf standard normals", "analytic ="):
+                "method = exponential inverse-cdf T = -log1p(-u) / h on seeded uniforms",
+                "analytic ="):
         assert key in text
     analytic = float(text.split("analytic = ")[1].splitlines()[0])
     assert analytic == pytest.approx(2.0 / 3.0, rel=1e-9)
