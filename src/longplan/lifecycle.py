@@ -19,7 +19,10 @@ expected strike time.
 Binaries never enter a branch-and-bound: with at most one house purchase
 and the last house_years years excluded, fixing beta leaves one convex QP
 per admissible purchase year plus the no-house case, and the best branch
-is exact.
+is exact.  A fixed beta is a constant: its payments move to the right-hand
+side of the floor rows and its utility to the objective, and the house cap
+holds trivially.  So the branches share Q, c and A on the 3M + 1 other
+columns and differ only in b.
 """
 
 from __future__ import annotations
@@ -342,21 +345,19 @@ def _branch_label(year: int | None) -> str:
     return "none" if year is None else f"house-year-{year}"
 
 
-def _branch_start(plan: np.ndarray, year: int | None, a: np.ndarray,
-                  b: np.ndarray, years_M: int) -> np.ndarray:
-    """A feasible start for house branch year, built from another plan.
+def _branch_start(plan: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  years_M: int) -> np.ndarray:
+    """A point meeting the floor rows a x >= b, built from another plan.
 
-    The house block is switched to year, and a floor shortfall in year k is
-    covered by borrowing in year k.  That borrowing raises row k by 1 and
-    lowers row k+1 by 1 + r_borrow, so the rows are repaired in year order
-    and the shortfall carries forward; year M's borrowing matures after the
-    horizon.  Borrowing has no upper bound, so every branch has such a point.
+    The columns are those of a branch QP (stock, borrow, save, insurance).
+    A floor shortfall in year k is covered by borrowing in year k.  That
+    borrowing raises row k by 1 and lowers row k+1 by 1 + r_borrow, so the
+    rows are repaired in year order and the shortfall carries forward; year
+    M's borrowing matures after the horizon.  Borrowing has no upper bound,
+    so every branch has such a point.
     """
     m = years_M
     x = plan.copy()
-    x[3 * m:4 * m] = 0.0
-    if year is not None:
-        x[3 * m + year - 1] = 1.0
     for k in range(m):
         x[m + k] += max(b[k] - a[k] @ x, 0.0)
     return x
@@ -394,7 +395,6 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
     kstart = max(1, min(kstart, config.years_M + 1))
 
     m = config.years_M
-    n = 4 * m + 1
     zero = DecisionVector(stock=np.zeros(m), borrow=np.zeros(m),
                           save=np.zeros(m), house=np.zeros(m), insurance=0.0)
     baseline = implied_consumption(zero, config, asset, kstart)
@@ -412,25 +412,26 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
     candidates: list[int | None] = [None]
     candidates.extend(range(1, m - config.house_years + 1))
 
+    # Stock, borrow, save and insurance; the cap row m is dropped.
+    rest = np.r_[0:3 * m, 4 * m]
+    q_rest, c_rest, a_rest = q[np.ix_(rest, rest)], c[rest], a[:m, rest]
     best_x = None
     best_year: int | None = None
     best_objective = -math.inf
     branch_objectives: list[tuple[str, float]] = []
-    # Branches share Q, c and the rows and differ only in the pinned house
-    # column, so each starts from the previous branch's plan, repaired to
-    # meet its rows; the first starts from the zero plan checked above.
-    plan = np.zeros(n)
+    # Each branch starts from the previous branch's plan, repaired to meet
+    # its rows; the first starts from the zero plan checked above.
+    plan = np.zeros(3 * m + 1)
     for year in candidates:
-        lb = np.zeros(n)
-        ub = np.full(n, np.inf)
-        ub[3 * m:4 * m] = 0.0
+        house = np.zeros(m)
         if year is not None:
-            lb[3 * m + year - 1] = 1.0
-            ub[3 * m + year - 1] = 1.0
+            house[year - 1] = 1.0
+        b_year = b[:m] - a[:m, 3 * m:4 * m] @ house
         # Maximize c'x + 0.5 x'qx as the minimization of its negation.
-        problem = QpProblem(Q=-q, c=-c, a_in=a, b_in=b, lb=lb, ub=ub)
+        problem = QpProblem(Q=-q_rest, c=-c_rest, a_in=a_rest, b_in=b_year,
+                            lb=np.zeros(3 * m + 1))
         try:
-            sol = solve_qp(problem, start=_branch_start(plan, year, a, b, m))
+            sol = solve_qp(problem, start=_branch_start(plan, a_rest, b_year, m))
         except QpError as exc:
             raise LifecycleBranchError(
                 f"branch {_branch_label(year)}: {exc}") from exc
@@ -439,11 +440,11 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
                 f"branch {_branch_label(year)}: solver status {sol.status!r}"
             )
         plan = sol.x
-        objective = -sol.objective
+        objective = float(c[3 * m:4 * m] @ house) - sol.objective
         branch_objectives.append((_branch_label(year), objective))
         if objective > best_objective:
             best_objective = objective
-            best_x = sol.x
+            best_x = np.insert(sol.x, 3 * m, house)
             best_year = year
 
     x = np.where(best_x < VALUE_CLAMP, 0.0, best_x)

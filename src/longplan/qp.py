@@ -11,13 +11,9 @@ with Q symmetric positive semidefinite.  The solver is built for the small
 dense problems produced by the portfolio and lifetime-planning layers
 (n up to a few hundred):
 
-* a variable pinned by equal bounds is a bound that the active set holds
-  from the start and never drops; the PSD check and the curvature floor
-  below look at the unpinned variables only;
 * feasibility is decided by a phase-1 linear program that minimizes the
   Chebyshev (max) constraint violation, so an infeasible verdict comes with
-  the smallest achievable violation as a certificate.  Rows that vanish
-  on the unpinned variables are judged only there, so it covers them too;
+  the smallest achievable violation as a certificate;
 * a caller that holds a feasible point, such as the plan of a
   neighbouring problem repaired to meet its rows, passes it as ``start``.
   A point that keeps every bound and meets every row within the
@@ -25,13 +21,12 @@ dense problems produced by the portfolio and lifetime-planning layers
   begins there, with everything active at that point in the working set.
   Any other ``start`` is ignored and the Chebyshev LP runs as without it,
   so verdicts and certificates never depend on ``start``;
-* constraint rows are normalized internally (over the unpinned
-  variables), so solutions are invariant under positive rescaling of any
-  row;
+* constraint rows are normalized internally, so solutions are invariant
+  under positive rescaling of any row;
 * a bound enters the active set by fixing its variable at the bound, not
   as a constraint row, so the null-space solves only see the equality rows
-  and the working general rows restricted to the free variables.  Every
-  bound multiplier, for pinned and fixed variables alike, is read off the
+  and the working general rows restricted to the free variables.  Equal
+  bounds are two ordinary bounds.  Every bound multiplier is read off the
   stationarity residual Qx + c - a_eq'lam - a_in'mu;
 * one column-pivoted QR of the working rows gives the null-space basis Z
   and, by triangular solves with R, the multipliers and a least-norm step
@@ -266,12 +261,9 @@ def kkt_report(problem: QpProblem, sol: QpSolution) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 class _UnitRows(NamedTuple):
-    """The general rows scaled to unit norm on the unpinned variables.
+    """The general rows scaled to unit norm; a zero row keeps norm 1.
 
-    eq_norm/in_norm unscale the multipliers.  A row that vanishes on the
-    unpinned variables keeps norm 1: it never blocks a step and gets a zero
-    multiplier, so only the phase-1 LP, which reads the rows as given,
-    judges it.
+    eq_norm/in_norm unscale the multipliers.
     """
 
     eq: np.ndarray
@@ -282,9 +274,9 @@ class _UnitRows(NamedTuple):
     in_norm: np.ndarray
 
 
-def _unit_rows(problem: QpProblem, pinned: np.ndarray) -> _UnitRows:
+def _unit_rows(problem: QpProblem) -> _UnitRows:
     def scaled(a, b):
-        norm = np.linalg.norm(a[:, ~pinned], axis=1)
+        norm = np.linalg.norm(a, axis=1)
         norm[norm <= 1e-300] = 1.0
         return a / norm[:, None], b / norm, norm
 
@@ -396,11 +388,11 @@ def _face_step(h_red: np.ndarray, g_red: np.ndarray, lam_max: float, tol: float)
     """(p, flat): the step on a face with reduced Hessian h_red, gradient g_red.
 
     An eigenvalue of h_red at or below dim * eps * lam_max, lam_max the
-    largest eigenvalue of Q on the unpinned variables, is rounding: zero
-    curvature.  If g_red has a component above tol along those
-    eigenvectors, p is that component negated and flat is True; otherwise
-    p is the minimum-norm Newton step on the other eigenvectors.  When the
-    Cholesky factor L shows every eigenvalue to be above the floor
+    largest eigenvalue of Q on the variables whose bounds differ, is
+    rounding: zero curvature.  If g_red has a component above tol along
+    those eigenvectors, p is that component negated and flat is True;
+    otherwise p is the minimum-norm Newton step on the other eigenvectors.
+    When the Cholesky factor L shows every eigenvalue to be above the floor
     max(1e-14, 1e-10 * lam_max), by |L^-1|_F^2 = trace(h_red^-1) < 1/floor,
     p is the Newton step from L and no eigendecomposition is needed.
     """
@@ -453,22 +445,22 @@ def _enter(problem: QpProblem, kind: str | None, i: int, x: np.ndarray, working:
         at_upper[i], x[i] = True, problem.ub[i]
 
 
-def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
-                lam_max: float, x0: np.ndarray, max_iter: int) -> _Optimum | QpSolution:
+def _active_set(problem: QpProblem, rows: _UnitRows, lam_max: float,
+                x0: np.ndarray, max_iter: int) -> _Optimum | QpSolution:
     """Primal active-set iterations from the feasible point x0.
 
     A bound becomes active by fixing its variable (at_lower / at_upper) and
     snapping it to the bound; only general inequality rows enter the
-    working list.  A pinned variable is at its lower bound from the start
-    and is never dropped.  Returns the stationary _Optimum for _finish, or
-    the ray from _unbounded when a step of zero curvature meets no block.
+    working list; a variable with equal bounds starts at its lower one.
+    Returns the stationary _Optimum for _finish, or the ray from _unbounded
+    when a step of zero curvature meets no block.
     """
     q, lb, ub = problem.Q, problem.lb, problem.ub
     m_eq = rows.eq.shape[0]
     x = x0.copy()
     # Warm start: every row and bound active at x0.
     working = [int(i) for i in np.flatnonzero(rows.ineq @ x - rows.b_in <= 1e-8)]
-    at_lower = pinned | (x - lb <= 1e-8)
+    at_lower = x - lb <= 1e-8
     at_upper = (ub - x <= 1e-8) & ~at_lower
     x[at_lower] = lb[at_lower]
     x[at_upper] = ub[at_upper]
@@ -488,7 +480,7 @@ def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
         if not flat and np.abs(p).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(x).max(initial=0.0)):
             nu = multipliers(grad[free])
             resid = grad - a_w.T @ nu
-            lower_idx, upper_idx = np.flatnonzero(at_lower & ~pinned), np.flatnonzero(at_upper)
+            lower_idx, upper_idx = np.flatnonzero(at_lower), np.flatnonzero(at_upper)
             # Candidates in order: working rows, lower bounds, upper bounds.
             mults = np.concatenate([nu[m_eq:], resid[lower_idx], -resid[upper_idx]])
             if mults.size == 0 or mults.min() >= -mu_tol:
@@ -502,29 +494,29 @@ def _active_set(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
         alpha, kind, i = _ratio_test(problem, rows, x, p, working, free,
                                      np.inf if flat else 1.0)
         if kind is None and flat:
-            return _unbounded(problem, rows, pinned, lam_max, x, p, iteration)
+            return _unbounded(problem, rows, lam_max, x, p, iteration)
         x = x + alpha * p
         _enter(problem, kind, i, x, working, at_lower, at_upper)
     raise QpIterationLimitError(f"active-set iteration cap {max_iter} exceeded")
 
 
-def _unbounded(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray, lam_max: float,
-               x: np.ndarray, ray: np.ndarray, iterations: int) -> QpSolution:
+def _unbounded(problem: QpProblem, rows: _UnitRows, lam_max: float, x: np.ndarray,
+               ray: np.ndarray, iterations: int) -> QpSolution:
     """The unbounded verdict at x along ray, after checking the ray.
 
     With |ray|_inf = 1 it must have |Q ray|_inf within 1e-8 * max(1,
     lam_max), as in the PSD check, c'ray < 0, a_eq ray = 0 and a_in ray >= 0
-    within 1e-9 on the unit rows, and the sign of every finite bound of an
-    unpinned variable; otherwise QpError is raised.
+    within 1e-9 on the unit rows, and the sign of every finite bound;
+    otherwise QpError is raised.
     """
-    unpinned, tol = ~pinned, 1e-9
+    tol = 1e-9
     failed = [name for name, bad in (
         ("Qd = 0", np.abs(problem.Q @ ray).max() > 1e-8 * max(1.0, lam_max)),
         ("c'd < 0", problem.c @ ray >= 0.0),
         ("a_eq d = 0", np.abs(rows.eq @ ray).max(initial=0.0) > tol),
         ("a_in d >= 0", (rows.ineq @ ray).min(initial=0.0) < -tol),
-        ("lower bounds", ray[unpinned & np.isfinite(problem.lb)].min(initial=0.0) < -tol),
-        ("upper bounds", ray[unpinned & np.isfinite(problem.ub)].max(initial=0.0) > tol),
+        ("lower bounds", ray[np.isfinite(problem.lb)].min(initial=0.0) < -tol),
+        ("upper bounds", ray[np.isfinite(problem.ub)].max(initial=0.0) > tol),
     ) if bad]
     if failed:
         raise QpError(f"internal ray verification failed: {', '.join(failed)}")
@@ -532,17 +524,15 @@ def _unbounded(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray, lam_max:
                       max_violation=problem.max_violation(x), iterations=iterations, ray=ray)
 
 
-def _finish(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
-            optimum: _Optimum) -> QpSolution:
+def _finish(problem: QpProblem, rows: _UnitRows, optimum: _Optimum) -> QpSolution:
     """The verified optimal solution on the active set's final face.
 
     A least-norm step from the face's QR first puts the working rows back
     on their right-hand sides: the iterations leave them off by rounding in
     proportion to |x|, which a large multiplier turns into a false
     complementarity failure.  The multipliers fit the gradient Qx + c
-    through the same QR, every bound dual (both of a pinned variable) is
-    read off the stationarity residual, and the result must pass the KKT
-    check.
+    through the same QR, every bound dual is read off the stationarity
+    residual, and the result must pass the KKT check.
     """
     x, working, at_lower, at_upper, (_, multipliers, restore), iterations = optimum
     free = ~(at_lower | at_upper)
@@ -564,7 +554,7 @@ def _finish(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
         eq_multipliers=eq_mult,
         in_multipliers=in_mult,
         lower_multipliers=np.where(at_lower, np.maximum(resid, 0.0), 0.0),
-        upper_multipliers=np.where(at_upper | pinned, np.maximum(-resid, 0.0), 0.0),
+        upper_multipliers=np.where(at_upper, np.maximum(-resid, 0.0), 0.0),
         iterations=iterations,
     )
     report = kkt_report(problem, sol)
@@ -579,7 +569,7 @@ def _finish(problem: QpProblem, rows: _UnitRows, pinned: np.ndarray,
 
 
 def _solve(problem: QpProblem, start, max_iter: int | None):
-    """solve_qp up to the active set's stop: (rows, pinned, lam_max, result).
+    """solve_qp up to the active set's stop: (rows, lam_max, result).
 
     result is the infeasible or unbounded QpSolution, or the _Optimum that
     _finish turns into the optimal one.
@@ -589,10 +579,11 @@ def _solve(problem: QpProblem, start, max_iter: int | None):
         if start.shape[0] != problem.n or not np.all(np.isfinite(start)):
             raise QpInputError(
                 f"start must be a finite vector of length {problem.n}")
-    pinned = problem.lb == problem.ub
-    rows = _unit_rows(problem, pinned)
+    rows = _unit_rows(problem)
     feas_tol = FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
-    eigvals = np.linalg.eigvalsh(problem.Q[np.ix_(~pinned, ~pinned)])
+    # Equal bounds fix a variable, so Q need only be PSD on the others.
+    movable = problem.lb < problem.ub
+    eigvals = np.linalg.eigvalsh(problem.Q[np.ix_(movable, movable)])
     lam_max = float(eigvals.max(initial=0.0))
     if eigvals.min(initial=0.0) < -1e-8 * max(1.0, lam_max):
         raise QpInputError("Q is not positive semidefinite")
@@ -603,11 +594,11 @@ def _solve(problem: QpProblem, start, max_iter: int | None):
     else:
         x0, t_star = _phase1(problem)
         if t_star > feas_tol:
-            return rows, pinned, lam_max, QpSolution(
+            return rows, lam_max, QpSolution(
                 x=x0, objective=np.nan, status=STATUS_INFEASIBLE, max_violation=t_star)
 
     max_iter = max_iter if max_iter is not None else 50 * problem.n
-    return rows, pinned, lam_max, _active_set(problem, rows, pinned, lam_max, x0, max_iter)
+    return rows, lam_max, _active_set(problem, rows, lam_max, x0, max_iter)
 
 
 def solve_qp(problem: QpProblem, *, start=None,
@@ -626,14 +617,14 @@ def solve_qp(problem: QpProblem, *, start=None,
 
     Returns a solution with status "optimal", "infeasible" or "unbounded".
     Raises QpInputError for malformed data or start, or for a Q that is
-    not positive semidefinite on the unpinned variables, and
+    not positive semidefinite on the variables whose bounds differ, and
     QpIterationLimitError if the active-set cap of 50*n iterations is
     exceeded.
     """
-    rows, pinned, _, result = _solve(problem, start, _max_iter)
+    rows, _, result = _solve(problem, start, _max_iter)
     if isinstance(result, QpSolution):
         return result
-    return _finish(problem, rows, pinned, result)
+    return _finish(problem, rows, result)
 
 
 def _multiplier_test(mults: np.ndarray, rates: np.ndarray, tol: float):
@@ -704,7 +695,7 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
         raise QpInputError(f"db_in must be a finite vector of length {problem.b_in.shape[0]}")
     if not (taus.size and np.all((taus >= 0.0) & (taus <= 1.0)) and np.all(np.diff(taus) >= 0.0)):
         raise QpInputError("taus must be a nonempty nondecreasing sequence in [0, 1]")
-    rows, pinned, lam_max, result = _solve(problem, start, None)
+    rows, lam_max, result = _solve(problem, start, None)
     if isinstance(result, QpSolution):
         raise QpError(f"the path needs an optimum at tau = 0, where the QP is {result.status}")
     x, working, at_lower, at_upper, _, iterations = result
@@ -721,7 +712,7 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
         grad = q @ x + problem.c
         nu = nu + multipliers(grad[free] - a_f.T @ nu)    # refit the part a_f' sees
         resid = grad - a_w.T @ nu
-        lower_idx, upper_idx = np.flatnonzero(at_lower & ~pinned), np.flatnonzero(at_upper)
+        lower_idx, upper_idx = np.flatnonzero(at_lower), np.flatnonzero(at_upper)
         mults = np.concatenate([nu[m_eq:], resid[lower_idx], -resid[upper_idx]])
         dx = np.zeros(n)
         dx[free] = restore(d_w)
@@ -742,7 +733,7 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
                     problem_t, rows_t = _at_tau(problem, rows, db_in, d_in, t)
                     if problem_t.max_violation(x) > FEASIBILITY_TOL * (1.0 + problem_t.rhs_scale()):
                         raise QpError(f"the rows cannot be met past tau = {tau!r}")
-                    path.append(_finish(problem_t, rows_t, pinned, _Optimum(
+                    path.append(_finish(problem_t, rows_t, _Optimum(
                         x, working, at_lower, at_upper, _carrying(face, a_f, nu),
                         iterations + events)))
                 return path
@@ -765,7 +756,7 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
             step = min(alpha, beta)
             while len(path) < taus.size and taus[len(path)] - tau <= step:
                 t = taus[len(path)]
-                path.append(_finish(*_at_tau(problem, rows, db_in, d_in, t), pinned, _Optimum(
+                path.append(_finish(*_at_tau(problem, rows, db_in, d_in, t), _Optimum(
                     x + (t - tau) * dx, working, at_lower, at_upper,
                     _carrying(face, a_f, nu + (t - tau) * d_nu), iterations + events)))
             if len(path) == taus.size:

@@ -419,7 +419,11 @@ def test_every_branch_starts_from_a_feasible_point(seed):
     with mock.patch.object(lifecycle, "solve_qp", recording_solve_qp):
         plan = solve_lifecycle(config, asset)
     assert len(calls) == len(plan.branch_objectives)
+    m = config.years_M
     for problem, start in calls:
+        # the house column is a constant of the branch, not a pinned variable
+        assert problem.n == 3 * m + 1 and problem.a_in.shape[0] == m
+        assert not np.any(problem.lb == problem.ub)
         assert np.all(problem.lb <= start) and np.all(start <= problem.ub)
         feas_tol = qp.FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
         assert problem.max_violation(start) <= feas_tol

@@ -293,13 +293,22 @@ def test_objective_recomputation_matches():
 
 
 def test_equal_bounds_pin_variables():
-    p = QpProblem(Q=np.eye(3), c=np.array([1.0, 1.0, 1.0]),
-                  lb=np.array([0.5, -np.inf, 0.0]),
-                  ub=np.array([0.5, np.inf, 0.0]))
+    p = QpProblem(Q=np.eye(4), c=np.array([1.0, 1.0, 1.0, -3.0]),
+                  lb=np.array([0.5, -np.inf, 0.0, 2.0]),
+                  ub=np.array([0.5, np.inf, 0.0, 2.0]))
     sol = solve_qp(p)
     assert sol.x[0] == pytest.approx(0.5, abs=1e-12)
     assert sol.x[2] == pytest.approx(0.0, abs=1e-12)
     assert sol.x[1] == pytest.approx(-1.0, abs=1e-9)
+    # the gradient x3 - 3 = -1 pushes x3 up against its pin: its upper
+    # bound carries the dual
+    assert sol.x[3] == 2.0
+    assert sol.upper_multipliers[3] == pytest.approx(1.0, abs=1e-12)
+    assert sol.lower_multipliers[3] == 0.0
+    report = kkt_report(p, sol)
+    assert report["stationarity"] <= 1e-12
+    assert report["complementarity"] <= 1e-12
+    assert report["dual_feasibility"] >= 0.0
 
 
 @st.composite
