@@ -23,6 +23,14 @@ is exact.  A fixed beta is a constant: its payments move to the right-hand
 side of the floor rows and its utility to the objective, and the house cap
 holds trivially.  So the branches share Q, c and A on the 3M + 1 other
 columns and differ only in b.
+
+That makes the branches one chain of right-hand-side paths.  The no-house
+branch is solved from the zero plan, which meets its rows whenever income
+covers the floor.  Each house year after it, from the last to the first,
+follows qp.solve_qp_path from the previous branch's optimum along
+b_prev + tau (b_year - b_prev) to tau = 1, so it passes only the
+breakpoints where the two optimal working sets differ.  Borrowing has no
+upper bound, so the rows can be met all along every step.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .insurance import (
     spread_variance_coefficient,
     strike_time_estimates,
 )
-from .qp import QpError, QpProblem, STATUS_OPTIMAL, solve_qp
+from .qp import QpError, QpProblem, STATUS_OPTIMAL, solve_qp, solve_qp_path
 
 # Reported plan values below this are solver dust and are clamped to zero.
 VALUE_CLAMP = 1e-9
@@ -345,24 +353,6 @@ def _branch_label(year: int | None) -> str:
     return "none" if year is None else f"house-year-{year}"
 
 
-def _branch_start(plan: np.ndarray, a: np.ndarray, b: np.ndarray,
-                  years_M: int) -> np.ndarray:
-    """A point meeting the floor rows a x >= b, built from another plan.
-
-    The columns are those of a branch QP (stock, borrow, save, insurance).
-    A floor shortfall in year k is covered by borrowing in year k.  That
-    borrowing raises row k by 1 and lowers row k+1 by 1 + r_borrow, so the
-    rows are repaired in year order and the shortfall carries forward; year
-    M's borrowing matures after the horizon.  Borrowing has no upper bound,
-    so every branch has such a point.
-    """
-    m = years_M
-    x = plan.copy()
-    for k in range(m):
-        x[m + k] += max(b[k] - a[k] @ x, 0.0)
-    return x
-
-
 def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
                     seed: int = 0, *, paper_faithful_v: bool = False,
                     mc_kstart: bool = False,
@@ -381,7 +371,8 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
         (income does not cover d_floor).  Unbounded borrowing then makes
         every house branch feasible.
     LifecycleBranchError
-        If any branch QP fails; the message names the branch.
+        If the first branch's QP or a path step to a later branch fails;
+        the message names the branch.
     """
     hazard = config.hazard
     v_discount = None
@@ -415,23 +406,32 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
     # Stock, borrow, save and insurance; the cap row m is dropped.
     rest = np.r_[0:3 * m, 4 * m]
     q_rest, c_rest, a_rest = q[np.ix_(rest, rest)], c[rest], a[:m, rest]
-    best_x = None
-    best_year: int | None = None
-    best_objective = -math.inf
-    branch_objectives: list[tuple[str, float]] = []
-    # Each branch starts from the previous branch's plan, repaired to meet
-    # its rows; the first starts from the zero plan checked above.
-    plan = np.zeros(3 * m + 1)
-    for year in candidates:
+
+    def house_of(year: int | None) -> np.ndarray:
         house = np.zeros(m)
         if year is not None:
             house[year - 1] = 1.0
+        return house
+
+    # The chain runs "none", then the house years from the last to the
+    # first, which passes fewer breakpoints than the first to the last.
+    branches: dict[int | None, tuple[float, np.ndarray]] = {}
+    problem = sol = None
+    for year in [None, *candidates[:0:-1]]:
+        house = house_of(year)
         b_year = b[:m] - a[:m, 3 * m:4 * m] @ house
-        # Maximize c'x + 0.5 x'qx as the minimization of its negation.
-        problem = QpProblem(Q=-q_rest, c=-c_rest, a_in=a_rest, b_in=b_year,
-                            lb=np.zeros(3 * m + 1))
         try:
-            sol = solve_qp(problem, start=_branch_start(plan, a_rest, b_year, m))
+            if problem is None:
+                # Maximize c'x + 0.5 x'qx as the minimization of its negation,
+                # from the zero plan, which meets the no-house rows (checked above).
+                problem = QpProblem(Q=-q_rest, c=-c_rest, a_in=a_rest, b_in=b_year,
+                                    lb=np.zeros(3 * m + 1))
+                sol = solve_qp(problem, start=np.zeros(3 * m + 1))
+            else:
+                # The previous branch's optimum starts the path to this one's b.
+                sol = solve_qp_path(problem, b_year - problem.b_in, [1.0], start=sol.x)[0]
+                problem = QpProblem(Q=problem.Q, c=problem.c, a_in=a_rest, b_in=b_year,
+                                    lb=problem.lb)
         except QpError as exc:
             raise LifecycleBranchError(
                 f"branch {_branch_label(year)}: {exc}") from exc
@@ -439,14 +439,11 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
             raise LifecycleBranchError(
                 f"branch {_branch_label(year)}: solver status {sol.status!r}"
             )
-        plan = sol.x
-        objective = float(c[3 * m:4 * m] @ house) - sol.objective
-        branch_objectives.append((_branch_label(year), objective))
-        if objective > best_objective:
-            best_objective = objective
-            best_x = np.insert(sol.x, 3 * m, house)
-            best_year = year
+        branches[year] = (float(c[3 * m:4 * m] @ house) - sol.objective, sol.x)
 
+    # The first best branch in label order wins a tie.
+    best_year = max(candidates, key=lambda year: branches[year][0])
+    best_x = np.insert(branches[best_year][1], 3 * m, house_of(best_year))
     x = np.where(best_x < VALUE_CLAMP, 0.0, best_x)
     decision = DecisionVector.from_vector(x, m)
     consumption = implied_consumption(decision, config, asset, kstart)
@@ -463,5 +460,6 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
         objective=objective,
         consumption=consumption,
         feasibility_report=violation,
-        branch_objectives=tuple(branch_objectives),
+        branch_objectives=tuple((_branch_label(year), branches[year][0])
+                                for year in candidates),
     )

@@ -47,25 +47,31 @@ dense problems produced by the portfolio and lifetime-planning layers
 
 solve_qp_path follows one right-hand-side path, b_in + tau * db_in for tau
 in [0, 1], from the tau = 0 optimum that the same active set finds (the
-parametric active-set method of Best 1996; for the long-only frontier it
-is Markowitz's critical line):
+parametric active-set method of Best 1996 and of qpOASES, Ferreau, Bock &
+Diehl 2008; for the long-only frontier it is Markowitz's critical line):
 
 * between breakpoints the working set is fixed and x and the multipliers
   are affine in tau; the derivative of x is the least-norm step from the
   face's QR onto the working rows' moving right-hand sides plus a
   minimum-norm reduced-Hessian solve on Z, exact for a PSD Q because its
   right-hand side lies in the range of Z'QZ;
-* at a breakpoint the first row or bound that blocks enters (the ratio
-  test's order) or else the first working row or bound whose multiplier
-  reaches zero leaves (the drop's order: working rows as added, lower
-  bounds, upper bounds);
-* the multipliers are carried, not refitted: on a face whose rows the QR
-  finds dependent they are not unique, and the carried ones stay
-  nonnegative.  Where the moving right-hand sides contradict such rows (a
-  single-asset vertex, where the budget and the target row are one row),
-  no step exists; the multipliers move along the dependency, in the
-  direction that raises the optimal value's rate of change, until one of
-  them reaches zero, and that row or bound leaves;
+* at a breakpoint the first row or bound that blocks enters or else the
+  first working row or bound whose multiplier reaches zero leaves.  A rate
+  within rounding of zero, 1e-12 of the step's size, never blocks: at
+  |x| ~ 1e4 such rates added and dropped the same bounds at one tau until
+  the breakpoint cap;
+* the working rows stay linearly independent on the free variables, so
+  the multipliers and their rates are unique.  Rows the tau = 0 face
+  finds dependent have zero multipliers and leave at once.  When an added
+  row or bound makes the rows dependent, which the rank of the next face's
+  pivoted QR shows, the multipliers move along the dependency, the added
+  one's rising, until the first other one reaches zero, and that row or
+  bound leaves (qpOASES's ensureLI).  If none falls, the rows cannot be
+  met past that tau;
+* ties go to the least index in the order general rows, lower bounds,
+  upper bounds.  At a zero-length step every candidate ties, so this is
+  Bland's least-index rule, the classical guard against cycling through
+  degenerate vertices;
 * every returned point passes the same restore step and KKT check.
 
 When the optimal face has a direction of zero curvature, the optimum is
@@ -76,9 +82,9 @@ path, up to the iterations' own tolerances.
 
 Ties are broken deterministically.  The ratio test scans general rows,
 then lower bounds, then upper bounds, each in index order, and takes the
-first near-minimal candidate; a drop takes the first most negative
-multiplier in the order working rows (as added), lower bounds, upper
-bounds.  Together with the deterministic phase-1 this makes results
+first near-minimal candidate; within one QP a drop takes the first most
+negative multiplier in the order working rows (as added), lower bounds,
+upper bounds.  Together with the deterministic phase-1 this makes results
 reproducible run to run.
 """
 
@@ -314,22 +320,26 @@ def _phase1(problem: QpProblem):
 
 
 def _face(a_w: np.ndarray):
-    """Null-space basis of the working rows a_w and two solves with them.
+    """Null-space basis of the working rows a_w, two solves with them and
+    the rows found dependent.
 
-    One column-pivoted QR of a_w' gives all three.  Returns (z, multipliers,
-    restore): z is an orthonormal basis of {p : a_w p = 0}; multipliers(g)
-    solves a_w' nu = g on the rows the pivoting finds independent, by a
-    triangular solve with R, giving every dependent row a zero multiplier;
-    restore(r) is the least-norm step s with a_w s = r on those rows.
+    One column-pivoted QR of a_w' gives all four.  Returns (z, multipliers,
+    restore, dependent): z is an orthonormal basis of {p : a_w p = 0};
+    multipliers(g) solves a_w' nu = g on the rows the pivoting finds
+    independent, by a triangular solve with R, giving every dependent row a
+    zero multiplier; restore(r) is the least-norm step s with a_w s = r on
+    those rows; dependent indexes the other rows, which the rank that the
+    R-diagonal reveals leaves out.
     """
     m, n = a_w.shape
     if not (m and n):
-        return np.eye(n), lambda g: np.zeros(m), lambda r: np.zeros(n)
+        return np.eye(n), lambda g: np.zeros(m), lambda r: np.zeros(n), np.arange(m if n == 0 else 0)
     # The working set is often rank-deficient (rows dependent on each other
     # or on the fixed variables), and without pivoting the R-diagonal does
     # not reveal rank, which would leak null-space directions that violate
-    # working constraints.
-    qfull, r, piv = scipy.linalg.qr(a_w.T, mode="full", pivoting=True)
+    # working constraints.  The data are finite (QpProblem checks them), so
+    # scipy's finiteness checks are skipped; _finish checks the result.
+    qfull, r, piv = scipy.linalg.qr(a_w.T, mode="full", pivoting=True, check_finite=False)
     diag = np.abs(np.diag(r))
     thresh = max(m, n) * np.finfo(float).eps * diag.max(initial=0.0)
     rank = int((diag > max(thresh, 1e-13)).sum())
@@ -337,18 +347,24 @@ def _face(a_w: np.ndarray):
 
     def multipliers(g: np.ndarray) -> np.ndarray:
         nu = np.zeros(m)
-        nu[independent] = scipy.linalg.solve_triangular(r_top, basis.T @ g)
+        nu[independent] = scipy.linalg.solve_triangular(r_top, basis.T @ g, check_finite=False)
         return nu
 
     def restore(resid: np.ndarray) -> np.ndarray:
-        return basis @ scipy.linalg.solve_triangular(r_top, resid[independent], trans="T")
+        return basis @ scipy.linalg.solve_triangular(r_top, resid[independent], trans="T",
+                                                     check_finite=False)
 
-    return qfull[:, rank:], multipliers, restore
+    return qfull[:, rank:], multipliers, restore, piv[rank:]
+
+
+def _near(ratios, least: float):
+    """Which ratios are within rounding of the least one."""
+    return ratios <= least * (1.0 + 1e-9) + 1e-15
 
 
 def _first_min(ratios: np.ndarray, least: float) -> int:
     """Index of the first ratio within rounding of the least one."""
-    return int(np.argmax(ratios <= least * (1.0 + 1e-9) + 1e-15))
+    return int(np.argmax(_near(ratios, least)))
 
 
 def _ratio_test(problem: QpProblem, rows: _UnitRows, x: np.ndarray, p: np.ndarray,
@@ -356,9 +372,11 @@ def _ratio_test(problem: QpProblem, rows: _UnitRows, x: np.ndarray, p: np.ndarra
     """Longest step alpha <= cap from x along p, and what blocks it.
 
     On a path the inequality right-hand sides move by d_in per unit step;
-    within one QP they stay put (d_in None).  Candidates are the general rows outside the
-    working list, then the finite lower and upper bounds of free variables,
-    each in index order; the first near-minimal ratio blocks.  Returns
+    within one QP they stay put (d_in None).  Candidates are the general
+    rows outside the working list, then the finite lower and upper bounds
+    of free variables, each in index order, that the step approaches at a
+    rate above rounding (1e-12 of the largest entry of p and d_in); the
+    first near-minimal ratio blocks.  Returns
     (alpha, kind, i) with kind "row", "lower" or "upper", or (cap, None, -1)
     when nothing blocks first.
     """
@@ -366,11 +384,14 @@ def _ratio_test(problem: QpProblem, rows: _UnitRows, x: np.ndarray, p: np.ndarra
     in_working = np.zeros(a_in.shape[0], dtype=bool)
     in_working[working] = True
     ap = a_in @ p
+    # a rate within rounding of zero, relative to the step, never blocks
+    tol = 1e-12 * (1.0 + np.abs(p).max(initial=0.0))
     if d_in is not None:
         ap -= d_in
-    blocking = np.flatnonzero(~in_working & (ap < -1e-12))
-    lows = np.flatnonzero(free & np.isfinite(lb) & (p < -1e-12))
-    ups = np.flatnonzero(free & np.isfinite(ub) & (p > 1e-12))
+        tol += 1e-12 * np.abs(d_in).max(initial=0.0)
+    blocking = np.flatnonzero(~in_working & (ap < -tol))
+    lows = np.flatnonzero(free & np.isfinite(lb) & (p < -tol))
+    ups = np.flatnonzero(free & np.isfinite(ub) & (p > tol))
     ratios = np.concatenate([
         np.maximum(a_in[blocking] @ x - b_in[blocking], 0.0) / -ap[blocking],
         np.maximum(x[lows] - lb[lows], 0.0) / -p[lows],
@@ -398,7 +419,7 @@ def _face_step(h_red: np.ndarray, g_red: np.ndarray, lam_max: float, tol: float)
     """
     floor = max(1e-14, 1e-10 * lam_max)
     try:
-        inv = scipy.linalg.lapack.dtrtri(scipy.linalg.cholesky(h_red, lower=True), lower=1)[0]
+        inv = scipy.linalg.lapack.dtrtri(scipy.linalg.cholesky(h_red, lower=True, check_finite=False), lower=1)[0]
         if np.sum(inv * inv) < 1.0 / floor:
             return -(inv.T @ (inv @ g_red)), False
     except np.linalg.LinAlgError:
@@ -470,7 +491,7 @@ def _active_set(problem: QpProblem, rows: _UnitRows, lam_max: float,
         free = ~(at_lower | at_upper)
         a_w = np.vstack([rows.eq, rows.ineq[working]])
         face = _face(a_w[:, free])
-        z, multipliers, _ = face
+        z, multipliers, _, _ = face
         p, flat = np.zeros(problem.n), False
         if z.shape[1]:
             p_z, flat = _face_step(z.T @ q[np.ix_(free, free)] @ z, z.T @ grad[free],
@@ -532,9 +553,10 @@ def _finish(problem: QpProblem, rows: _UnitRows, optimum: _Optimum) -> QpSolutio
     proportion to |x|, which a large multiplier turns into a false
     complementarity failure.  The multipliers fit the gradient Qx + c
     through the same QR, every bound dual is read off the stationarity
-    residual, and the result must pass the KKT check.
+    residual, and the result must pass the KKT check; a non-finite x or
+    multiplier fails it too, since it would slip through the comparisons.
     """
-    x, working, at_lower, at_upper, (_, multipliers, restore), iterations = optimum
+    x, working, at_lower, at_upper, (_, multipliers, restore, _), iterations = optimum
     free = ~(at_lower | at_upper)
     b_w = np.concatenate([rows.b_eq, rows.b_in[working]])
     x = x.copy()
@@ -557,6 +579,8 @@ def _finish(problem: QpProblem, rows: _UnitRows, optimum: _Optimum) -> QpSolutio
         upper_multipliers=np.where(at_upper, np.maximum(-resid, 0.0), 0.0),
         iterations=iterations,
     )
+    if not all(np.all(np.isfinite(v)) for v in (x, eq_mult, in_mult, resid)):
+        raise QpError("internal KKT verification failed: non-finite solution or multiplier")
     report = kkt_report(problem, sol)
     grad_scale = 1.0 + float(np.abs(problem.c).max(initial=0.0))
     rhs_scale = 1.0 + problem.rhs_scale()
@@ -627,16 +651,17 @@ def solve_qp(problem: QpProblem, *, start=None,
     return _finish(problem, rows, result)
 
 
-def _multiplier_test(mults: np.ndarray, rates: np.ndarray, tol: float):
+def _multiplier_test(mults: np.ndarray, rates: np.ndarray, keys: np.ndarray, tol: float):
     """(beta, k): the least beta >= 0 at which mults + beta * rates first
-    reaches zero, and the candidate k that does; (inf, -1) if none falls
-    faster than tol."""
+    reaches zero, and the candidate k that does, the one with the least key
+    among near-ties; (inf, -1) if none falls faster than tol."""
     falling = np.flatnonzero(rates < -tol)
     if not falling.size:
         return np.inf, -1
     ratios = np.maximum(mults[falling], 0.0) / -rates[falling]
     least = float(ratios.min())
-    return least, int(falling[_first_min(ratios, least)])
+    tied = falling[_near(ratios, least)]
+    return least, int(tied[np.argmin(keys[tied])])
 
 
 def _carrying(face, a_f: np.ndarray, nu: np.ndarray):
@@ -646,8 +671,8 @@ def _carrying(face, a_f: np.ndarray, nu: np.ndarray):
     fit the gradient the same way but start from nu, the path's carried
     multipliers, so a dependency keeps the share nu gave it.
     """
-    z, multipliers, restore = face
-    return z, lambda g: nu + multipliers(g - a_f.T @ nu), restore
+    z, multipliers, restore, dependent = face
+    return z, lambda g: nu + multipliers(g - a_f.T @ nu), restore, dependent
 
 
 def _at_tau(problem: QpProblem, rows: _UnitRows, db_in: np.ndarray, d_in: np.ndarray,
@@ -672,12 +697,13 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
     LP), and the same active-set iterations give the tau = 0 optimum, so
     that point's x equals solve_qp(problem, start=start).x bit for bit.
     From there the path is followed, as the module docstring describes, to
-    each tau of taus, a nondecreasing sequence in [0, 1]; a block wins a
-    tie with a drop.  If no multiplier falls along a contradicted
-    dependency, the rows cannot be met past that tau: a requested tau whose
-    rows the point still meets within the feasibility tolerance gets the
-    point (the frontier's last target, max(e) up to rounding, ends at such
-    a vertex), and a later one raises QpError.
+    each tau of taus, a nondecreasing sequence in [0, 1].  If a row or
+    bound that enters leaves the working rows dependent and no other
+    multiplier falls along the dependency, the rows cannot be met past that
+    tau: a requested tau whose rows the point still meets within the
+    feasibility tolerance gets the point (the frontier's last target,
+    max(e) up to rounding, ends at such a vertex), and a later one raises
+    QpError.  The path ends through these rules alone: nothing is retried.
 
     Every returned point passes _finish's restore step and KKT check at
     its own tau.  Its iterations are those of tau = 0 plus the breakpoints
@@ -698,37 +724,49 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
     rows, lam_max, result = _solve(problem, start, None)
     if isinstance(result, QpSolution):
         raise QpError(f"the path needs an optimum at tau = 0, where the QP is {result.status}")
-    x, working, at_lower, at_upper, _, iterations = result
-    q, n, m_eq = problem.Q, problem.n, rows.eq.shape[0]
+    x, working, at_lower, at_upper, face, iterations = result
+    q, n, m_eq, m_in = problem.Q, problem.n, rows.eq.shape[0], rows.ineq.shape[0]
     d_in = db_in / rows.in_norm
+    # The tau = 0 face gives each working row it finds dependent a zero
+    # multiplier, so those rows leave without moving anything.
+    dependent = set(face[3].tolist())
+    working = [w for k, w in enumerate(working) if m_eq + k not in dependent]
     # multipliers of the rows of a_w: the equality rows, then the working rows
-    tau, path, nu = 0.0, [], np.zeros(m_eq + len(working))
+    tau, path, nu, entered = 0.0, [], np.zeros(m_eq + len(working)), -1
     for events in range(50 * n + 1):
         free = ~(at_lower | at_upper)
         a_w = np.vstack([rows.eq, rows.ineq[working]])
         a_f, d_w = a_w[:, free], np.concatenate([np.zeros(m_eq), d_in[working]])
         face = _face(a_f)
-        z, multipliers, restore = face
+        z, multipliers, restore, dependent = face
         grad = q @ x + problem.c
         nu = nu + multipliers(grad[free] - a_f.T @ nu)    # refit the part a_f' sees
         resid = grad - a_w.T @ nu
         lower_idx, upper_idx = np.flatnonzero(at_lower), np.flatnonzero(at_upper)
+        # Candidates in order: working rows, lower bounds, upper bounds; a
+        # key orders every row and bound of the problem by index.
         mults = np.concatenate([nu[m_eq:], resid[lower_idx], -resid[upper_idx]])
-        dx = np.zeros(n)
-        dx[free] = restore(d_w)
-        gap = a_f @ dx[free] - d_w
-        inconsistent = np.abs(gap) > 1e-9 * (np.abs(d_w).max(initial=0.0)
-                                             + np.abs(dx).max(initial=0.0))
-        if inconsistent.any():
-            # y'a_f = 0 and y'd_w > 0: moving nu along y keeps the free
-            # variables stationary and raises the value's rate nu'd_w
-            j = int(np.argmax(inconsistent))
-            y = np.sign(gap[j]) * (multipliers(a_f[j]) - np.eye(a_w.shape[0])[j])
+        keys = np.concatenate([working, m_in + lower_idx, m_in + n + upper_idx])
+        for j in dependent:
+            # y'a_f = 0: moving nu along y keeps the free variables stationary
+            y = multipliers(a_f[j])
+            y[j] -= 1.0
             ay = a_w.T @ y
-            theta, drop = _multiplier_test(
-                mults, np.concatenate([y[m_eq:], -ay[lower_idx], ay[upper_idx]]),
-                1e-12 * (1.0 + np.abs(y).max()))
+            rates = np.concatenate([y[m_eq:], -ay[lower_idx], ay[upper_idx]])
+            tol = 1e-12 * (1.0 + np.abs(y).max())
+            if np.abs(rates).max(initial=0.0) > tol:
+                break
+        else:
+            j = -1      # no dependency, or one among equality rows only
+        if j >= 0:
+            # The working set is dependent: what entered last keeps a rising
+            # multiplier and the first other one to reach zero leaves.
+            k = np.flatnonzero(keys == entered)
+            signs = (1.0, -1.0) if not k.size else (1.0 if rates[k[0]] >= 0.0 else -1.0,)
+            theta, drop, sign = min((*_multiplier_test(mults, s * rates, keys, tol), s)
+                                    for s in signs)
             if drop < 0:
+                # nothing leaves: the rows cannot be met past tau
                 for t in taus[len(path):]:
                     problem_t, rows_t = _at_tau(problem, rows, db_in, d_in, t)
                     if problem_t.max_violation(x) > FEASIBILITY_TOL * (1.0 + problem_t.rhs_scale()):
@@ -737,8 +775,10 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
                         x, working, at_lower, at_upper, _carrying(face, a_f, nu),
                         iterations + events)))
                 return path
-            nu = nu + theta * y
+            nu = nu + theta * sign * y
         else:
+            dx = np.zeros(n)
+            dx[free] = restore(d_w)
             if z.shape[1]:
                 q_ff = q[np.ix_(free, free)]
                 v, _ = _face_step(z.T @ q_ff @ z, z.T @ (q_ff @ dx[free]), lam_max, np.inf)
@@ -750,7 +790,7 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
             # on it stays within that tolerance for the rest of the path.
             beta, drop = _multiplier_test(
                 mults, np.concatenate([d_nu[m_eq:], d_resid[lower_idx], -d_resid[upper_idx]]),
-                1e-9 * (1.0 + np.abs(grad).max(initial=0.0)))
+                keys, 1e-9 * (1.0 + np.abs(grad).max(initial=0.0)))
             alpha, kind, i = _ratio_test(problem, rows._replace(b_in=rows.b_in + tau * d_in), x,
                                          dx, working, free, taus[-1] - tau, d_in)
             step = min(alpha, beta)
@@ -762,10 +802,15 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
             if len(path) == taus.size:
                 return path
             x, tau, nu = x + step * dx, tau + step, nu + step * d_nu
-            if kind is not None and alpha <= beta:
-                nu = np.append(nu, 0.0) if kind == "row" else nu
-                _enter(problem, kind, i, x, working, at_lower, at_upper)
-                continue
+            if kind is not None:
+                key = {"row": i, "lower": m_in + i, "upper": m_in + n + i}[kind]
+                tied = drop >= 0 and _near(max(alpha, beta), step)
+                if (key < keys[drop]) if tied else (alpha < beta):
+                    nu = np.append(nu, 0.0) if kind == "row" else nu
+                    _enter(problem, kind, i, x, working, at_lower, at_upper)
+                    entered = key
+                    continue
+        entered = -1
         if drop < len(working):
             nu = np.delete(nu, m_eq + drop)
         _release(drop, working, lower_idx, upper_idx, at_lower, at_upper)

@@ -413,20 +413,60 @@ def test_every_branch_starts_from_a_feasible_point(seed):
     calls = []
 
     def recording_solve_qp(problem, *, start=None):
-        calls.append((problem, start))
+        calls.append(("solve_qp", problem, start, np.zeros(problem.b_in.shape)))
         return solve_qp(problem, start=start)
 
-    with mock.patch.object(lifecycle, "solve_qp", recording_solve_qp):
+    def recording_solve_qp_path(problem, db_in, taus, *, start):
+        calls.append(("solve_qp_path", problem, start, db_in))
+        return qp.solve_qp_path(problem, db_in, taus, start=start)
+
+    with mock.patch.object(lifecycle, "solve_qp", recording_solve_qp), \
+            mock.patch.object(lifecycle, "solve_qp_path", recording_solve_qp_path):
         plan = solve_lifecycle(config, asset)
-    assert len(calls) == len(plan.branch_objectives)
+    # one QP for the first branch, then one path step to each other branch
+    assert [name for name, *_ in calls] == \
+        ["solve_qp"] + ["solve_qp_path"] * (len(plan.branch_objectives) - 1)
     m = config.years_M
-    for problem, start in calls:
+    for _, problem, start, _ in calls:
         # the house column is a constant of the branch, not a pinned variable
         assert problem.n == 3 * m + 1 and problem.a_in.shape[0] == m
         assert not np.any(problem.lb == problem.ub)
         assert np.all(problem.lb <= start) and np.all(start <= problem.ub)
         feas_tol = qp.FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
         assert problem.max_violation(start) <= feas_tol
+    # each path step starts from the branch where the call before it ended
+    for (_, before, _, db_in), (_, after, _, _) in zip(calls, calls[1:]):
+        np.testing.assert_allclose(after.b_in, before.b_in + db_in, rtol=0,
+                                   atol=1e-12 * (1.0 + before.rhs_scale()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_chained_branches_match_cold_solves(seed):
+    # every branch after the first comes from a path step off the one
+    # before it; each must still be the optimum a cold solve finds
+    rng = np.random.default_rng(seed)
+    config = _random_margin_config(rng)
+    asset = RiskyAssetSummary(r_stock=rng.uniform(0.04, 0.14),
+                              var_stock=rng.uniform(0.005, 0.05))
+    plan = solve_lifecycle(config, asset)
+    m = config.years_M
+    c = assemble_linear_coefficients(config, asset)
+    q = assemble_quadratic(config, asset)
+    a, b = assemble_constraints(config, asset, min(max(math.ceil(1.0 / config.hazard.h), 1), m + 1))
+    cold = {}
+    for label, objective in plan.branch_objectives:
+        lb, ub = np.zeros(4 * m + 1), np.full(4 * m + 1, np.inf)
+        ub[3 * m:4 * m] = 0.0
+        if label != "none":
+            year = int(label.rsplit("-", 1)[1])
+            lb[3 * m + year - 1] = ub[3 * m + year - 1] = 1.0
+        sol = solve_qp(QpProblem(Q=-q, c=-c, a_in=a, b_in=b, lb=lb, ub=ub))
+        assert sol.status == "optimal"
+        cold[label] = -sol.objective
+        assert objective == pytest.approx(cold[label], rel=1e-9, abs=1e-9)
+    best = max(cold, key=cold.get)
+    assert best == ("none" if plan.house_year is None else f"house-year-{plan.house_year}")
 
 
 @settings(max_examples=25, deadline=None)

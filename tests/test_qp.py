@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,8 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longplan import lifecycle, qp
+from longplan.insurance import HazardModel
 from longplan.qp import (
     FEASIBILITY_TOL,
     QpError,
@@ -95,6 +98,18 @@ def test_iteration_limit_reported_distinctly():
                   lb=np.zeros(5), ub=np.ones(5))
     with pytest.raises(QpIterationLimitError):
         solve_qp(p, _max_iter=0)
+
+
+def test_finish_rejects_a_non_finite_point():
+    # the factorizations skip scipy's finiteness checks, and a NaN passes
+    # every comparison of the KKT check, so _finish checks finiteness itself
+    problem = QpProblem(Q=np.eye(2), c=np.ones(2), lb=np.zeros(2))
+    at_lower = np.array([False, True])
+    for x in ([np.nan, 0.0], [np.inf, 0.0]):
+        optimum = qp._Optimum(np.array(x), [], at_lower, np.zeros(2, dtype=bool),
+                              qp._face(np.zeros((0, 1))), 1)
+        with pytest.raises(QpError, match="non-finite"), np.errstate(invalid="ignore"):
+            qp._finish(problem, qp._unit_rows(problem), optimum)
 
 
 def test_asymmetric_q_rejected():
@@ -576,6 +591,23 @@ def test_path_on_the_two_asset_frontier():
     assert path[-1].iterations - path[0].iterations >= 1
 
 
+def test_path_keeps_a_copied_equality_row():
+    # the copy depends on the budget row alone, so no multiplier can leave
+    # to undo the dependency: both rows stay and the path is unchanged
+    plain = QpProblem(Q=np.diag([0.08, 0.18]), c=np.zeros(2),
+                      a_eq=np.ones((1, 2)), b_eq=np.array([1.0]),
+                      a_in=np.array([[0.10, 0.05]]), b_in=np.array([0.07]), lb=np.zeros(2))
+    copied = QpProblem(Q=plain.Q, c=plain.c, a_eq=np.array([[1.0, 1.0], [2.0, 2.0]]),
+                       b_eq=np.array([1.0, 2.0]), a_in=plain.a_in, b_in=plain.b_in,
+                       lb=plain.lb)
+    db_in, taus = np.array([0.03]), np.linspace(0.0, 1.0, 7)
+    for sol, ref, tau in zip(solve_qp_path(copied, db_in, taus, start=np.array([1.0, 0.0])),
+                             solve_qp_path(plain, db_in, taus, start=np.array([1.0, 0.0])), taus):
+        np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-12)
+        report = kkt_report(_at(copied, db_in, tau), sol)
+        assert report["stationarity"] <= 1e-12 and report["complementarity"] <= 1e-12
+
+
 @st.composite
 def qps_on_a_feasible_path(draw):
     """(pd, problem, db_in, start): a boxed QP, Q PD or of rank 1-3, whose
@@ -678,3 +710,111 @@ def test_path_input_validated_and_infeasible_tail_raises():
     np.testing.assert_allclose([sol.x[0] for sol in path], [0.5, 1.0], rtol=0, atol=1e-15)
     with pytest.raises(QpError, match="cannot be met"):
         solve_qp_path(problem, np.array([2.0]), [0.25, 0.75], start=np.zeros(1))
+
+
+@st.composite
+def qps_on_a_degenerate_path(draw):
+    """(problem, db_in, start): a boxed QP whose rows, more than its
+    variables, all stay tight along x(tau) = v0 + tau (v1 - v0) between two
+    points of a grid of spacing 1 to 1000, with some bounds tight along it
+    too and some columns without curvature, like the lifecycle's borrow and
+    save.  The rows are small integers, half the time perturbed by up to 10%
+    so that rates come out at rounding level; with the negated sum of the
+    first n rows added the rows meet only at x(tau), so the path runs
+    through degenerate vertices all the way."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n, n))
+    g[:, rng.random(n) < 0.4] = 0.0
+    c = rng.standard_normal(n) * 10.0 ** draw(st.integers(0, 2))
+    scale = 10.0 ** draw(st.integers(0, 3))
+    v0 = scale * rng.integers(-3, 4, n).astype(float)
+    v1 = v0 + scale * rng.integers(-2, 3, n)
+    a_in = rng.integers(-3, 4, (n + draw(st.integers(1, 4)), n)).astype(float)
+    a_in[~a_in.any(axis=1), 0] = 1.0
+    if draw(st.booleans()):
+        a_in *= 1.0 + rng.uniform(-0.1, 0.1, a_in.shape)
+    if draw(st.booleans()):
+        a_in = np.vstack([a_in, -a_in[:n].sum(axis=0)])
+    lo, hi = np.minimum(v0, v1), np.maximum(v0, v1)
+    lb = np.where(rng.random(n) < 0.3, lo, lo - scale * rng.uniform(0.5, 2.0, n))
+    ub = np.where(rng.random(n) < 0.3, hi, hi + scale * rng.uniform(0.5, 2.0, n))
+    problem = QpProblem(Q=g.T @ g, c=c, a_in=a_in, b_in=a_in @ v0, lb=lb, ub=ub)
+    return problem, a_in @ v1 - a_in @ v0, v0
+
+
+@settings(max_examples=200, deadline=None)
+@given(qps_on_a_degenerate_path(), st.lists(st.integers(0, 16), min_size=1, max_size=8))
+def test_path_through_degenerate_vertices_matches_cold_solves(case, grid):
+    problem, db_in, start = case
+    taus = np.sort(grid) / 16.0
+    path = solve_qp_path(problem, db_in, taus, start=start)
+    for tau, sol in zip(taus, path):
+        at_tau = _at(problem, db_in, tau)
+        cold = solve_qp(at_tau)
+        assert sol.status == cold.status == "optimal"
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+        assert sol.max_violation <= FEASIBILITY_TOL * (1.0 + at_tau.rhs_scale())
+        # slacks at rounding level of |b| times multipliers that reach 1e7
+        # where rows are nearly parallel
+        duals = np.concatenate([sol.in_multipliers, sol.lower_multipliers,
+                                sol.upper_multipliers])
+        report = kkt_report(at_tau, sol)
+        assert report["stationarity"] <= 1e-8 * (1.0 + np.abs(problem.c).max())
+        assert report["complementarity"] <= \
+            1e-12 * (1.0 + at_tau.rhs_scale()) * (1.0 + np.abs(duals).max())
+        assert report["dual_feasibility"] >= -1e-9
+
+
+# Four M=30 lifecycle plans: the default config with these changes, the
+# analytic V and kstart.  On the path from the "none" house branch to the
+# year-1 branch, one that kept dependent working rows, or let a rate at
+# rounding level block, added and dropped the same bounds at one tau until
+# the breakpoint cap.
+HOUSE_BRANCH_CYCLES = [
+    # (risk_aversion_B, house_initial, house_annual, house_utility,
+    #  h, L, s, r_stock, var_stock)
+    (4.640985, 1452.6961, 123.8941, 3533.9756, 0.123548, 12.4318, 0.414058, 0.042123, 0.043446),
+    (2.68815, 2037.1064, 107.7117, 2870.7264, 0.055145, 31.1522, 0.292171, 0.054025, 0.027926),
+    (4.248181, 1509.5892, 127.3652, 4909.2248, 0.185089, 18.4764, 0.977976, 0.04229, 0.018436),
+    (4.481373, 1884.2894, 190.575, 4053.6239, 0.158414, 13.4923, 0.716703, 0.042649, 0.031308),
+]
+
+
+def _house_branches(b_risk, house_initial, house_annual, house_utility, h, big_l, s,
+                    r_stock, var_stock):
+    """The "none" and year-1 branch QPs of one lifecycle plan, built as
+    solve_lifecycle builds them: the house column moved to the right-hand
+    side of the M floor rows."""
+    hazard = HazardModel(h=h, r=lifecycle.LifecycleConfig().r, L=big_l, s=s, horizon_M=30)
+    config = lifecycle.LifecycleConfig(risk_aversion_B=b_risk, house_initial=house_initial,
+                                       house_annual=house_annual,
+                                       house_utility=house_utility, hazard=hazard)
+    asset = lifecycle.RiskyAssetSummary(r_stock=r_stock, var_stock=var_stock)
+    m = config.years_M
+    c = lifecycle.assemble_linear_coefficients(config, asset)
+    q = lifecycle.assemble_quadratic(config, asset)
+    a, b = lifecycle.assemble_constraints(config, asset, math.ceil(1.0 / h))
+    rest = np.r_[0:3 * m, 4 * m]
+
+    def branch(b_in):
+        return QpProblem(Q=-q[np.ix_(rest, rest)], c=-c[rest], a_in=a[:m, rest], b_in=b_in,
+                         lb=np.zeros(3 * m + 1))
+
+    return branch(b[:m]), branch(b[:m] - a[:m, 3 * m])
+
+
+@pytest.mark.parametrize("case", HOUSE_BRANCH_CYCLES)
+def test_path_between_house_branches_terminates(case):
+    none, year_1 = _house_branches(*case)
+    start = solve_qp(none, start=np.zeros(none.n)).x
+    # QpIterationLimitError here would be the cycle
+    sol = solve_qp_path(none, year_1.b_in - none.b_in, [1.0], start=start)[0]
+    cold = solve_qp(year_1)
+    assert sol.status == cold.status == "optimal"
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert sol.max_violation <= FEASIBILITY_TOL * (1.0 + year_1.rhs_scale())
+    report = kkt_report(year_1, sol)
+    assert report["stationarity"] <= 1e-8 * (1.0 + np.abs(year_1.c).max())
+    assert report["complementarity"] <= 1e-6
+    assert report["dual_feasibility"] >= -1e-9
