@@ -11,9 +11,10 @@ allowed) is proportional to sigma^-1 (e - r_f*1); its expected return is
 A/C - D / (C^2 (r_f - A/C)), equivalently (B - A*r_f)/(A - C*r_f).  The
 risky-only frontier is the parabola var(mu) = (C*mu^2 - 2*A*mu + B) / D.
 
-All inverse-covariance products are computed through Cholesky solves; a
-failed factorization or a condition estimate above 1e12 is reported as a
-singular covariance rather than silently returning inaccurate numbers.
+All inverse-covariance products are computed through numpy's Cholesky
+factor L, as two solves with L and L'; a failed factorization or a
+condition estimate above 1e12 is reported as a singular covariance rather
+than silently returning inaccurate numbers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .market import AssetStats
 
@@ -69,8 +69,8 @@ class PortfolioWeights:
 def _solve_spd(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """sigma^-1 @ rhs via Cholesky; raises SingularCovarianceError."""
     try:
-        factor = cho_factor(sigma, lower=True)
-    except (LinAlgError, np.linalg.LinAlgError) as exc:
+        factor = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
         raise SingularCovarianceError(
             "covariance Cholesky factorization failed (singular matrix)"
         ) from exc
@@ -79,7 +79,7 @@ def _solve_spd(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularCovarianceError(
             f"covariance condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
-    return cho_solve(factor, rhs)
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
 
 
 def frontier_constants(stats: AssetStats, r_f: float) -> FrontierConstants:

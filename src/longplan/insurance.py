@@ -76,13 +76,13 @@ def strike_time_from_latent(y, h: float):
     """Map a latent standard-normal value to a strike time.
 
     T = -ln(1 - Phi(y)) / h, evaluated through the normal survival function
-    so the upper tail keeps full precision.  Accepts scalars or arrays.
+    1 - Phi(y) = erfc(y / sqrt(2)) / 2 so the upper tail keeps full
+    precision.  Accepts scalars or arrays.
     """
     if not h > 0:
         raise ValueError("hazard rate h must be positive")
-    from scipy.special import ndtr  # imported here: only this map needs it
-
-    t = -np.log(ndtr(-np.asarray(y, dtype=float))) / h
+    erfc = np.vectorize(math.erfc, otypes=[float])
+    t = -np.log(0.5 * erfc(np.asarray(y, dtype=float) / math.sqrt(2.0))) / h
     return float(t) if np.isscalar(y) else t
 
 

@@ -18,9 +18,8 @@ dense problems produced by the portfolio and lifetime-planning layers
   neighbouring problem repaired to meet its rows, passes it as ``start``.
   A point that keeps every bound and meets every row within the
   feasibility tolerance settles feasibility, so no LP runs: the active set
-  begins there, with everything active at that point in the working set.
-  Any other ``start`` is ignored and the Chebyshev LP runs as without it,
-  so verdicts and certificates never depend on ``start``;
+  begins there.  Any other ``start`` is ignored and the Chebyshev LP runs
+  as without it, so verdicts and certificates never depend on ``start``;
 * constraint rows are normalized internally, so solutions are invariant
   under positive rescaling of any row;
 * a bound enters the active set by fixing its variable at the bound, not
@@ -28,10 +27,20 @@ dense problems produced by the portfolio and lifetime-planning layers
   and the working general rows restricted to the free variables.  Equal
   bounds are two ordinary bounds.  Every bound multiplier is read off the
   stationarity residual Qx + c - a_eq'lam - a_in'mu;
-* one column-pivoted QR of the working rows gives the null-space basis Z
+* one unpivoted QR of the working rows gives the null-space basis Z
   and, by triangular solves with R, the multipliers and a least-norm step
-  onto the rows; a row that the pivoting finds dependent on the others
-  gets a zero multiplier;
+  onto the rows.  Its diagonal shows a row dependent on the rows before
+  it; such a face takes one more QR without the dependent rows, which get
+  zero multipliers;
+* the working set stays linearly independent, so that one QR suffices.
+  An equality row that depends on the other equality rows holds wherever
+  they do, so it is left out once.  The start keeps the equality rows,
+  then the bounds active at it and then the rows active at it, each only
+  if it is independent of those kept before it; one left out lies in
+  their span and cannot block while they work.  A row or bound that
+  blocks a step p has a'p != 0 where every working row and bound has
+  a'p = 0, so it is independent of them, and a drop keeps the rest
+  independent;
 * each step solves with the reduced Hessian Z'QZ of the true Q.  An
   eigenvalue of Z'QZ at rounding level (dim * eps * lambda_max(Q)) counts
   as zero curvature.  Minus the reduced gradient's component along those
@@ -61,13 +70,12 @@ Diehl 2008; for the long-only frontier it is Markowitz's critical line):
   |x| ~ 1e4 such rates added and dropped the same bounds at one tau until
   the breakpoint cap;
 * the working rows stay linearly independent on the free variables, so
-  the multipliers and their rates are unique.  Rows the tau = 0 face
-  finds dependent have zero multipliers and leave at once.  When an added
-  row or bound makes the rows dependent, which the rank of the next face's
-  pivoted QR shows, the multipliers move along the dependency, the added
-  one's rising, until the first other one reaches zero, and that row or
-  bound leaves (qpOASES's ensureLI).  If none falls, the rows cannot be
-  met past that tau;
+  the multipliers and their rates are unique.  The tau = 0 face is
+  independent, as above.  When an added row or bound makes the rows
+  dependent, which the next face's QR shows, the multipliers move along
+  the dependency, the added one's rising, until the first other one
+  reaches zero, and that row or bound leaves (qpOASES's ensureLI).  If
+  none falls, the rows cannot be met past that tau;
 * ties go to the least index in the order general rows, lower bounds,
   upper bounds.  At a zero-length step every candidate ties, so this is
   Bland's least-index rule, the classical guard against cycling through
@@ -95,7 +103,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -269,7 +276,8 @@ def kkt_report(problem: QpProblem, sol: QpSolution) -> dict[str, float]:
 class _UnitRows(NamedTuple):
     """The general rows scaled to unit norm; a zero row keeps norm 1.
 
-    eq_norm/in_norm unscale the multipliers.
+    eq keeps the equality rows eq_index of the problem, those independent
+    of the ones before them; eq_norm/in_norm unscale the multipliers.
     """
 
     eq: np.ndarray
@@ -278,6 +286,7 @@ class _UnitRows(NamedTuple):
     b_in: np.ndarray
     eq_norm: np.ndarray
     in_norm: np.ndarray
+    eq_index: np.ndarray
 
 
 def _unit_rows(problem: QpProblem) -> _UnitRows:
@@ -288,7 +297,11 @@ def _unit_rows(problem: QpProblem) -> _UnitRows:
 
     eq, b_eq, eq_norm = scaled(problem.a_eq, problem.b_eq)
     ineq, b_in, in_norm = scaled(problem.a_in, problem.b_in)
-    return _UnitRows(eq, b_eq, ineq, b_in, eq_norm, in_norm)
+    # An equality row that depends on the others holds wherever they do,
+    # within the feasibility tolerance, so it is left out once.
+    eq_index = np.sort(_independent_rows(eq)[2])
+    return _UnitRows(eq[eq_index], b_eq[eq_index], ineq, b_in, eq_norm[eq_index], in_norm,
+                     eq_index)
 
 
 def _phase1(problem: QpProblem):
@@ -319,42 +332,64 @@ def _phase1(problem: QpProblem):
     return x0, float(res.x[n])
 
 
+def _independent_rows(a: np.ndarray):
+    """(q, r, independent, dependent): a maximal set of linearly independent
+    rows of a, the complete QR q r = a[independent]' and the other rows.
+
+    The k-th diagonal entry of an unpivoted QR of a' is the distance of row
+    k from the rows before it while those are independent; after a
+    dependent row it can be smaller.  So one QR names candidates, the rows
+    whose entry is at or below max(max(m, n) * eps * its largest entry,
+    1e-13) and every row past the n-th, and the others, independent of
+    every row before them, take a second QR.  A candidate those rows span
+    is dependent.  One they do not span, possible only after a dependent
+    row in exact data, joins them with one more QR.
+    """
+    m, n = a.shape
+    if not (m and n):
+        return np.eye(n), np.zeros((n, m)), np.arange(0), np.arange(m if n == 0 else 0)
+    q, r = np.linalg.qr(a.T, mode="complete")
+    diag = np.zeros(m)
+    diag[:min(m, n)] = np.abs(np.diagonal(r))
+    thresh = max(max(m, n) * np.finfo(float).eps * diag.max(initial=0.0), 1e-13)
+    independent, dependent = np.flatnonzero(diag > thresh), np.flatnonzero(diag <= thresh)
+    while dependent.size:
+        q, r = np.linalg.qr(a[independent].T, mode="complete")
+        basis = q[:, :independent.size]
+        off = a[dependent] - (a[dependent] @ basis) @ basis.T
+        loose = np.linalg.norm(off, axis=1) > thresh
+        if not loose.any():
+            break
+        k = int(np.argmax(loose))
+        independent, dependent = np.append(independent, dependent[k]), np.delete(dependent, k)
+    return q, r, independent, dependent
+
+
 def _face(a_w: np.ndarray):
     """Null-space basis of the working rows a_w, two solves with them and
     the rows found dependent.
 
-    One column-pivoted QR of a_w' gives all four.  Returns (z, multipliers,
+    The QR of _independent_rows gives all four.  Returns (z, multipliers,
     restore, dependent): z is an orthonormal basis of {p : a_w p = 0};
-    multipliers(g) solves a_w' nu = g on the rows the pivoting finds
-    independent, by a triangular solve with R, giving every dependent row a
-    zero multiplier; restore(r) is the least-norm step s with a_w s = r on
-    those rows; dependent indexes the other rows, which the rank that the
-    R-diagonal reveals leaves out.
+    multipliers(g) solves a_w' nu = g on the independent rows, by a
+    triangular solve with R, giving every dependent row a zero multiplier;
+    restore(r) is the least-norm step s with a_w s = r on those rows;
+    dependent indexes the other rows.
     """
-    m, n = a_w.shape
-    if not (m and n):
-        return np.eye(n), lambda g: np.zeros(m), lambda r: np.zeros(n), np.arange(m if n == 0 else 0)
-    # The working set is often rank-deficient (rows dependent on each other
-    # or on the fixed variables), and without pivoting the R-diagonal does
-    # not reveal rank, which would leak null-space directions that violate
-    # working constraints.  The data are finite (QpProblem checks them), so
-    # scipy's finiteness checks are skipped; _finish checks the result.
-    qfull, r, piv = scipy.linalg.qr(a_w.T, mode="full", pivoting=True, check_finite=False)
-    diag = np.abs(np.diag(r))
-    thresh = max(m, n) * np.finfo(float).eps * diag.max(initial=0.0)
-    rank = int((diag > max(thresh, 1e-13)).sum())
-    basis, r_top, independent = qfull[:, :rank], r[:rank, :rank], piv[:rank]
+    m = a_w.shape[0]
+    q, r, independent, dependent = _independent_rows(a_w)
+    rank = independent.size
+    basis, r_top = q[:, :rank], r[:rank, :rank]
 
     def multipliers(g: np.ndarray) -> np.ndarray:
         nu = np.zeros(m)
-        nu[independent] = scipy.linalg.solve_triangular(r_top, basis.T @ g, check_finite=False)
+        nu[independent] = np.linalg.solve(r_top, basis.T @ g)
         return nu
 
     def restore(resid: np.ndarray) -> np.ndarray:
-        return basis @ scipy.linalg.solve_triangular(r_top, resid[independent], trans="T",
-                                                     check_finite=False)
+        return basis @ np.linalg.solve(r_top.T, resid[independent])
 
-    return qfull[:, rank:], multipliers, restore, piv[rank:]
+    return q[:, rank:], multipliers, restore, dependent
 
 
 def _near(ratios, least: float):
@@ -419,7 +454,7 @@ def _face_step(h_red: np.ndarray, g_red: np.ndarray, lam_max: float, tol: float)
     """
     floor = max(1e-14, 1e-10 * lam_max)
     try:
-        inv = scipy.linalg.lapack.dtrtri(scipy.linalg.cholesky(h_red, lower=True, check_finite=False), lower=1)[0]
+        inv = np.linalg.inv(np.linalg.cholesky(h_red))
         if np.sum(inv * inv) < 1.0 / floor:
             return -(inv.T @ (inv @ g_red)), False
     except np.linalg.LinAlgError:
@@ -479,12 +514,21 @@ def _active_set(problem: QpProblem, rows: _UnitRows, lam_max: float,
     q, lb, ub = problem.Q, problem.lb, problem.ub
     m_eq = rows.eq.shape[0]
     x = x0.copy()
-    # Warm start: every row and bound active at x0.
-    working = [int(i) for i in np.flatnonzero(rows.ineq @ x - rows.b_in <= 1e-8)]
+    # Warm start: the equality rows, then the bounds and then the rows
+    # active at x0, each only if independent of those kept before it.
+    active = np.flatnonzero(rows.ineq @ x - rows.b_in <= 1e-8)
     at_lower = x - lb <= 1e-8
     at_upper = (ub - x <= 1e-8) & ~at_lower
+    fixed = np.flatnonzero(at_lower | at_upper)
+    if m_eq and fixed.size:     # bounds alone are always independent
+        kept = _independent_rows(np.vstack([rows.eq, np.eye(problem.n)[fixed]]))[2]
+        spanned = np.delete(fixed, kept[kept >= m_eq] - m_eq)
+        at_lower[spanned] = at_upper[spanned] = False
     x[at_lower] = lb[at_lower]
     x[at_upper] = ub[at_upper]
+    free = ~(at_lower | at_upper)
+    independent = _independent_rows(np.vstack([rows.eq, rows.ineq[active]])[:, free])[2]
+    working = [int(i) for i in active[np.sort(independent[independent >= m_eq]) - m_eq]]
     for iteration in range(1, max_iter + 1):
         grad = q @ x + problem.c
         mu_tol = 1e-9 * (1.0 + np.abs(grad).max(initial=0.0))
@@ -564,7 +608,8 @@ def _finish(problem: QpProblem, rows: _UnitRows, optimum: _Optimum) -> QpSolutio
     x = np.clip(x, problem.lb, problem.ub)
     nu = multipliers((problem.Q @ x + problem.c)[free])
     m_eq = rows.eq.shape[0]
-    eq_mult = nu[:m_eq] / rows.eq_norm
+    eq_mult = np.zeros(problem.a_eq.shape[0])
+    eq_mult[rows.eq_index] = nu[:m_eq] / rows.eq_norm
     in_mult = np.zeros(problem.a_in.shape[0])
     in_mult[working] = np.maximum(nu[m_eq:] / rows.in_norm[working], 0.0)
     resid = problem.Q @ x + problem.c - problem.a_eq.T @ eq_mult - problem.a_in.T @ in_mult
@@ -724,13 +769,9 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
     rows, lam_max, result = _solve(problem, start, None)
     if isinstance(result, QpSolution):
         raise QpError(f"the path needs an optimum at tau = 0, where the QP is {result.status}")
-    x, working, at_lower, at_upper, face, iterations = result
+    x, working, at_lower, at_upper, _, iterations = result
     q, n, m_eq, m_in = problem.Q, problem.n, rows.eq.shape[0], rows.ineq.shape[0]
     d_in = db_in / rows.in_norm
-    # The tau = 0 face gives each working row it finds dependent a zero
-    # multiplier, so those rows leave without moving anything.
-    dependent = set(face[3].tolist())
-    working = [w for k, w in enumerate(working) if m_eq + k not in dependent]
     # multipliers of the rows of a_w: the equality rows, then the working rows
     tau, path, nu, entered = 0.0, [], np.zeros(m_eq + len(working)), -1
     for events in range(50 * n + 1):

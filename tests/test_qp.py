@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from longplan import lifecycle, qp
 from longplan.insurance import HazardModel
+from longplan.lifecycle import LifecycleConfig, RiskyAssetSummary, solve_lifecycle
+from longplan.long_only import max_sharpe_long_only, trace_frontier
+from longplan.market import estimate_stats, load_returns
+from longplan.report import SAMPLE_RETURNS
 from longplan.qp import (
     FEASIBILITY_TOL,
     QpError,
@@ -101,8 +106,8 @@ def test_iteration_limit_reported_distinctly():
 
 
 def test_finish_rejects_a_non_finite_point():
-    # the factorizations skip scipy's finiteness checks, and a NaN passes
-    # every comparison of the KKT check, so _finish checks finiteness itself
+    # the factorizations do not check finiteness, and a NaN passes every
+    # comparison of the KKT check, so _finish checks finiteness itself
     problem = QpProblem(Q=np.eye(2), c=np.ones(2), lb=np.zeros(2))
     at_lower = np.array([False, True])
     for x in ([np.nan, 0.0], [np.inf, 0.0]):
@@ -487,8 +492,8 @@ def boxed_qps_with_copied_rows(draw):
 @settings(max_examples=150, deadline=None)
 @given(boxed_qps_with_copied_rows())
 def test_copied_rows_leave_the_optimum_and_kkt_unchanged(case):
-    # copies are dependent working rows; the face QR gives them zero
-    # multipliers, and the optimum must not notice them
+    # copies are dependent rows, which the working set leaves out, and
+    # the optimum must not notice them
     pd, plain, copied, _ = case
     base, dup = solve_qp(plain), solve_qp(copied)
     assert base.status == dup.status == "optimal"
@@ -818,3 +823,115 @@ def test_path_between_house_branches_terminates(case):
     assert report["stationarity"] <= 1e-8 * (1.0 + np.abs(year_1.c).max())
     assert report["complementarity"] <= 1e-6
     assert report["dual_feasibility"] >= -1e-9
+
+
+@st.composite
+def working_matrices(draw):
+    """(a_w, appended): rows of full row rank, the same with one dependent
+    row appended, or n_free + 1 rows; appended indexes the dependent row.
+    Rows have norms in [0.1, 1], as unit rows restricted to the free
+    variables do."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("independent", "appended", "one_too_many")))
+    m = n if kind == "one_too_many" else draw(st.integers(0 if kind == "independent" else 1, n))
+    a = rng.standard_normal((m, n))
+    a *= rng.uniform(0.1, 1.0, (m, 1)) / np.linalg.norm(a, axis=1, keepdims=True)
+    if kind == "independent":
+        return a, None
+    extra = (rng.standard_normal((1, n)) if kind == "one_too_many"
+             else rng.standard_normal(m) @ a)
+    return np.vstack([a, extra / max(1.0, np.linalg.norm(extra))]), m
+
+
+def _check_face_contract(a_w, dependent_rows, rng):
+    m, n = a_w.shape
+    z, multipliers, restore, dependent = qp._face(a_w)
+    np.testing.assert_array_equal(dependent, dependent_rows)
+    rank = m - len(dependent_rows)
+    assert z.shape == (n, n - rank)
+    np.testing.assert_allclose(z.T @ z, np.eye(n - rank), atol=1e-12)
+    scale = 1.0 + np.abs(a_w).max(initial=0.0)
+    np.testing.assert_allclose(a_w @ z, 0.0, atol=1e-12 * scale)
+    nu = rng.standard_normal(m)
+    nu[dependent_rows] = 0.0
+    np.testing.assert_allclose(multipliers(a_w.T @ nu), nu,
+                               atol=1e-8 * (1.0 + np.abs(nu).max(initial=0.0)))
+    r = a_w @ rng.standard_normal(n)
+    s = restore(r)
+    np.testing.assert_allclose(a_w @ s, r, atol=1e-9 * (1.0 + np.abs(r).max(initial=0.0)))
+    np.testing.assert_allclose(z.T @ s, 0.0, atol=1e-9 * (1.0 + np.abs(s).max()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(working_matrices(), st.integers(0, 2**32 - 1))
+def test_face_contract(case, seed):
+    # z spans the null space, multipliers and restore solve with the
+    # independent rows, and the QR names exactly the dependent row
+    a_w, appended = case
+    sv = np.linalg.svd(np.delete(a_w, [] if appended is None else [appended], axis=0),
+                       compute_uv=False)
+    assume(sv.size == 0 or sv.max() < 1e6 * sv.min())
+    _check_face_contract(a_w, [] if appended is None else [appended],
+                         np.random.default_rng(seed))
+
+
+def test_face_finds_a_row_that_follows_a_dependent_one():
+    # after the dependent row 1 the unpivoted QR's diagonal entry for row 2
+    # is 0 although row 2 is independent of the rows before it
+    a_w = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    assert abs(np.linalg.qr(a_w[:3].T, mode="r")[2, 2]) < 1e-13
+    _check_face_contract(a_w, [1, 3], np.random.default_rng(0))
+
+
+def _active_set_dependencies(run):
+    """Run run() and return, per face that _active_set factors, the number
+    of working rows that face finds dependent."""
+    counts, face = [], qp._face
+
+    def counting(a_w):
+        result = face(a_w)
+        if sys._getframe(1).f_code.co_name == "_active_set":
+            counts.append(len(result[3]))
+        return result
+
+    with mock.patch.object(qp, "_face", counting):
+        run()
+    return counts
+
+
+def test_active_set_faces_have_full_row_rank_on_the_sample_run():
+    # the start keeps only independent rows and bounds, and what blocks a
+    # step is independent of the working set, so no face is deficient
+    stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
+
+    def run():
+        fund = max_sharpe_long_only(stats, 0.025)
+        trace_frontier(stats, 30)
+        solve_lifecycle(LifecycleConfig(), RiskyAssetSummary(fund.mean, fund.variance))
+
+    counts = _active_set_dependencies(run)
+    assert len(counts) > 50
+    assert max(counts) == 0
+
+
+def test_start_at_a_vertex_with_more_active_rows_than_free_variables():
+    # at v = (1, 1, 1) the equality row, the upper bound of x2 and all five
+    # rows are active, on two variables that the bound leaves free
+    a_in = np.array([[1.0, 0, 0], [0, 1, 0], [1, 1, 0], [2, 1, 0], [1, 2, 0]])
+    v = np.ones(3)
+    problem = QpProblem(Q=np.eye(3), c=np.array([-3.0, -0.5, 0.0]),
+                        a_eq=np.ones((1, 3)), b_eq=[3.0], a_in=a_in, b_in=a_in @ v,
+                        lb=np.zeros(3), ub=np.array([np.inf, np.inf, 1.0]))
+    warm = []
+    counts = _active_set_dependencies(lambda: warm.append(solve_qp(problem, start=v)))
+    cold = solve_qp(problem)
+    assert warm[0].status == cold.status == "optimal"
+    assert max(counts) == 0
+    assert warm[0].objective == pytest.approx(cold.objective, rel=1e-9)
+    np.testing.assert_allclose(warm[0].x, cold.x, atol=1e-9)
+    for sol in (warm[0], cold):
+        report = kkt_report(problem, sol)
+        assert report["stationarity"] <= 1e-9
+        assert report["complementarity"] <= 1e-9
+        assert report["dual_feasibility"] >= -1e-9

@@ -361,12 +361,17 @@ def test_cli_degenerate_lifecycle_errors_cleanly(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
-def test_cli_all_imports_neither_scipy_optimize_nor_special(tmp_path):
-    # both are slow to import and only off-path helpers use them
+def test_cli_all_and_import_load_no_scipy(tmp_path):
+    # the solver factors with numpy alone, and only the phase-1 LP, which
+    # `longplan all` never runs, imports scipy
     code = ("import sys\n"
+            "def scipy_loaded():\n"
+            "    return any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+            "import longplan\n"
+            "on_import = scipy_loaded()\n"
             "from longplan.cli import main\n"
             f"status = main(['all', '--emit-svg', '--out', {str(tmp_path)!r}])\n"
-            "print(status, 'scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)\n")
+            "print(status, on_import, scipy_loaded())\n")
     src = str(Path(longplan.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
