@@ -24,13 +24,13 @@ side of the floor rows and its utility to the objective, and the house cap
 holds trivially.  So the branches share Q, c and A on the 3M + 1 other
 columns and differ only in b.
 
-That makes the branches one chain of right-hand-side paths.  The no-house
-branch is solved from the zero plan, which meets its rows whenever income
-covers the floor.  Each house year after it, from the last to the first,
-follows qp.solve_qp_path from the previous branch's optimum along
-b_prev + tau (b_year - b_prev) to tau = 1, so it passes only the
-breakpoints where the two optimal working sets differ.  Borrowing has no
-upper bound, so the rows can be met all along every step.
+That makes the branches one chain of right-hand-side legs.  The no-house
+branch is one QP from the zero plan, which meets its rows whenever income
+covers the floor.  One qp.solve_qp_path call from its optimum then runs a
+leg per house year, from the last to the first, along b_prev + tau
+(b_year - b_prev), so each leg passes only the breakpoints where the two
+optimal working sets differ and no branch is solved again from scratch.
+Borrowing has no upper bound, so the rows can be met all along the path.
 """
 
 from __future__ import annotations
@@ -371,8 +371,8 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
         (income does not cover d_floor).  Unbounded borrowing then makes
         every house branch feasible.
     LifecycleBranchError
-        If the first branch's QP or a path step to a later branch fails;
-        the message names the branch.
+        If the no-house QP or the path through the house years fails; the
+        message names the branches.
     """
     hazard = config.hazard
     v_discount = None
@@ -415,31 +415,30 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
 
     # The chain runs "none", then the house years from the last to the
     # first, which passes fewer breakpoints than the first to the last.
-    branches: dict[int | None, tuple[float, np.ndarray]] = {}
-    problem = sol = None
-    for year in [None, *candidates[:0:-1]]:
-        house = house_of(year)
-        b_year = b[:m] - a[:m, 3 * m:4 * m] @ house
+    chain = [None, *candidates[:0:-1]]
+    b_chain = np.array([b[:m] - a[:m, 3 * m:4 * m] @ house_of(year) for year in chain])
+    # Maximize c'x + 0.5 x'qx as the minimization of its negation, from the
+    # zero plan, which meets the no-house rows (checked above).
+    problem = QpProblem(Q=-q_rest, c=-c_rest, a_in=a_rest, b_in=b_chain[0],
+                        lb=np.zeros(3 * m + 1))
+    try:
+        sol = solve_qp(problem, start=np.zeros(3 * m + 1))
+    except QpError as exc:
+        raise LifecycleBranchError(f"branch {_branch_label(None)}: {exc}") from exc
+    if sol.status != STATUS_OPTIMAL:
+        raise LifecycleBranchError(
+            f"branch {_branch_label(None)}: solver status {sol.status!r}")
+    sols = [sol]
+    if len(chain) > 1:
+        # Leg j of the path moves b from the branch before it to its own.
         try:
-            if problem is None:
-                # Maximize c'x + 0.5 x'qx as the minimization of its negation,
-                # from the zero plan, which meets the no-house rows (checked above).
-                problem = QpProblem(Q=-q_rest, c=-c_rest, a_in=a_rest, b_in=b_year,
-                                    lb=np.zeros(3 * m + 1))
-                sol = solve_qp(problem, start=np.zeros(3 * m + 1))
-            else:
-                # The previous branch's optimum starts the path to this one's b.
-                sol = solve_qp_path(problem, b_year - problem.b_in, [1.0], start=sol.x)[0]
-                problem = QpProblem(Q=problem.Q, c=problem.c, a_in=a_rest, b_in=b_year,
-                                    lb=problem.lb)
+            sols += solve_qp_path(problem, np.diff(b_chain, axis=0),
+                                  np.arange(1.0, len(chain)), start=sol.x)
         except QpError as exc:
             raise LifecycleBranchError(
-                f"branch {_branch_label(year)}: {exc}") from exc
-        if sol.status != STATUS_OPTIMAL:
-            raise LifecycleBranchError(
-                f"branch {_branch_label(year)}: solver status {sol.status!r}"
-            )
-        branches[year] = (float(c[3 * m:4 * m] @ house) - sol.objective, sol.x)
+                f"branches {', '.join(map(_branch_label, chain[1:]))}: {exc}") from exc
+    branches = {year: (float(c[3 * m:4 * m] @ house_of(year)) - branch.objective, branch.x)
+                for year, branch in zip(chain, sols)}
 
     # The first best branch in label order wins a tie.
     best_year = max(candidates, key=lambda year: branches[year][0])

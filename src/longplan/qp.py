@@ -1,4 +1,4 @@
-"""Dense convex quadratic programming by a primal active-set method.
+"""Dense convex quadratic programming by one parametric active-set method.
 
 Problems have the form
 
@@ -7,92 +7,71 @@ Problems have the form
                 a_in x >= b_in
                 lb <= x <= ub
 
-with Q symmetric positive semidefinite.  The solver is built for the small
-dense problems produced by the portfolio and lifetime-planning layers
-(n up to a few hundred):
+with Q symmetric positive semidefinite, small and dense (n up to a few
+hundred), as the portfolio and lifetime-planning layers produce them:
 
 * feasibility is decided by a phase-1 linear program that minimizes the
   Chebyshev (max) constraint violation, so an infeasible verdict comes with
-  the smallest achievable violation as a certificate;
-* a caller that holds a feasible point, such as the plan of a
-  neighbouring problem repaired to meet its rows, passes it as ``start``.
-  A point that keeps every bound and meets every row within the
-  feasibility tolerance settles feasibility, so no LP runs: the active set
-  begins there.  Any other ``start`` is ignored and the Chebyshev LP runs
-  as without it, so verdicts and certificates never depend on ``start``;
-* constraint rows are normalized internally, so solutions are invariant
-  under positive rescaling of any row;
-* a bound enters the active set by fixing its variable at the bound, not
-  as a constraint row, so the null-space solves only see the equality rows
-  and the working general rows restricted to the free variables.  Equal
-  bounds are two ordinary bounds.  Every bound multiplier is read off the
-  stationarity residual Qx + c - a_eq'lam - a_in'mu;
-* one unpivoted QR of the working rows gives the null-space basis Z
-  and, by triangular solves with R, the multipliers and a least-norm step
-  onto the rows.  Its diagonal shows a row dependent on the rows before
-  it; such a face takes one more QR without the dependent rows, which get
-  zero multipliers;
-* the working set stays linearly independent, so that one QR suffices.
-  An equality row that depends on the other equality rows holds wherever
-  they do, so it is left out once.  The start keeps the equality rows,
-  then the bounds active at it and then the rows active at it, each only
-  if it is independent of those kept before it; one left out lies in
-  their span and cannot block while they work.  A row or bound that
-  blocks a step p has a'p != 0 where every working row and bound has
-  a'p = 0, so it is independent of them, and a drop keeps the rest
-  independent;
-* each step solves with the reduced Hessian Z'QZ of the true Q.  An
-  eigenvalue of Z'QZ at rounding level (dim * eps * lambda_max(Q)) counts
-  as zero curvature.  Minus the reduced gradient's component along those
-  eigenvectors descends without curvature and is followed to the first
-  row or bound that blocks it; if none does, it is a ray, checked (Qd = 0,
+  the smallest achievable violation as a certificate.  A ``start`` that
+  keeps every bound and meets every row within the feasibility tolerance
+  settles feasibility without it; any other ``start`` is ignored, so
+  verdicts and certificates never depend on ``start``;
+* rows are normalized internally, so solutions are invariant under
+  positive rescaling of any row.  A bound enters the working set by fixing
+  its variable, so the null-space solves see only the equality and working
+  rows on the free variables, and every bound multiplier is read off the
+  stationarity residual Qx + c - a_eq'lam - a_in'mu.
+
+Every solve follows one path of optima, a chain of legs in a parameter t
+along which the working set changes only at events, with x and the
+multipliers affine in t in between (the parametric active-set method of
+Best 1996 and qpOASES, Ferreau, Kirches, Potschka, Bock & Diehl 2014; on
+the long-only frontier, Markowitz's critical line):
+
+* the start keeps the equality rows, then the bounds and then the rows
+  active at the feasible x0, each only if it is independent of those kept
+  before it; one unpivoted QR both names the dependent ones and factors
+  the first face;
+* on the gradient leg, t from -1 to 0, the gradient moves to c from c0 =
+  a_w'y0 + mu_lb - mu_ub - Q x0, for which x0 is optimal: y0 and mu are
+  the first face's fit of Qx0 + c, every inequality and bound multiplier
+  clipped at a ramp of distinct values near zero (qpOASES's ramping).
+  solve_qp is this leg alone.  On right-hand-side leg j, t from j - 1 to
+  j, b_in moves by row j of solve_qp_path's db_in; a leg's end changes the
+  direction, not the face;
+* on a face, x moves by the least-norm step onto the working rows' moving
+  right-hand sides plus a minimum-norm solve with the reduced Hessian Z'QZ
+  of the true Q.  An eigenvalue of Z'QZ at rounding level (dim * eps *
+  lambda_max(Q)) is zero curvature.  Where the moving gradient descends
+  along such an eigenvector by more than the multiplier tolerance over the
+  rest of the leg, x moves at fixed t to the first row or bound that
+  blocks, and if none does the direction is a ray, checked (Qd = 0,
   c'd < 0, every row and finite bound kept) before "unbounded" is
-  returned.  Without such a component the step is the minimum-norm Newton
-  step; a Cholesky factor gives it without an eigendecomposition when it
-  proves every eigenvalue above max(1e-14, 1e-10 * lambda_max(Q));
-* a least-norm step from the final face's QR puts the working rows back
-  on their right-hand sides, the multipliers fit Qx + c, and the result
-  must pass a KKT check.
-
-solve_qp_path follows one right-hand-side path, b_in + tau * db_in for tau
-in [0, 1], from the tau = 0 optimum that the same active set finds (the
-parametric active-set method of Best 1996 and of qpOASES, Ferreau, Bock &
-Diehl 2008; for the long-only frontier it is Markowitz's critical line):
-
-* between breakpoints the working set is fixed and x and the multipliers
-  are affine in tau; the derivative of x is the least-norm step from the
-  face's QR onto the working rows' moving right-hand sides plus a
-  minimum-norm reduced-Hessian solve on Z, exact for a PSD Q because its
-  right-hand side lies in the range of Z'QZ;
-* at a breakpoint the first row or bound that blocks enters or else the
-  first working row or bound whose multiplier reaches zero leaves.  A rate
-  within rounding of zero, 1e-12 of the step's size, never blocks: at
-  |x| ~ 1e4 such rates added and dropped the same bounds at one tau until
-  the breakpoint cap;
-* the working rows stay linearly independent on the free variables, so
-  the multipliers and their rates are unique.  The tau = 0 face is
-  independent, as above.  When an added row or bound makes the rows
-  dependent, which the next face's QR shows, the multipliers move along
-  the dependency, the added one's rising, until the first other one
-  reaches zero, and that row or bound leaves (qpOASES's ensureLI).  If
-  none falls, the rows cannot be met past that tau;
-* ties go to the least index in the order general rows, lower bounds,
-  upper bounds.  At a zero-length step every candidate ties, so this is
-  Bland's least-index rule, the classical guard against cycling through
-  degenerate vertices;
-* every returned point passes the same restore step and KKT check.
+  returned; a smaller descent is dropped from the gradient's motion.  A
+  Cholesky factor gives the step when it proves every eigenvalue above
+  max(1e-14, 1e-10 * lambda_max(Q));
+* an event is the first row or bound that blocks x, which enters, or the
+  first working multiplier that reaches zero, whose row or bound leaves.
+  A rate within rounding of zero, 1e-12 of the step's size, never blocks,
+  and an event within rounding of a leg's end waits for the next leg;
+* what blocks a step p has a'p != 0 where every working row and bound has
+  a'p = 0, and a drop keeps the rest independent, so the working rows stay
+  linearly independent on the free variables.  In exact arithmetic only a
+  moving right-hand side adds a dependent row; then the multipliers move
+  along the dependency, the added one's rising, until another reaches zero
+  and leaves (qpOASES's ensureLI).  If none falls, the rows cannot be met
+  past that t, except on the gradient leg, where such an add is rounding:
+  the rates then move along the dependency so that its multiplier stays;
+* one tie rule: ties go to the least index in the order general rows,
+  lower bounds, upper bounds, which at a zero-length step is Bland's rule;
+* every returned point passes a restore step, a least-norm step from the
+  face's QR back onto the working rows, and a KKT check.
 
 When the optimal face has a direction of zero curvature, the optimum is
 not unique and the solver returns the point its path reaches; ``start``
-changes that path and can select a different optimal point with the same
-objective.  Otherwise the optimum is unique and ``start`` changes only the
-path, up to the iterations' own tolerances.
-
-Ties are broken deterministically.  The ratio test scans general rows,
-then lower bounds, then upper bounds, each in index order, and takes the
-first near-minimal candidate; within one QP a drop takes the first most
-negative multiplier in the order working rows (as added), lower bounds,
-upper bounds.  Together with the deterministic phase-1 this makes results
+changes that path and can select another optimal point with the same
+objective.  Otherwise ``start`` changes the result only within the
+tolerances.  With the deterministic tie rule and phase 1, results are
 reproducible run to run.
 """
 
@@ -124,7 +103,7 @@ class QpInputError(QpError, ValueError):
 
 
 class QpIterationLimitError(QpError):
-    """Active-set iteration cap exceeded (distinct from infeasibility)."""
+    """Active-set event cap exceeded (distinct from infeasibility)."""
 
 
 def _as_matrix(a, rows: int | None, cols: int, name: str) -> np.ndarray:
@@ -365,29 +344,28 @@ def _independent_rows(a: np.ndarray):
     return q, r, independent, dependent
 
 
-def _face(a_w: np.ndarray):
-    """Null-space basis of the working rows a_w, two solves with them and
-    the rows found dependent.
+def _face(a_w: np.ndarray, factors=None):
+    """(z, multipliers, restore, dependent) for the working rows a_w, from
+    the QR of _independent_rows (factors, when that is at hand already).
 
-    The QR of _independent_rows gives all four.  Returns (z, multipliers,
-    restore, dependent): z is an orthonormal basis of {p : a_w p = 0};
-    multipliers(g) solves a_w' nu = g on the independent rows, by a
-    triangular solve with R, giving every dependent row a zero multiplier;
-    restore(r) is the least-norm step s with a_w s = r on those rows;
-    dependent indexes the other rows.
+    z is an orthonormal basis of {p : a_w p = 0}; multipliers(g) solves
+    a_w' nu = g on the independent rows, with R inverted once, giving every
+    dependent row a zero multiplier; restore(r) is the least-norm step s
+    with a_w s = r on those rows; dependent indexes the other rows.
     """
     m = a_w.shape[0]
-    q, r, independent, dependent = _independent_rows(a_w)
+    q, r, independent, dependent = _independent_rows(a_w) if factors is None else factors
     rank = independent.size
-    basis, r_top = q[:, :rank], r[:rank, :rank]
+    basis, r_inv = q[:, :rank], np.linalg.inv(r[:rank, :rank])
+    to_nu = r_inv @ basis.T
 
     def multipliers(g: np.ndarray) -> np.ndarray:
         nu = np.zeros(m)
-        nu[independent] = np.linalg.solve(r_top, basis.T @ g)
+        nu[independent] = to_nu @ g
         return nu
 
     def restore(resid: np.ndarray) -> np.ndarray:
-        return basis @ np.linalg.solve(r_top.T, resid[independent])
+        return basis @ (resid[independent] @ r_inv)
 
     return q[:, rank:], multipliers, restore, dependent
 
@@ -395,11 +373,6 @@ def _face(a_w: np.ndarray):
 def _near(ratios, least: float):
     """Which ratios are within rounding of the least one."""
     return ratios <= least * (1.0 + 1e-9) + 1e-15
-
-
-def _first_min(ratios: np.ndarray, least: float) -> int:
-    """Index of the first ratio within rounding of the least one."""
-    return int(np.argmax(_near(ratios, least)))
 
 
 def _ratio_test(problem: QpProblem, rows: _UnitRows, x: np.ndarray, p: np.ndarray,
@@ -435,41 +408,39 @@ def _ratio_test(problem: QpProblem, rows: _UnitRows, x: np.ndarray, p: np.ndarra
     if not ratios.size or ratios.min() >= cap:
         return cap, None, -1
     alpha = float(ratios.min())
-    k = _first_min(ratios, alpha)
+    k = int(np.argmax(_near(ratios, alpha)))
     kind = "row" if k < blocking.size else "lower" if k < blocking.size + lows.size else "upper"
     return alpha, kind, int(np.concatenate([blocking, lows, ups])[k])
 
 
-def _face_step(h_red: np.ndarray, g_red: np.ndarray, lam_max: float, tol: float):
-    """(p, flat): the step on a face with reduced Hessian h_red, gradient g_red.
+def _face_step(h_red: np.ndarray, g_red: np.ndarray, lam_max: float):
+    """(p, p_flat): steps on a face with reduced Hessian h_red, gradient g_red.
 
     An eigenvalue of h_red at or below dim * eps * lam_max, lam_max the
     largest eigenvalue of Q on the variables whose bounds differ, is
-    rounding: zero curvature.  If g_red has a component above tol along
-    those eigenvectors, p is that component negated and flat is True;
-    otherwise p is the minimum-norm Newton step on the other eigenvectors.
-    When the Cholesky factor L shows every eigenvalue to be above the floor
-    max(1e-14, 1e-10 * lam_max), by |L^-1|_F^2 = trace(h_red^-1) < 1/floor,
-    p is the Newton step from L and no eigendecomposition is needed.
+    rounding: zero curvature.  p is the minimum-norm Newton step on the
+    other eigenvectors, and p_flat is g_red's component along the flat
+    ones, negated, or None when there are none.  When the Cholesky factor L
+    shows every eigenvalue to be above the floor max(1e-14, 1e-10 *
+    lam_max), by |L^-1|_F^2 = trace(h_red^-1) < 1/floor, p is the Newton
+    step from L and no eigendecomposition is needed.
     """
     floor = max(1e-14, 1e-10 * lam_max)
     try:
         inv = np.linalg.inv(np.linalg.cholesky(h_red))
         if np.sum(inv * inv) < 1.0 / floor:
-            return -(inv.T @ (inv @ g_red)), False
+            return -(inv.T @ (inv @ g_red)), None
     except np.linalg.LinAlgError:
         pass
     eigvals, eigvecs = np.linalg.eigh(h_red)
     flat = eigvals <= h_red.shape[0] * np.finfo(float).eps * lam_max
-    g_flat = eigvecs[:, flat].T @ g_red
-    if np.abs(g_flat).max(initial=0.0) > tol:
-        return -(eigvecs[:, flat] @ g_flat), True
-    return -(eigvecs[:, ~flat] @ (eigvecs[:, ~flat].T @ g_red / eigvals[~flat])), False
+    p = -(eigvecs[:, ~flat] @ (eigvecs[:, ~flat].T @ g_red / eigvals[~flat]))
+    return p, -(eigvecs[:, flat] @ (eigvecs[:, flat].T @ g_red)) if flat.any() else None
 
 
 class _Optimum(NamedTuple):
-    """Where the active set stops: x on the face of the working rows and
-    fixed bounds, that face's _face factorization and the iterations."""
+    """A point of a path: x on the face of the working rows and fixed
+    bounds, that face's _face factorization and the events so far."""
 
     x: np.ndarray
     working: list[int]
@@ -479,43 +450,18 @@ class _Optimum(NamedTuple):
     iterations: int
 
 
-def _release(k: int, working: list[int], lower_idx: np.ndarray, upper_idx: np.ndarray,
-             at_lower: np.ndarray, at_upper: np.ndarray) -> None:
-    """Drop candidate k of the order working rows, lower bounds, upper bounds."""
-    if k < len(working):
-        working.pop(k)
-    elif k < len(working) + lower_idx.size:
-        at_lower[lower_idx[k - len(working)]] = False
-    else:
-        at_upper[upper_idx[k - len(working) - lower_idx.size]] = False
+def _start(problem: QpProblem, rows: _UnitRows, x0: np.ndarray):
+    """The working set at the feasible point x0, and the QR of its rows.
 
-
-def _enter(problem: QpProblem, kind: str | None, i: int, x: np.ndarray, working: list[int],
-           at_lower: np.ndarray, at_upper: np.ndarray) -> None:
-    """Add what _ratio_test found blocking; a bound snaps x[i] onto it."""
-    if kind == "row":
-        working.append(i)
-    elif kind == "lower":
-        at_lower[i], x[i] = True, problem.lb[i]
-    elif kind == "upper":
-        at_upper[i], x[i] = True, problem.ub[i]
-
-
-def _active_set(problem: QpProblem, rows: _UnitRows, lam_max: float,
-                x0: np.ndarray, max_iter: int) -> _Optimum | QpSolution:
-    """Primal active-set iterations from the feasible point x0.
-
-    A bound becomes active by fixing its variable (at_lower / at_upper) and
-    snapping it to the bound; only general inequality rows enter the
-    working list; a variable with equal bounds starts at its lower one.
-    Returns the stationary _Optimum for _finish, or the ray from _unbounded
-    when a step of zero curvature meets no block.
+    The equality rows, then the bounds and then the rows active at x0 are
+    kept, each only if it is independent of those kept before it; a kept
+    bound puts x on its value, and a variable with equal bounds starts at
+    its lower one.  Returns (x, working, at_lower, at_upper, factors):
+    factors is the dependency search's last QR, for _face, when that is the
+    QR of the kept rows in their order, and None otherwise.
     """
-    q, lb, ub = problem.Q, problem.lb, problem.ub
-    m_eq = rows.eq.shape[0]
+    lb, ub, m_eq = problem.lb, problem.ub, rows.eq.shape[0]
     x = x0.copy()
-    # Warm start: the equality rows, then the bounds and then the rows
-    # active at x0, each only if independent of those kept before it.
     active = np.flatnonzero(rows.ineq @ x - rows.b_in <= 1e-8)
     at_lower = x - lb <= 1e-8
     at_upper = (ub - x <= 1e-8) & ~at_lower
@@ -527,42 +473,11 @@ def _active_set(problem: QpProblem, rows: _UnitRows, lam_max: float,
     x[at_lower] = lb[at_lower]
     x[at_upper] = ub[at_upper]
     free = ~(at_lower | at_upper)
-    independent = _independent_rows(np.vstack([rows.eq, rows.ineq[active]])[:, free])[2]
-    working = [int(i) for i in active[np.sort(independent[independent >= m_eq]) - m_eq]]
-    for iteration in range(1, max_iter + 1):
-        grad = q @ x + problem.c
-        mu_tol = 1e-9 * (1.0 + np.abs(grad).max(initial=0.0))
-        free = ~(at_lower | at_upper)
-        a_w = np.vstack([rows.eq, rows.ineq[working]])
-        face = _face(a_w[:, free])
-        z, multipliers, _, _ = face
-        p, flat = np.zeros(problem.n), False
-        if z.shape[1]:
-            p_z, flat = _face_step(z.T @ q[np.ix_(free, free)] @ z, z.T @ grad[free],
-                                   lam_max, mu_tol)
-            p[free] = z @ p_z
-
-        if not flat and np.abs(p).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(x).max(initial=0.0)):
-            nu = multipliers(grad[free])
-            resid = grad - a_w.T @ nu
-            lower_idx, upper_idx = np.flatnonzero(at_lower), np.flatnonzero(at_upper)
-            # Candidates in order: working rows, lower bounds, upper bounds.
-            mults = np.concatenate([nu[m_eq:], resid[lower_idx], -resid[upper_idx]])
-            if mults.size == 0 or mults.min() >= -mu_tol:
-                return _Optimum(x, working, at_lower, at_upper, face, iteration)
-            # Drop the most negative multiplier; ties go to the first.
-            _release(int(np.argmin(mults)), working, lower_idx, upper_idx, at_lower, at_upper)
-            continue
-
-        if flat:
-            p /= np.abs(p).max()
-        alpha, kind, i = _ratio_test(problem, rows, x, p, working, free,
-                                     np.inf if flat else 1.0)
-        if kind is None and flat:
-            return _unbounded(problem, rows, lam_max, x, p, iteration)
-        x = x + alpha * p
-        _enter(problem, kind, i, x, working, at_lower, at_upper)
-    raise QpIterationLimitError(f"active-set iteration cap {max_iter} exceeded")
+    q, r, independent, _ = _independent_rows(np.vstack([rows.eq, rows.ineq[active]])[:, free])
+    kept = np.sort(independent)
+    working = [int(i) for i in active[kept[kept >= m_eq] - m_eq]]
+    reuse = np.array_equal(kept, independent) and np.array_equal(kept[:m_eq], np.arange(m_eq))
+    return x, working, at_lower, at_upper, (q, r, np.arange(kept.size), kept[:0]) if reuse else None
 
 
 def _unbounded(problem: QpProblem, rows: _UnitRows, lam_max: float, x: np.ndarray,
@@ -590,10 +505,10 @@ def _unbounded(problem: QpProblem, rows: _UnitRows, lam_max: float, x: np.ndarra
 
 
 def _finish(problem: QpProblem, rows: _UnitRows, optimum: _Optimum) -> QpSolution:
-    """The verified optimal solution on the active set's final face.
+    """The verified optimal solution at a point of a path.
 
     A least-norm step from the face's QR first puts the working rows back
-    on their right-hand sides: the iterations leave them off by rounding in
+    on their right-hand sides: the events leave them off by rounding in
     proportion to |x|, which a large multiplier turns into a false
     complementarity failure.  The multipliers fit the gradient Qx + c
     through the same QR, every bound dual is read off the stationarity
@@ -624,7 +539,7 @@ def _finish(problem: QpProblem, rows: _UnitRows, optimum: _Optimum) -> QpSolutio
         upper_multipliers=np.where(at_upper, np.maximum(-resid, 0.0), 0.0),
         iterations=iterations,
     )
-    if not all(np.all(np.isfinite(v)) for v in (x, eq_mult, in_mult, resid)):
+    if not np.all(np.isfinite(resid)):     # x and every multiplier feed it
         raise QpError("internal KKT verification failed: non-finite solution or multiplier")
     report = kkt_report(problem, sol)
     grad_scale = 1.0 + float(np.abs(problem.c).max(initial=0.0))
@@ -637,12 +552,10 @@ def _finish(problem: QpProblem, rows: _UnitRows, optimum: _Optimum) -> QpSolutio
     return sol
 
 
-def _solve(problem: QpProblem, start, max_iter: int | None):
-    """solve_qp up to the active set's stop: (rows, lam_max, result).
-
-    result is the infeasible or unbounded QpSolution, or the _Optimum that
-    _finish turns into the optimal one.
-    """
+def _feasible_start(problem: QpProblem, start):
+    """(rows, lam_max, x0): the unit rows, the largest eigenvalue of Q on
+    the variables whose bounds differ, and start if it is feasible, else
+    phase 1's point, or the infeasible QpSolution if phase 1 finds none."""
     if start is not None:
         start = np.asarray(start, dtype=float).ravel()
         if start.shape[0] != problem.n or not np.all(np.isfinite(start)):
@@ -659,15 +572,12 @@ def _solve(problem: QpProblem, start, max_iter: int | None):
 
     if start is not None and np.all((problem.lb <= start) & (start <= problem.ub)) \
             and problem.max_violation(start) <= feas_tol:
-        x0 = start
-    else:
-        x0, t_star = _phase1(problem)
-        if t_star > feas_tol:
-            return rows, lam_max, QpSolution(
-                x=x0, objective=np.nan, status=STATUS_INFEASIBLE, max_violation=t_star)
-
-    max_iter = max_iter if max_iter is not None else 50 * problem.n
-    return rows, lam_max, _active_set(problem, rows, lam_max, x0, max_iter)
+        return rows, lam_max, start
+    x0, t_star = _phase1(problem)
+    if t_star > feas_tol:
+        return rows, lam_max, QpSolution(
+            x=x0, objective=np.nan, status=STATUS_INFEASIBLE, max_violation=t_star)
+    return rows, lam_max, x0
 
 
 def solve_qp(problem: QpProblem, *, start=None,
@@ -676,9 +586,9 @@ def solve_qp(problem: QpProblem, *, start=None,
 
     start, when given, is any finite point of length n.  If it keeps every
     bound and violates no row by more than the feasibility tolerance
-    1e-7 * (1 + |b|_inf), the active set begins there and no LP is solved;
-    a start near the optimum (the plan of a neighbouring problem) also
-    shortens the path.  Any other start is ignored and the Chebyshev
+    1e-7 * (1 + |b|_inf), the gradient leg begins there and no LP is
+    solved; a start near the optimum (the plan of a neighbouring problem)
+    also shortens the leg.  Any other start is ignored and the Chebyshev
     phase-1 LP runs exactly as without it, so start never changes the
     verdict.  Where the optimum is unique, start changes the returned point
     only within the solver's tolerances; where Q leaves a face of optima,
@@ -687,13 +597,14 @@ def solve_qp(problem: QpProblem, *, start=None,
     Returns a solution with status "optimal", "infeasible" or "unbounded".
     Raises QpInputError for malformed data or start, or for a Q that is
     not positive semidefinite on the variables whose bounds differ, and
-    QpIterationLimitError if the active-set cap of 50*n iterations is
-    exceeded.
+    QpIterationLimitError past 50*n events.
     """
-    rows, _, result = _solve(problem, start, _max_iter)
-    if isinstance(result, QpSolution):
-        return result
-    return _finish(problem, rows, result)
+    rows, lam_max, x0 = _feasible_start(problem, start)
+    if isinstance(x0, QpSolution):
+        return x0
+    result = _follow(problem, rows, lam_max, x0, np.zeros((0, problem.b_in.shape[0])),
+                     np.zeros(1), 50 * problem.n if _max_iter is None else _max_iter)
+    return result if isinstance(result, QpSolution) else result[0]
 
 
 def _multiplier_test(mults: np.ndarray, rates: np.ndarray, keys: np.ndarray, tol: float):
@@ -720,67 +631,60 @@ def _carrying(face, a_f: np.ndarray, nu: np.ndarray):
     return z, lambda g: nu + multipliers(g - a_f.T @ nu), restore, dependent
 
 
-def _at_tau(problem: QpProblem, rows: _UnitRows, db_in: np.ndarray, d_in: np.ndarray,
-            tau: float):
-    """The problem and its unit rows with b_in moved to b_in + tau * db_in.
+def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
+            db_legs: np.ndarray, taus: np.ndarray, max_events: int):
+    """The verified optima at taus along the legs from the feasible x0, or
+    the unbounded QpSolution when leg 0 ends on a ray.
 
-    The copy skips __post_init__: a finite b_in is all that changes, and
-    validating the rest again would cost more than the KKT check it feeds.
+    Leg 0 runs t from -1 to 0, the gradient c + t dc moving from c0, for
+    which x0 is optimal, to c; leg j >= 1 runs t from j - 1 to j, b_in
+    moving by db_legs[j - 1].  The module docstring describes the events.
     """
-    b_in = problem.b_in + tau * db_in
-    b_in.setflags(write=False)
-    problem_t = copy.copy(problem)
-    object.__setattr__(problem_t, "b_in", b_in)
-    return problem_t, rows._replace(b_in=rows.b_in + tau * d_in)
+    q, c, n = problem.Q, problem.c, problem.n
+    m_eq, m_in = rows.eq.shape[0], rows.ineq.shape[0]
+    b_starts = problem.b_in + np.cumsum(np.vstack([np.zeros(m_in), db_legs]), axis=0)
+    d_legs = db_legs / rows.in_norm
 
+    def at(t: float, leg: int):
+        """The problem and its unit rows with b_in where leg puts it at t
+        (the copy skips __post_init__: a finite b_in is all that changes)."""
+        if leg == 0:
+            return problem, rows
+        b_in = b_starts[leg - 1] + (t - leg + 1) * db_legs[leg - 1]
+        b_in.setflags(write=False)
+        problem_t = copy.copy(problem)
+        object.__setattr__(problem_t, "b_in", b_in)
+        return problem_t, rows._replace(b_in=b_in / rows.in_norm)
 
-def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]:
-    """Optima of the problem with b_in moved to b_in + tau * db_in, per tau.
+    def key_of(kind: str, i: int) -> int:
+        return i + {"row": 0, "lower": m_in, "upper": m_in + n}[kind]
 
-    The problem's own b_in is the path's start, tau = 0.  start is checked
-    there exactly as solve_qp checks it (one that fails runs the phase-1
-    LP), and the same active-set iterations give the tau = 0 optimum, so
-    that point's x equals solve_qp(problem, start=start).x bit for bit.
-    From there the path is followed, as the module docstring describes, to
-    each tau of taus, a nondecreasing sequence in [0, 1].  If a row or
-    bound that enters leaves the working rows dependent and no other
-    multiplier falls along the dependency, the rows cannot be met past that
-    tau: a requested tau whose rows the point still meets within the
-    feasibility tolerance gets the point (the frontier's last target,
-    max(e) up to rounding, ends at such a vertex), and a later one raises
-    QpError.  The path ends through these rules alone: nothing is retried.
-
-    Every returned point passes _finish's restore step and KKT check at
-    its own tau.  Its iterations are those of tau = 0 plus the breakpoints
-    passed.  Where Q leaves a face of optima, the path returns the points
-    it reaches from the tau = 0 optimum.
-
-    Raises QpInputError for a malformed db_in or taus (and as solve_qp
-    does), QpError if the QP at tau = 0 is infeasible or unbounded or the
-    rows cannot be met at a requested tau, and QpIterationLimitError past
-    50*n breakpoints.
-    """
-    db_in = np.asarray(db_in, dtype=float).ravel()
-    taus = np.asarray(taus, dtype=float).ravel()
-    if db_in.shape != problem.b_in.shape or not np.all(np.isfinite(db_in)):
-        raise QpInputError(f"db_in must be a finite vector of length {problem.b_in.shape[0]}")
-    if not (taus.size and np.all((taus >= 0.0) & (taus <= 1.0)) and np.all(np.diff(taus) >= 0.0)):
-        raise QpInputError("taus must be a nonempty nondecreasing sequence in [0, 1]")
-    rows, lam_max, result = _solve(problem, start, None)
-    if isinstance(result, QpSolution):
-        raise QpError(f"the path needs an optimum at tau = 0, where the QP is {result.status}")
-    x, working, at_lower, at_upper, _, iterations = result
-    q, n, m_eq, m_in = problem.Q, problem.n, rows.eq.shape[0], rows.ineq.shape[0]
-    d_in = db_in / rows.in_norm
-    # multipliers of the rows of a_w: the equality rows, then the working rows
-    tau, path, nu, entered = 0.0, [], np.zeros(m_eq + len(working)), -1
-    for events in range(50 * n + 1):
-        free = ~(at_lower | at_upper)
-        a_w = np.vstack([rows.eq, rows.ineq[working]])
-        a_f, d_w = a_w[:, free], np.concatenate([np.zeros(m_eq), d_in[working]])
-        face = _face(a_f)
+    x, working, at_lower, at_upper, factors = _start(problem, rows, x0)
+    t, leg, path, entered, face, dc = -1.0, 0, [], -1, None, None
+    for passes in range(1, max_events + 2):
+        if face is None:
+            free = ~(at_lower | at_upper)
+            a_w = np.vstack([rows.eq, rows.ineq[working]])
+            a_f = a_w[:, free]
+            face, factors = _face(a_f, factors), None
         z, multipliers, restore, dependent = face
-        grad = q @ x + problem.c
+        g_true = q @ x + c
+        if dc is None:
+            # x0 is optimal for c0 = a_w'nu + mu_lower - mu_upper - Q x0,
+            # where nu and mu are the first face's fit of the true gradient,
+            # and dc = c - c0.  Every inequality and bound multiplier is
+            # clipped at a ramp of distinct values near zero (qpOASES's
+            # ramping), not at zero, where every drop would tie at t = -1:
+            # least-index ties alone cycled there.
+            ramp = (1e-6 * (1.0 + np.abs(g_true).max(initial=0.0))
+                    * (1.0 + np.arange(m_in + 2 * n) / (m_in + 2 * n)))
+            nu = multipliers(g_true[free])
+            nu[m_eq:] = np.maximum(nu[m_eq:], ramp[working])
+            resid = g_true - a_w.T @ nu
+            dc = np.where(at_lower, np.minimum(resid - ramp[m_in:m_in + n], 0.0),
+                          np.where(at_upper, np.maximum(resid + ramp[m_in + n:], 0.0), resid))
+        grad = g_true + t * dc if leg == 0 else g_true
+        mu_tol = 1e-9 * (1.0 + np.abs(g_true).max(initial=0.0))
         nu = nu + multipliers(grad[free] - a_f.T @ nu)    # refit the part a_f' sees
         resid = grad - a_w.T @ nu
         lower_idx, upper_idx = np.flatnonzero(at_lower), np.flatnonzero(at_upper)
@@ -802,57 +706,151 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
         if j >= 0:
             # The working set is dependent: what entered last keeps a rising
             # multiplier and the first other one to reach zero leaves.
-            k = np.flatnonzero(keys == entered)
-            signs = (1.0, -1.0) if not k.size else (1.0 if rates[k[0]] >= 0.0 else -1.0,)
+            last = np.flatnonzero(keys == entered)
+            signs = (1.0, -1.0) if not last.size else (1.0 if rates[last[0]] >= 0.0 else -1.0,)
             theta, drop, sign = min((*_multiplier_test(mults, s * rates, keys, tol), s)
                                     for s in signs)
-            if drop < 0:
-                # nothing leaves: the rows cannot be met past tau
-                for t in taus[len(path):]:
-                    problem_t, rows_t = _at_tau(problem, rows, db_in, d_in, t)
+            if drop < 0 and leg:
+                # nothing leaves: the rows cannot be met past t on this leg.
+                # Requested points up to its end, and the next leg, start
+                # from x while x meets their rows.
+                for tau in [*taus[len(path):][taus[len(path):] <= leg], leg]:
+                    problem_t, rows_t = at(tau, leg)
                     if problem_t.max_violation(x) > FEASIBILITY_TOL * (1.0 + problem_t.rhs_scale()):
-                        raise QpError(f"the rows cannot be met past tau = {tau!r}")
-                    path.append(_finish(problem_t, rows_t, _Optimum(
-                        x, working, at_lower, at_upper, _carrying(face, a_f, nu),
-                        iterations + events)))
-                return path
-            nu = nu + theta * sign * y
+                        raise QpError(f"the rows cannot be met past tau = {t!r}")
+                    if len(path) < taus.size and taus[len(path)] == tau:
+                        path.append(_finish(problem_t, rows_t, _Optimum(
+                            x, working, at_lower, at_upper, _carrying(face, a_f, nu), passes)))
+                if len(path) == taus.size:
+                    return path
+                t, leg, entered = float(leg), leg + 1, -1
+                continue
+        if j >= 0 and drop >= 0:
+            nu, kind = nu + theta * sign * y, None
         else:
+            d_in = d_legs[leg - 1] if leg else None
             dx = np.zeros(n)
-            dx[free] = restore(d_w)
+            if leg:
+                dx[free] = restore(np.concatenate([np.zeros(m_eq), d_in[working]]))
+            v_flat = None
             if z.shape[1]:
+                # x moves on the face so that the gradient's rate at fixed x
+                # stays in the span of the working rows
                 q_ff = q[np.ix_(free, free)]
-                v, _ = _face_step(z.T @ q_ff @ z, z.T @ (q_ff @ dx[free]), lam_max, np.inf)
+                v, v_flat = _face_step(z.T @ q_ff @ z,
+                                       z.T @ (dc[free] if leg == 0 else q_ff @ dx[free]), lam_max)
+                if v_flat is not None and leg == 0 and -t * np.abs(v_flat).max() <= mu_tol:
+                    # over the rest of the leg that descent moves the gradient
+                    # by less than the tolerance on it: dc leaves it out, so
+                    # that the multipliers' rates agree with x's
+                    dc[free] += z @ v_flat
+                    v_flat = None
                 dx[free] += z @ v
-            q_dx = q @ dx
-            d_nu = multipliers(q_dx[free])
-            d_resid = q_dx - a_w.T @ d_nu
-            # A multiplier falling slower than the active set's tolerance
-            # on it stays within that tolerance for the rest of the path.
-            beta, drop = _multiplier_test(
-                mults, np.concatenate([d_nu[m_eq:], d_resid[lower_idx], -d_resid[upper_idx]]),
-                keys, 1e-9 * (1.0 + np.abs(grad).max(initial=0.0)))
-            alpha, kind, i = _ratio_test(problem, rows._replace(b_in=rows.b_in + tau * d_in), x,
-                                         dx, working, free, taus[-1] - tau, d_in)
-            step = min(alpha, beta)
-            while len(path) < taus.size and taus[len(path)] - tau <= step:
-                t = taus[len(path)]
-                path.append(_finish(*_at_tau(problem, rows, db_in, d_in, t), _Optimum(
-                    x + (t - tau) * dx, working, at_lower, at_upper,
-                    _carrying(face, a_f, nu + (t - tau) * d_nu), iterations + events)))
-            if len(path) == taus.size:
-                return path
-            x, tau, nu = x + step * dx, tau + step, nu + step * d_nu
-            if kind is not None:
-                key = {"row": i, "lower": m_in + i, "upper": m_in + n + i}[kind]
-                tied = drop >= 0 and _near(max(alpha, beta), step)
-                if (key < keys[drop]) if tied else (alpha < beta):
-                    nu = np.append(nu, 0.0) if kind == "row" else nu
-                    _enter(problem, kind, i, x, working, at_lower, at_upper)
-                    entered = key
+            if v_flat is not None and leg == 0:
+                # the moving gradient descends where the face has no
+                # curvature: x moves at fixed t to the first block, or the
+                # leg ends on a ray
+                p = np.zeros(n)
+                p[free] = z @ v_flat
+                p /= np.abs(p).max()
+                alpha, kind, i = _ratio_test(problem, rows, x, p, working, free, np.inf)
+                if kind is None:
+                    return _unbounded(problem, rows, lam_max, x, p, passes)
+                x = x + alpha * p
+            else:
+                q_dx = q @ dx + dc if leg == 0 else q @ dx
+                d_nu = multipliers(q_dx[free])
+                d_resid = q_dx - a_w.T @ d_nu
+                d_mults = np.concatenate([d_nu[m_eq:], d_resid[lower_idx], -d_resid[upper_idx]])
+                if j >= 0 and last.size and abs(rates[last[0]]) > tol:
+                    # a gradient leg's dependent add is rounding: it keeps
+                    # its multiplier, the rates moving along the dependency
+                    shift = d_mults[last[0]] / rates[last[0]]
+                    d_nu, d_mults = d_nu - shift * y, d_mults - shift * rates
+                # A multiplier falling slower than the tolerance on it stays
+                # within that tolerance for the rest of the leg.
+                beta, drop = _multiplier_test(mults, d_mults, keys, mu_tol)
+                alpha, kind, i = _ratio_test(problem, at(t, leg)[1], x, dx, working, free,
+                                             leg - t, d_in)
+                # an event within rounding of the leg's end waits for the
+                # next leg, whose direction can differ
+                ends = _near(leg - t, min(alpha, beta))
+                step = leg - t if ends else min(alpha, beta)
+                while len(path) < taus.size and taus[len(path)] - t <= step:
+                    tau = taus[len(path)]
+                    path.append(_finish(*at(tau, leg), _Optimum(
+                        x + (tau - t) * dx, working, at_lower, at_upper,
+                        _carrying(face, a_f, nu + (tau - t) * d_nu), passes)))
+                if len(path) == taus.size:
+                    return path
+                x, t, nu = x + step * dx, t + step, nu + step * d_nu
+                if ends:
+                    t, leg = float(leg), leg + 1        # the next leg, on the same face
                     continue
-        entered = -1
-        if drop < len(working):
+                tied = drop >= 0 and _near(max(alpha, beta), step)
+                if kind is not None and not ((key_of(kind, i) < keys[drop]) if tied
+                                             else (alpha < beta)):
+                    kind = None
+            if kind is not None:
+                # what blocks enters; a bound puts x[i] on its value
+                if kind == "row":
+                    working.append(i)
+                    nu = np.append(nu, 0.0)
+                elif kind == "lower":
+                    at_lower[i], x[i] = True, problem.lb[i]
+                else:
+                    at_upper[i], x[i] = True, problem.ub[i]
+                entered, face = key_of(kind, i), None
+                continue
+        entered, face, key = -1, None, int(keys[drop])
+        if key < m_in:
+            working.pop(drop)
             nu = np.delete(nu, m_eq + drop)
-        _release(drop, working, lower_idx, upper_idx, at_lower, at_upper)
-    raise QpIterationLimitError(f"path breakpoint cap {50 * n} exceeded")
+        elif key < m_in + n:
+            at_lower[key - m_in] = False
+        else:
+            at_upper[key - m_in - n] = False
+    raise QpIterationLimitError(f"event cap {max_events} exceeded")
+
+
+def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]:
+    """Optima of the problem with b_in moved along legs, one per tau.
+
+    db_in is one leg, a vector of length m_in, or k consecutive legs, an
+    array of shape (k, m_in): at tau in [j - 1, j], b_in has moved by
+    db_in[0] + ... + db_in[j - 2] + (tau - j + 1) db_in[j - 1].  start is
+    checked as solve_qp checks it, and the same gradient leg gives the
+    tau = 0 optimum, so that point's x is solve_qp(problem, start=start).x
+    bit for bit.  From there the legs are followed, as the module docstring
+    describes, to each tau of taus, a nondecreasing sequence in [0, k].
+    Where the rows cannot be met past some tau, a requested tau up to that
+    leg's end whose rows the point still meets within the feasibility
+    tolerance gets the point (the frontier's last target, max(e) up to
+    rounding, ends at such a vertex), and the next leg starts from it; any
+    other raises QpError.  Nothing is retried.
+
+    Every returned point passes the restore step and KKT check at its own
+    tau, and its iterations count the events from start to it.  Where Q
+    leaves a face of optima, the path returns the points it reaches.
+
+    Raises QpInputError for a malformed db_in or taus (and as solve_qp
+    does), QpError if the QP at tau = 0 is infeasible or unbounded or the
+    rows cannot be met at a requested tau, and QpIterationLimitError past
+    50*n events per leg, the gradient leg included.
+    """
+    m_in = problem.b_in.shape[0]
+    db_in = np.asarray(db_in, dtype=float)
+    legs = db_in.reshape(1, -1) if db_in.ndim == 1 else db_in
+    k = legs.shape[0] if legs.ndim == 2 else 0
+    if not (k and legs.shape[1] == m_in and np.all(np.isfinite(legs))):
+        raise QpInputError(
+            f"db_in must be a finite vector of length {m_in} or a (k, {m_in}) array, k >= 1")
+    taus = np.asarray(taus, dtype=float).ravel()
+    if not (taus.size and np.all((taus >= 0.0) & (taus <= k)) and np.all(np.diff(taus) >= 0.0)):
+        raise QpInputError(f"taus must be a nonempty nondecreasing sequence in [0, {k}]")
+    rows, lam_max, x0 = _feasible_start(problem, start)
+    result = x0 if isinstance(x0, QpSolution) else _follow(
+        problem, rows, lam_max, x0, legs, taus, 50 * problem.n * (k + 1))
+    if isinstance(result, QpSolution):
+        raise QpError(f"the path needs an optimum at tau = 0, where the QP is {result.status}")
+    return result

@@ -413,7 +413,7 @@ def test_every_branch_starts_from_a_feasible_point(seed):
     calls = []
 
     def recording_solve_qp(problem, *, start=None):
-        calls.append(("solve_qp", problem, start, np.zeros(problem.b_in.shape)))
+        calls.append(("solve_qp", problem, start, np.zeros((0, problem.b_in.shape[0]))))
         return solve_qp(problem, start=start)
 
     def recording_solve_qp_path(problem, db_in, taus, *, start):
@@ -423,9 +423,10 @@ def test_every_branch_starts_from_a_feasible_point(seed):
     with mock.patch.object(lifecycle, "solve_qp", recording_solve_qp), \
             mock.patch.object(lifecycle, "solve_qp_path", recording_solve_qp_path):
         plan = solve_lifecycle(config, asset)
-    # one QP for the first branch, then one path step to each other branch
-    assert [name for name, *_ in calls] == \
-        ["solve_qp"] + ["solve_qp_path"] * (len(plan.branch_objectives) - 1)
+    # one QP for the no-house branch, then one path with a leg per house year
+    legs = len(plan.branch_objectives) - 1
+    assert [name for name, *_ in calls] == ["solve_qp", "solve_qp_path"]
+    assert calls[1][3].shape == (legs, calls[1][1].b_in.shape[0])
     m = config.years_M
     for _, problem, start, _ in calls:
         # the house column is a constant of the branch, not a pinned variable
@@ -434,10 +435,17 @@ def test_every_branch_starts_from_a_feasible_point(seed):
         assert np.all(problem.lb <= start) and np.all(start <= problem.ub)
         feas_tol = qp.FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
         assert problem.max_violation(start) <= feas_tol
-    # each path step starts from the branch where the call before it ended
-    for (_, before, _, db_in), (_, after, _, _) in zip(calls, calls[1:]):
-        np.testing.assert_allclose(after.b_in, before.b_in + db_in, rtol=0,
-                                   atol=1e-12 * (1.0 + before.rhs_scale()))
+    # the path starts where the QP ended, and its legs run through the
+    # branches' right-hand sides from the last house year to the first
+    (_, first, _, _), (_, problem, start, db_in) = calls
+    np.testing.assert_array_equal(problem.b_in, first.b_in)
+    a, b = assemble_constraints(config, asset, max(1, min(math.ceil(1.0 / config.hazard.h), m + 1)))
+    years = range(legs, 0, -1)
+    np.testing.assert_allclose(problem.b_in + np.cumsum(db_in, axis=0),
+                               [b[:m] - a[:m, 3 * m + year - 1] for year in years], rtol=0,
+                               atol=1e-12 * (1.0 + problem.rhs_scale()))
+    assert [label for label, _ in plan.branch_objectives[1:]] == \
+        [f"house-year-{year}" for year in range(1, legs + 1)]
 
 
 @settings(max_examples=25, deadline=None)

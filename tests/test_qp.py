@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from unittest import mock
@@ -203,17 +204,20 @@ def test_maximize_wrapper_examples():
 @pytest.mark.parametrize("b_in", [3e4, 3e5])
 def test_tikhonov_term_does_not_fail_kkt_at_large_scale(b_in):
     # min x0^2 s.t. x0 + x1 >= b_in, x1 >= 0: Q is singular and the optimum
-    # x = (0, b_in) is large, so any error in proportion to |x| would show
+    # x = (0, b_in) is large, so any error in proportion to |x| would show.
+    # x1 costs nothing: rounding at |x| ~ b_in must not make that direction
+    # a descent, which would end the solve on a ray that fails its check
     p = QpProblem(Q=np.diag([2.0, 0.0]), c=np.zeros(2),
                   a_in=np.array([[1.0, 1.0]]), b_in=np.array([b_in]),
                   lb=np.array([-np.inf, 0.0]))
-    sol = solve_qp(p)
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.x, [0.0, b_in], rtol=0, atol=1e-9)
-    assert sol.objective == pytest.approx(0.0, abs=1e-12)
-    report = kkt_report(p, sol)
-    assert report["stationarity"] <= 1e-6
-    assert report["dual_feasibility"] >= -1e-9
+    for start in (None, np.array([0.5, 0.5]) * b_in, np.array([1.0, 1.0]) * b_in):
+        sol = solve_qp(p, start=start)
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.x, [0.0, b_in], rtol=0, atol=1e-9)
+        assert sol.objective == pytest.approx(0.0, abs=1e-12)
+        report = kkt_report(p, sol)
+        assert report["stationarity"] <= 1e-6
+        assert report["dual_feasibility"] >= -1e-9
 
 
 def test_large_multiplier_does_not_fail_complementarity():
@@ -512,14 +516,14 @@ def qps_at_a_degenerate_vertex(draw):
     """(pd, problem, v): a boxed QP, with Q PD or of rank 1-3, whose integer
     rows outnumber the variables and are all tight at the integer point v;
     some bounds are tight there too."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 9))
     pd = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = rng.standard_normal((n + 1 if pd else draw(st.integers(1, min(3, n))), n))
     Q = g.T @ g + (0.05 * np.eye(n) if pd else 0.0)
     c = rng.standard_normal(n) * 10.0 ** draw(st.integers(0, 2))
     v = rng.integers(-3, 4, n).astype(float)
-    a_in = rng.integers(-3, 4, (n + draw(st.integers(1, 4)), n)).astype(float)
+    a_in = rng.integers(-3, 4, (n + draw(st.integers(1, 5)), n)).astype(float)
     a_in[~a_in.any(axis=1), 0] = 1.0
     lb = np.where(rng.random(n) < 0.3, v, v - rng.uniform(0.5, 2.0, n))
     ub = np.where(rng.random(n) < 0.3, v, v + rng.uniform(0.5, 2.0, n))
@@ -552,6 +556,81 @@ def test_feasible_start_skips_phase_1_and_reaches_the_cold_result(case):
     assert report["stationarity"] <= 1e-8 * (1.0 + np.abs(problem.c).max())
     assert report["complementarity"] <= 1e-6
     assert report["dual_feasibility"] >= -1e-9
+
+
+def _degenerate_vertex_qp(seed):
+    """A QP of Q rank 1-3 whose n + 1 to n + 5 integer rows are all tight at
+    the integer point v, some bounds tight there too, and v."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(2, 10)
+    r = rng.integers(1, 4)
+    g = rng.standard_normal((min(r, n), n))
+    c = rng.standard_normal(n) * 10.0 ** rng.integers(0, 3)
+    v = rng.integers(-3, 4, n).astype(float)
+    a_in = rng.integers(-3, 4, (n + rng.integers(1, 6), n)).astype(float)
+    a_in[~a_in.any(axis=1), 0] = 1.0
+    lb = np.where(rng.random(n) < 0.3, v, v - rng.uniform(0.5, 2.0, n))
+    ub = np.where(rng.random(n) < 0.3, v, v + rng.uniform(0.5, 2.0, n))
+    return QpProblem(Q=g.T @ g, c=c, a_in=a_in, b_in=a_in @ v, lb=lb, ub=ub), v
+
+
+# Seeds where a gradient leg from c0 = -Q x0, every multiplier zero, ran to
+# the event cap (977 in a period-8 cycle at one t), and three where it did
+# so from c0 with the fitted multipliers clipped at zero.
+@pytest.mark.parametrize("seed", [977, 1211, 1228, 1304, 1685, 2618, 2698, 3263, 6667, 10807])
+def test_gradient_leg_leaves_a_degenerate_vertex_of_zero_curvature(seed):
+    problem, v = _degenerate_vertex_qp(seed)
+    cold = solve_qp(problem)
+    warm = solve_qp(problem, start=v)
+    assert cold.status == warm.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+    for sol in (cold, warm):
+        assert sol.max_violation <= FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
+        report = kkt_report(problem, sol)
+        assert report["stationarity"] <= 1e-8 * (1.0 + np.abs(problem.c).max())
+        assert report["complementarity"] <= 1e-6
+        assert report["dual_feasibility"] >= -1e-9
+
+
+@pytest.mark.parametrize("seed", [1, 8, 9, 10])
+def test_gradient_leg_keeps_a_bound_added_by_rounding(seed):
+    # minimum variance at the largest mean, two means tied and a third
+    # up to 1e-4 below, of a singular covariance, from the best vertex: on
+    # the support the budget and target rows can span a bound exactly, so
+    # its rate is rounding, and a bound added by it makes the working rows
+    # dependent.  It must keep its zero multiplier, not end the leg or be
+    # dropped and added again until the event cap
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    r = rng.standard_normal((int(rng.integers(2, n + 1)), n)) * 0.05
+    mu = rng.uniform(-0.5, 0.2, n)
+    best = int(np.argmax(mu))
+    mu[(best + 1) % n] = mu[best]
+    if rng.random() < 0.7:
+        mu[(best + 2) % n] = mu[best] - 10.0 ** rng.uniform(-8, -4)
+    problem = QpProblem(Q=2.0 * r.T @ r, c=np.zeros(n), a_eq=np.ones((1, n)), b_eq=[1.0],
+                        a_in=mu[None, :], b_in=[mu[best]], lb=np.zeros(n))
+    warm, cold = solve_qp(problem, start=np.eye(n)[best]), solve_qp(problem)
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+    report = kkt_report(problem, warm)
+    assert report["stationarity"] <= 1e-8 and report["complementarity"] <= 1e-8
+    assert report["dual_feasibility"] >= -1e-9
+
+
+def test_tiny_feasible_interval_keeps_its_rows():
+    # min 0.179 x^2 - 0.413 x on 2.98e-8 <= x <= 3.874e-8 (and 3x <= 1.554e-7):
+    # the optimum is the upper end, which a solve that keeps a row violation
+    # within the feasibility tolerance once overshot by a third
+    problem = QpProblem(Q=np.array([[0.358]]), c=np.array([-0.413]),
+                        a_in=np.array([[-3.0], [-1.0], [1.0]]),
+                        b_in=np.array([-1.554e-7, -3.874e-8, 2.98e-8]))
+    for start in (None, np.array([3.0e-8])):
+        sol = solve_qp(problem, start=start)
+        assert sol.status == "optimal"
+        assert sol.x[0] == pytest.approx(3.874e-8, rel=1e-12)
+        assert sol.objective == pytest.approx(-1.59996e-8, rel=1e-5)
+        assert sol.max_violation == 0.0
 
 
 def _at(problem, db_in, tau):
@@ -884,14 +963,17 @@ def test_face_finds_a_row_that_follows_a_dependent_one():
     _check_face_contract(a_w, [1, 3], np.random.default_rng(0))
 
 
-def _active_set_dependencies(run):
-    """Run run() and return, per face that _active_set factors, the number
-    of working rows that face finds dependent."""
+def _gradient_leg_dependencies(run):
+    """Run run() and return, per face that a solve_qp call factors, the
+    number of working rows that face finds dependent."""
     counts, face = [], qp._face
 
-    def counting(a_w):
-        result = face(a_w)
-        if sys._getframe(1).f_code.co_name == "_active_set":
+    def counting(a_w, factors=None):
+        result = face(a_w, factors)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in ("solve_qp", "solve_qp_path"):
+            frame = frame.f_back
+        if frame.f_code.co_name == "solve_qp":
             counts.append(len(result[3]))
         return result
 
@@ -900,7 +982,7 @@ def _active_set_dependencies(run):
     return counts
 
 
-def test_active_set_faces_have_full_row_rank_on_the_sample_run():
+def test_gradient_leg_faces_have_full_row_rank_on_the_sample_run():
     # the start keeps only independent rows and bounds, and what blocks a
     # step is independent of the working set, so no face is deficient
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
@@ -909,8 +991,11 @@ def test_active_set_faces_have_full_row_rank_on_the_sample_run():
         fund = max_sharpe_long_only(stats, 0.025)
         trace_frontier(stats, 30)
         solve_lifecycle(LifecycleConfig(), RiskyAssetSummary(fund.mean, fund.variance))
+        # the six funds of acceptance criterion 9
+        for r_stock, var_stock in itertools.product((0.05, 0.09, 0.15), (0.01, 0.04)):
+            solve_lifecycle(LifecycleConfig(), RiskyAssetSummary(r_stock, var_stock))
 
-    counts = _active_set_dependencies(run)
+    counts = _gradient_leg_dependencies(run)
     assert len(counts) > 50
     assert max(counts) == 0
 
@@ -924,7 +1009,7 @@ def test_start_at_a_vertex_with_more_active_rows_than_free_variables():
                         a_eq=np.ones((1, 3)), b_eq=[3.0], a_in=a_in, b_in=a_in @ v,
                         lb=np.zeros(3), ub=np.array([np.inf, np.inf, 1.0]))
     warm = []
-    counts = _active_set_dependencies(lambda: warm.append(solve_qp(problem, start=v)))
+    counts = _gradient_leg_dependencies(lambda: warm.append(solve_qp(problem, start=v)))
     cold = solve_qp(problem)
     assert warm[0].status == cold.status == "optimal"
     assert max(counts) == 0

@@ -1,9 +1,12 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start and the demos run as written."""
 
 from __future__ import annotations
 
+import glob
 import os
 import re
+import runpy
+import shutil
 
 import pytest
 
@@ -17,3 +20,14 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
     printed = capsys.readouterr().out.splitlines()
     assert float(printed[1]) == pytest.approx(2 / 3, rel=1e-12)  # h / (h + r)
+
+
+DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "demos", "*.py")))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)
+def test_demo_runs(demo, tmp_path, capsys):
+    # a copy runs, so that a demo writing next to itself writes to tmp_path
+    copy = shutil.copy(demo, tmp_path)
+    runpy.run_path(copy, run_name="__main__")
+    assert capsys.readouterr().out
