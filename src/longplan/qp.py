@@ -10,12 +10,12 @@ Problems have the form
 with Q symmetric positive semidefinite, small and dense (n up to a few
 hundred), as the portfolio and lifetime-planning layers produce them:
 
-* feasibility is decided by a phase-1 linear program that minimizes the
-  Chebyshev (max) constraint violation, so an infeasible verdict comes with
-  the smallest achievable violation as a certificate.  A ``start`` that
-  keeps every bound and meets every row within the feasibility tolerance
-  settles feasibility without it; any other ``start`` is ignored, so
-  verdicts and certificates never depend on ``start``;
+* feasibility is decided by a phase-1 LP, solved by this same method, that
+  minimizes the Chebyshev (max) constraint violation, so an infeasible
+  verdict comes with the smallest achievable violation as a certificate.
+  A ``start`` that keeps every bound and meets every row within the
+  feasibility tolerance settles feasibility without it; any other
+  ``start`` is ignored, so verdicts and certificates never depend on it;
 * rows are normalized internally, so solutions are invariant under
   positive rescaling of any row.  A bound enters the working set by fixing
   its variable, so the null-space solves see only the equality and working
@@ -289,26 +289,25 @@ def _phase1(problem: QpProblem):
     Returns (x0, t_star).  Bounds are kept hard; equality and inequality
     rows are softened by t, so the LP is always solvable and t_star is the
     smallest achievable worst-case violation -- the infeasibility certificate.
+    It is one solve_qp over (x, t) with Q = 0, from the feasible start
+    x = clip(0, lb, ub) with t its largest violation.
     """
     n = problem.n
-    # -a_in x - t <= -b_in and |a_eq x - b_eq| <= t
-    a_ub = np.vstack([-problem.a_in, problem.a_eq, -problem.a_eq])
-    if a_ub.shape[0] == 0:
-        return np.clip(np.zeros(n), problem.lb, problem.ub), 0.0
-    # Imported here: scipy.optimize is slow to import, and a caller that
-    # passes feasible starts never needs it.
-    from scipy.optimize import linprog
-
-    a_ub = np.hstack([a_ub, -np.ones((a_ub.shape[0], 1))])
-    b_ub = np.concatenate([-problem.b_in, problem.b_eq, -problem.b_eq])
-    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-              for lo, hi in zip(problem.lb, problem.ub)]
-    res = linprog(np.r_[np.zeros(n), 1.0], A_ub=a_ub, b_ub=b_ub,
-                  bounds=bounds + [(0.0, None)], method="highs")
-    if not res.success:
-        raise QpError(f"phase-1 feasibility LP failed: {res.message}")
-    x0 = np.clip(res.x[:n], problem.lb, problem.ub)
-    return x0, float(res.x[n])
+    a = np.vstack([problem.a_in, problem.a_eq, -problem.a_eq])
+    b = np.concatenate([problem.b_in, problem.b_eq, -problem.b_eq])
+    x0 = np.clip(np.zeros(n), problem.lb, problem.ub)
+    if not b.size:
+        return x0, 0.0
+    lp = QpProblem(Q=np.zeros((n + 1, n + 1)), c=np.r_[np.zeros(n), 1.0],
+                   a_in=np.c_[a, np.ones(b.size)], b_in=b,
+                   lb=np.r_[problem.lb, 0.0], ub=np.r_[problem.ub, np.inf])
+    try:
+        sol = solve_qp(lp, start=np.r_[x0, max(0.0, float((b - a @ x0).max()))])
+        if sol.status != STATUS_OPTIMAL:    # a ray within the ray check's tolerance
+            raise QpError(f"the LP is {sol.status}")
+    except QpError as exc:
+        raise QpError(f"phase-1 feasibility LP failed: {exc}") from exc
+    return sol.x[:n], float(sol.x[n])
 
 
 def _independent_rows(a: np.ndarray):
@@ -588,11 +587,11 @@ def solve_qp(problem: QpProblem, *, start=None,
     bound and violates no row by more than the feasibility tolerance
     1e-7 * (1 + |b|_inf), the gradient leg begins there and no LP is
     solved; a start near the optimum (the plan of a neighbouring problem)
-    also shortens the leg.  Any other start is ignored and the Chebyshev
-    phase-1 LP runs exactly as without it, so start never changes the
-    verdict.  Where the optimum is unique, start changes the returned point
-    only within the solver's tolerances; where Q leaves a face of optima,
-    it can select a different point of that face, with the same objective.
+    also shortens the leg.  Any other start is ignored and phase 1, the
+    Chebyshev LP on this solver, runs as without it: start never changes
+    the verdict.  Where the optimum is unique, start changes the returned
+    point only within the tolerances; where Q leaves a face of optima, it
+    can select a different point of that face, with the same objective.
 
     Returns a solution with status "optimal", "infeasible" or "unbounded".
     Raises QpInputError for malformed data or start, or for a Q that is

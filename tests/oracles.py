@@ -3,7 +3,7 @@
 Everything here is deliberately written by a different method than the
 library code it checks: exhaustive enumeration instead of active sets,
 grid search instead of homogenization, variable substitution instead of
-bound pinning.
+bound pinning, HiGHS's simplex instead of the library's own LP.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
 from longplan.lifecycle import (
     LifecycleConfig,
@@ -52,6 +53,25 @@ def boxed_qp_oracle(Q, c, lb, ub, tol=1e-9):
         if obj < best_obj - 1e-15:
             best_obj, best_x = obj, x.copy()
     return best_x, best_obj
+
+
+def chebyshev_violation_highs(problem: QpProblem) -> float:
+    """Least worst-case row violation over the bounds, by HiGHS.
+
+    Solves min t subject to -a_in x - t <= -b_in, |a_eq x - b_eq| <= t,
+    lb <= x <= ub and t >= 0 with scipy.optimize.linprog, on the rows as
+    given (HiGHS scales them its own way).
+    """
+    n = problem.n
+    a_ub = np.vstack([-problem.a_in, problem.a_eq, -problem.a_eq])
+    a_ub = np.hstack([a_ub, -np.ones((a_ub.shape[0], 1))])
+    b_ub = np.concatenate([-problem.b_in, problem.b_eq, -problem.b_eq])
+    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+              for lo, hi in zip(problem.lb, problem.ub)]
+    res = linprog(np.r_[np.zeros(n), 1.0], A_ub=a_ub, b_ub=b_ub,
+                  bounds=bounds + [(0.0, None)], method="highs")
+    assert res.success, res.message
+    return float(res.x[n])
 
 
 def simplex_grid_best_sharpe(mu, sigma, r_f, step=0.01):

@@ -6,12 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longplan.market import AssetStats, estimate_stats, load_returns
-from longplan import long_only
+from longplan import long_only, qp
 from longplan.report import SAMPLE_RETURNS
 from longplan.closed_form import frontier_constants, tangency_portfolio
 from longplan.long_only import (
@@ -178,14 +177,14 @@ def test_sample_fund_and_frontier_solve_no_lp():
     # weights, e_k / excess_k, the homogenized optimum, the GMV; and the
     # frontier is one GMV solve plus one path, not a QP per target
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
-    with mock.patch("scipy.optimize.linprog", wraps=scipy.optimize.linprog) as linprog:
+    with mock.patch("longplan.qp._phase1", wraps=qp._phase1) as phase1:
         max_sharpe_long_only(stats, 0.025)
         with mock.patch("longplan.long_only.solve_qp", wraps=long_only.solve_qp) as solve_qp, \
                 mock.patch("longplan.long_only.solve_qp_path",
                            wraps=long_only.solve_qp_path) as solve_qp_path:
             frontier = trace_frontier(stats, 30)
     assert len(frontier.points) == 30
-    assert linprog.call_count == 0
+    assert phase1.call_count == 0
     assert solve_qp.call_count == 1
     assert solve_qp_path.call_count == 1
 

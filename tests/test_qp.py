@@ -9,7 +9,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,12 +22,13 @@ from longplan.qp import (
     FEASIBILITY_TOL,
     QpError,
     QpInputError,
+    QpIterationLimitError,
     QpProblem,
     kkt_report,
     solve_qp,
     solve_qp_path,
 )
-from oracles import boxed_qp_oracle
+from oracles import boxed_qp_oracle, chebyshev_violation_highs
 
 
 def test_active_bound():
@@ -97,7 +97,6 @@ def test_infeasible_certificate():
 
 
 def test_iteration_limit_reported_distinctly():
-    from longplan.qp import QpIterationLimitError
     rng = np.random.default_rng(3)
     g = rng.standard_normal((8, 5))
     p = QpProblem(Q=g.T @ g + 0.1 * np.eye(5), c=rng.standard_normal(5),
@@ -540,11 +539,11 @@ def test_feasible_start_skips_phase_1_and_reaches_the_cold_result(case):
     a0, feas_tol = problem.a_in[0], FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
     outside = start - (a0 @ start - problem.b_in[0] + 1e4 * feas_tol) * a0 / (a0 @ a0)
     cold = solve_qp(problem)
-    with mock.patch("scipy.optimize.linprog", wraps=scipy.optimize.linprog) as linprog:
+    with mock.patch("longplan.qp._phase1", wraps=qp._phase1) as phase1:
         warm = solve_qp(problem, start=start)
-        assert linprog.call_count == 0
+        assert phase1.call_count == 0
         ignored = solve_qp(problem, start=outside)
-        assert linprog.call_count == 1
+        assert phase1.call_count == 1
     # an infeasible start runs exactly the path of no start
     np.testing.assert_array_equal(ignored.x, cold.x)
     assert warm.status == cold.status == "optimal"
@@ -556,6 +555,56 @@ def test_feasible_start_skips_phase_1_and_reaches_the_cold_result(case):
     assert report["stationarity"] <= 1e-8 * (1.0 + np.abs(problem.c).max())
     assert report["complementarity"] <= 1e-6
     assert report["dual_feasibility"] >= -1e-9
+
+
+@st.composite
+def feasibility_problems(draw):
+    """Problems for phase 1 alone, feasible or not: n <= 8, 1 to 10 rows,
+    Gaussian or small-integer, some of them equalities, maybe a row copied
+    with a scale in [1e-2, 1e2], and bounds that are finite, infinite or
+    equal."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a, b = rng.integers(-3, 4, (m, n)).astype(float), rng.integers(-4, 5, m).astype(float)
+    else:
+        a, b = rng.standard_normal((m, n)), 2.0 * rng.standard_normal(m)
+    if m > 1 and draw(st.booleans()):
+        k = draw(st.floats(1e-2, 1e2))
+        a[-1], b[-1] = k * a[0], k * b[0]
+    m_eq = draw(st.integers(0, min(m, 3)))
+    lb = np.where(rng.random(n) < 0.3, -np.inf, rng.uniform(-2.0, 1.0, n))
+    ub = np.where(rng.random(n) < 0.3, np.inf, np.maximum(lb, -1.0) + rng.uniform(0.0, 2.0, n))
+    ub = np.where(rng.random(n) < 0.15, np.where(np.isfinite(lb), lb, ub), ub)
+    return QpProblem(Q=np.eye(n), c=np.zeros(n), a_eq=a[:m_eq], b_eq=b[:m_eq],
+                     a_in=a[m_eq:], b_in=b[m_eq:], lb=lb, ub=ub)
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasibility_problems())
+def test_phase_1_certificate_matches_highs(problem):
+    # the least worst-case violation is one number, however an LP finds it
+    x0, t_star = qp._phase1(problem)
+    reference = chebyshev_violation_highs(problem)
+    assert abs(t_star - reference) <= 1e-9 * (1.0 + reference)
+    assert np.all((problem.lb <= x0) & (x0 <= problem.ub))
+    assert abs(problem.max_violation(x0) - t_star) <= 1e-9 * (1.0 + t_star)
+
+
+def test_phase_1_names_itself_when_its_lp_fails():
+    problem = QpProblem(Q=np.eye(1), c=np.zeros(1), a_in=np.array([[1.0], [-1.0]]),
+                        b_in=np.array([2.0, -1.0]))
+    cap = QpIterationLimitError("event cap 100 exceeded")
+    with mock.patch("longplan.qp.solve_qp", side_effect=cap), \
+            pytest.raises(QpError, match="^phase-1 feasibility LP failed: event cap") as raised:
+        qp._phase1(problem)
+    assert raised.value.__cause__ is cap
+    # the LP is bounded below by t >= 0; a ray the ray check passes within
+    # its tolerance must not become a certificate
+    ray = qp.QpSolution(x=np.zeros(2), objective=-np.inf, status="unbounded", max_violation=0.0)
+    with mock.patch("longplan.qp.solve_qp", return_value=ray), \
+            pytest.raises(QpError, match="^phase-1 feasibility LP failed: the LP is unbounded"):
+        qp._phase1(problem)
 
 
 def _degenerate_vertex_qp(seed):
@@ -763,13 +812,13 @@ def test_path_start_is_checked_as_solve_qp_checks_it():
                         lb=np.zeros(4))
     db_in, taus = np.array([0.5, 0.2]), np.array([0.0, 0.5, 1.0])
     outside = np.array([2.0, -1.0, 0.0, 0.0])      # breaks a bound
-    with mock.patch("scipy.optimize.linprog", wraps=scipy.optimize.linprog) as linprog:
+    with mock.patch("longplan.qp._phase1", wraps=qp._phase1) as phase1:
         path = solve_qp_path(problem, db_in, taus, start=outside)
-        assert linprog.call_count == 1
+        assert phase1.call_count == 1
         cold = solve_qp(problem, start=outside)
-        assert linprog.call_count == 2
+        assert phase1.call_count == 2
         solve_qp_path(problem, db_in, taus, start=np.full(4, 0.25))
-        assert linprog.call_count == 2
+        assert phase1.call_count == 2
     # the tau = 0 point is solve_qp's, bit for bit
     np.testing.assert_array_equal(path[0].x, cold.x)
     assert path[0].iterations == cold.iterations

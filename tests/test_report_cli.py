@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import math
 import os
@@ -362,19 +363,47 @@ def test_cli_degenerate_lifecycle_errors_cleanly(tmp_path, capsys):
 
 
 def test_cli_all_and_import_load_no_scipy(tmp_path):
-    # the solver factors with numpy alone, and only the phase-1 LP, which
-    # `longplan all` never runs, imports scipy
+    # the package is numpy alone: neither `longplan all` nor a cold solve,
+    # whose phase-1 LP runs on the same solver, loads a scipy module
     code = ("import sys\n"
+            "import numpy as np\n"
             "def scipy_loaded():\n"
             "    return any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
             "import longplan\n"
-            "on_import = scipy_loaded()\n"
+            "print(scipy_loaded())\n"
             "from longplan.cli import main\n"
-            f"status = main(['all', '--emit-svg', '--out', {str(tmp_path)!r}])\n"
-            "print(status, on_import, scipy_loaded())\n")
+            f"print(main(['all', '--emit-svg', '--out', {str(tmp_path)!r}]), scipy_loaded())\n"
+            "from longplan.qp import QpProblem, solve_qp, solve_qp_path\n"
+            "sol = solve_qp(QpProblem(Q=np.eye(1), c=np.zeros(1), a_in=[[1.0], [-1.0]],\n"
+            "                         b_in=[2.0, -1.0]))\n"
+            "print(sol.status, sol.max_violation, scipy_loaded())\n"
+            "path = solve_qp_path(QpProblem(Q=np.eye(2), c=np.zeros(2), a_in=[[1.0, 1.0]],\n"
+            "                               b_in=[1.0], lb=np.zeros(2)), [1.0], [0.0, 1.0],\n"
+            "                     start=None)\n"
+            "print(len(path), round(float(path[-1].x.sum()), 9), scipy_loaded())\n")
     src = str(Path(longplan.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False False"
+    lines = done.stdout.splitlines()       # `longplan all` prints between them
+    on_import, (cli, cold, path) = lines[0], lines[-3:]
+    assert on_import == "False"
+    assert cli == "0 False"
+    status, certificate, loaded = cold.split()
+    assert (status, loaded) == ("infeasible", "False")
+    assert float(certificate) == pytest.approx(0.5, abs=1e-6)
+    assert path == "2 2.0 False"
+
+
+def test_package_imports_no_scipy_and_depends_on_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    for module in sorted((root / "src" / "longplan").glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(), filename=str(module))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(name == "scipy" or name.startswith("scipy.") for name in names), \
+                f"{module.name}:{node.lineno} imports scipy"
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
