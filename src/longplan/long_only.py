@@ -236,9 +236,17 @@ def _frontier_point(stats: AssetStats, mu_target: float, x: np.ndarray) -> Front
 
 
 def long_only_gmv(stats: AssetStats) -> FrontierPoint:
-    """Global minimum-variance point of the simplex-constrained frontier."""
+    """Global minimum-variance point of the simplex-constrained frontier.
+
+    The QP starts from the positive part of Sigma^+ 1 (least squares, so a
+    singular Sigma is fine), renormalized, or uniform weights if that is
+    zero: a long-only GMV holds few assets, so few leave on the way.
+    """
     n = stats.mu.shape[0]
-    w = _clamp_and_renormalize(_simplex_min_variance(stats, np.full(n, 1.0 / n)))
+    start = np.maximum(np.linalg.lstsq(stats.sigma, np.ones(n), rcond=None)[0], 0.0)
+    total = float(start.sum())
+    start = start / total if total > 0.0 else np.full(n, 1.0 / n)
+    w = _clamp_and_renormalize(_simplex_min_variance(stats, start))
     return FrontierPoint(mu_target=float(stats.mu @ w),
                          variance=float(w @ stats.sigma @ w), weights=w)
 

@@ -31,7 +31,8 @@ the long-only frontier, Markowitz's critical line):
 * the start keeps the equality rows, then the bounds and then the rows
   active at the feasible x0, each only if it is independent of those kept
   before it; one unpivoted QR both names the dependent ones and factors
-  the first face;
+  the first face, and the bounds take a search of their own only when
+  that QR names an equality row dependent;
 * on the gradient leg, t from -1 to 0, the gradient moves to c from c0 =
   a_w'y0 + mu_lb - mu_ub - Q x0, for which x0 is optimal: y0 and mu are
   the first face's fit of Qx0 + c, every inequality and bound multiplier
@@ -49,7 +50,10 @@ the long-only frontier, Markowitz's critical line):
   c'd < 0, every row and finite bound kept) before "unbounded" is
   returned; a smaller descent is dropped from the gradient's motion.  A
   Cholesky factor gives the step when it proves every eigenvalue above
-  max(1e-14, 1e-10 * lambda_max(Q));
+  max(1e-14, 1e-10 * lambda_max(Q)).  Z'QZ is factored once, when its face
+  opens, and every pass on the face, a leg's end included, solves with
+  that factor; a zero Z'QZ, as on every face of an LP, is flat throughout
+  and takes no factor;
 * an event is the first row or bound that blocks x, which enters, or the
   first working multiplier that reaches zero, whose row or bound leaves.
   A rate within rounding of zero, 1e-12 of the step's size, never blocks,
@@ -65,7 +69,9 @@ the long-only frontier, Markowitz's critical line):
 * one tie rule: ties go to the least index in the order general rows,
   lower bounds, upper bounds, which at a zero-length step is Bland's rule;
 * every returned point passes a restore step, a least-norm step from the
-  face's QR back onto the working rows, and a KKT check.
+  face's QR back onto the working rows, and a KKT check; its objective,
+  violation and KKT residuals are all read off one Qx + c and one set of
+  row slacks.
 
 When the optimal face has a direction of zero curvature, the optimum is
 not unique and the solver returns the point its path reaches; ``start``
@@ -79,7 +85,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -127,6 +133,9 @@ class QpProblem:
     b_in: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
+    # which bounds are finite, found once per problem
+    _finite_lb: np.ndarray = field(init=False, repr=False, compare=False)
+    _finite_ub: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = np.asarray(self.Q, dtype=float)
@@ -164,7 +173,8 @@ class QpProblem:
             raise QpInputError(f"lb > ub at index {bad}")
 
         for name, arr in (("Q", q), ("c", c), ("a_eq", a_eq), ("b_eq", b_eq),
-                          ("a_in", a_in), ("b_in", b_in), ("lb", lb), ("ub", ub)):
+                          ("a_in", a_in), ("b_in", b_in), ("lb", lb), ("ub", ub),
+                          ("_finite_lb", np.isfinite(lb)), ("_finite_ub", np.isfinite(ub))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -178,19 +188,7 @@ class QpProblem:
 
     def max_violation(self, x: np.ndarray) -> float:
         """Largest absolute violation of any constraint or bound at x."""
-        x = np.asarray(x, dtype=float)
-        worst = 0.0
-        if self.a_eq.shape[0]:
-            worst = max(worst, float(np.abs(self.a_eq @ x - self.b_eq).max()))
-        if self.a_in.shape[0]:
-            worst = max(worst, float(np.maximum(self.b_in - self.a_in @ x, 0.0).max()))
-        finite_lb = np.isfinite(self.lb)
-        if finite_lb.any():
-            worst = max(worst, float(np.maximum(self.lb[finite_lb] - x[finite_lb], 0.0).max()))
-        finite_ub = np.isfinite(self.ub)
-        if finite_ub.any():
-            worst = max(worst, float(np.maximum(x[finite_ub] - self.ub[finite_ub], 0.0).max()))
-        return worst
+        return _residuals(self, np.asarray(x, dtype=float))["max_violation"]
 
     def rhs_scale(self) -> float:
         scale = 0.0
@@ -220,32 +218,42 @@ def kkt_report(problem: QpProblem, sol: QpSolution) -> dict[str, float]:
 
     Stationarity is || Qx + c - a_eq'lam - a_in'mu - mu_lb + mu_ub ||_inf.
     """
-    x = sol.x
-    grad = problem.Q @ x + problem.c
-    if problem.a_eq.shape[0]:
-        grad = grad - problem.a_eq.T @ sol.eq_multipliers
-    if problem.a_in.shape[0]:
-        grad = grad - problem.a_in.T @ sol.in_multipliers
-    grad = grad - sol.lower_multipliers + sol.upper_multipliers
-    comp = 0.0
-    if problem.a_in.shape[0]:
-        slack = problem.a_in @ x - problem.b_in
-        comp = max(comp, float(np.abs(sol.in_multipliers * slack).max()))
-    finite_lb = np.isfinite(problem.lb)
-    if finite_lb.any():
-        comp = max(comp, float(np.abs(sol.lower_multipliers[finite_lb]
-                                      * (x - problem.lb)[finite_lb]).max()))
-    finite_ub = np.isfinite(problem.ub)
-    if finite_ub.any():
-        comp = max(comp, float(np.abs(sol.upper_multipliers[finite_ub]
-                                      * (problem.ub - x)[finite_ub]).max()))
-    duals = np.concatenate([sol.in_multipliers, sol.lower_multipliers,
-                            sol.upper_multipliers, [0.0]])
-    return {
-        "stationarity": float(np.abs(grad).max()),
-        "complementarity": comp,
-        "dual_feasibility": float(duals.min()),
-    }
+    report = _residuals(problem, sol.x, (sol.eq_multipliers, sol.in_multipliers,
+                                         sol.lower_multipliers, sol.upper_multipliers))
+    return {key: report[key] for key in ("stationarity", "complementarity", "dual_feasibility")}
+
+
+def _residuals(problem: QpProblem, x: np.ndarray, multipliers=None,
+               grad=None) -> dict[str, float]:
+    """max_violation at x and, given the multipliers (eq, in, lower, upper),
+    the objective and kkt_report's residuals.
+
+    The row slacks and Qx + c (grad, when the caller has it already) are
+    computed once, and every residual is read off them.
+    """
+    finite_lb, finite_ub = problem._finite_lb, problem._finite_ub
+    slack = problem.a_in @ x - problem.b_in
+    lb_gap = x[finite_lb] - problem.lb[finite_lb]
+    ub_gap = problem.ub[finite_ub] - x[finite_ub]
+    report = {"max_violation": float(max(
+        0.0, np.abs(problem.a_eq @ x - problem.b_eq).max(initial=0.0),
+        -slack.min(initial=0.0), -lb_gap.min(initial=0.0), -ub_gap.min(initial=0.0)))}
+    if multipliers is None:
+        return report
+    eq_mult, in_mult, lower, upper = multipliers
+    if grad is None:
+        grad = problem.Q @ x + problem.c
+    stationarity = grad - problem.a_eq.T @ eq_mult - problem.a_in.T @ in_mult - lower + upper
+    report.update(
+        objective=float(0.5 * x @ (grad + problem.c)),
+        stationarity=float(np.abs(stationarity).max(initial=0.0)),
+        complementarity=float(max(0.0, np.abs(in_mult * slack).max(initial=0.0),
+                                  np.abs(lower[finite_lb] * lb_gap).max(initial=0.0),
+                                  np.abs(upper[finite_ub] * ub_gap).max(initial=0.0))),
+        dual_feasibility=float(min(0.0, in_mult.min(initial=0.0), lower.min(initial=0.0),
+                                   upper.min(initial=0.0))),
+    )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +358,13 @@ def _face(a_w: np.ndarray, factors=None):
     z is an orthonormal basis of {p : a_w p = 0}; multipliers(g) solves
     a_w' nu = g on the independent rows, with R inverted once, giving every
     dependent row a zero multiplier; restore(r) is the least-norm step s
-    with a_w s = r on those rows; dependent indexes the other rows.
+    with a_w s = r on those rows, through the same inverse; dependent
+    indexes the other rows.
     """
     m = a_w.shape[0]
     q, r, independent, dependent = _independent_rows(a_w) if factors is None else factors
     rank = independent.size
-    basis, r_inv = q[:, :rank], np.linalg.inv(r[:rank, :rank])
-    to_nu = r_inv @ basis.T
+    to_nu = np.linalg.inv(r[:rank, :rank]) @ q[:, :rank].T
 
     def multipliers(g: np.ndarray) -> np.ndarray:
         nu = np.zeros(m)
@@ -364,7 +372,7 @@ def _face(a_w: np.ndarray, factors=None):
         return nu
 
     def restore(resid: np.ndarray) -> np.ndarray:
-        return basis @ (resid[independent] @ r_inv)
+        return resid[independent] @ to_nu
 
     return q[:, rank:], multipliers, restore, dependent
 
@@ -374,31 +382,29 @@ def _near(ratios, least: float):
     return ratios <= least * (1.0 + 1e-9) + 1e-15
 
 
-def _ratio_test(problem: QpProblem, rows: _UnitRows, x: np.ndarray, p: np.ndarray,
-                working: list[int], free: np.ndarray, cap: float, d_in=None):
+def _ratio_test(problem: QpProblem, face: _Face, a_in: np.ndarray, b_in: np.ndarray,
+                x: np.ndarray, p: np.ndarray, cap: float, d_in=None):
     """Longest step alpha <= cap from x along p, and what blocks it.
 
-    On a path the inequality right-hand sides move by d_in per unit step;
-    within one QP they stay put (d_in None).  Candidates are the general
-    rows outside the working list, then the finite lower and upper bounds
-    of free variables, each in index order, that the step approaches at a
-    rate above rounding (1e-12 of the largest entry of p and d_in); the
-    first near-minimal ratio blocks.  Returns
-    (alpha, kind, i) with kind "row", "lower" or "upper", or (cap, None, -1)
-    when nothing blocks first.
+    a_in and b_in are the unit rows, b_in where the leg puts it.  On a path
+    the inequality right-hand sides move by d_in per unit step; within one
+    QP they stay put (d_in None).  Candidates are the general rows outside
+    the face's working list, then the finite lower and upper bounds of its
+    free variables, each in index order, that the step approaches at a rate
+    above rounding (1e-12 of the largest entry of p and d_in); the first
+    near-minimal ratio blocks.  Returns (alpha, kind, i) with kind "row",
+    "lower" or "upper", or (cap, None, -1) when nothing blocks first.
     """
-    a_in, b_in, lb, ub = rows.ineq, rows.b_in, problem.lb, problem.ub
-    in_working = np.zeros(a_in.shape[0], dtype=bool)
-    in_working[working] = True
     ap = a_in @ p
     # a rate within rounding of zero, relative to the step, never blocks
     tol = 1e-12 * (1.0 + np.abs(p).max(initial=0.0))
     if d_in is not None:
         ap -= d_in
         tol += 1e-12 * np.abs(d_in).max(initial=0.0)
-    blocking = np.flatnonzero(~in_working & (ap < -tol))
-    lows = np.flatnonzero(free & np.isfinite(lb) & (p < -tol))
-    ups = np.flatnonzero(free & np.isfinite(ub) & (p > tol))
+    blocking = face.outside[ap[face.outside] < -tol]
+    lows = face.lows[p[face.lows] < -tol]
+    ups = face.ups[p[face.ups] > tol]
+    lb, ub = problem.lb, problem.ub
     ratios = np.concatenate([
         np.maximum(a_in[blocking] @ x - b_in[blocking], 0.0) / -ap[blocking],
         np.maximum(x[lows] - lb[lows], 0.0) / -p[lows],
@@ -412,40 +418,99 @@ def _ratio_test(problem: QpProblem, rows: _UnitRows, x: np.ndarray, p: np.ndarra
     return alpha, kind, int(np.concatenate([blocking, lows, ups])[k])
 
 
-def _face_step(h_red: np.ndarray, g_red: np.ndarray, lam_max: float):
-    """(p, p_flat): steps on a face with reduced Hessian h_red, gradient g_red.
+def _reduced_step(h_red: np.ndarray, lam_max: float):
+    """step(g_red) -> (p, p_flat): the steps on a face with reduced Hessian
+    h_red for a reduced gradient g_red, from one factorization of h_red.
 
     An eigenvalue of h_red at or below dim * eps * lam_max, lam_max the
     largest eigenvalue of Q on the variables whose bounds differ, is
     rounding: zero curvature.  p is the minimum-norm Newton step on the
     other eigenvectors, and p_flat is g_red's component along the flat
-    ones, negated, or None when there are none.  When the Cholesky factor L
-    shows every eigenvalue to be above the floor max(1e-14, 1e-10 *
-    lam_max), by |L^-1|_F^2 = trace(h_red^-1) < 1/floor, p is the Newton
-    step from L and no eigendecomposition is needed.
+    ones, negated, or None when there are none.  A zero h_red is flat
+    everywhere: p = 0 and p_flat = -g_red, with nothing to factor.  When
+    the Cholesky factor L shows every eigenvalue to be above the floor
+    max(1e-14, 1e-10 * lam_max), by |L^-1|_F^2 = trace(h_red^-1) < 1/floor,
+    p is the Newton step from L and no eigendecomposition is needed.
     """
+    if not h_red.any():
+        return lambda g_red: (np.zeros_like(g_red), -g_red)
     floor = max(1e-14, 1e-10 * lam_max)
     try:
         inv = np.linalg.inv(np.linalg.cholesky(h_red))
         if np.sum(inv * inv) < 1.0 / floor:
-            return -(inv.T @ (inv @ g_red)), None
+            return lambda g_red: (-(inv.T @ (inv @ g_red)), None)
     except np.linalg.LinAlgError:
         pass
     eigvals, eigvecs = np.linalg.eigh(h_red)
     flat = eigvals <= h_red.shape[0] * np.finfo(float).eps * lam_max
-    p = -(eigvecs[:, ~flat] @ (eigvecs[:, ~flat].T @ g_red / eigvals[~flat]))
-    return p, -(eigvecs[:, flat] @ (eigvecs[:, flat].T @ g_red)) if flat.any() else None
+    curved, flat_vecs, curvature = eigvecs[:, ~flat], eigvecs[:, flat], eigvals[~flat]
+
+    def step(g_red: np.ndarray):
+        p = -(curved @ (curved.T @ g_red / curvature))
+        return p, -(flat_vecs @ (flat_vecs.T @ g_red)) if flat_vecs.shape[1] else None
+
+    return step
+
+
+class _Face(NamedTuple):
+    """A face of the path, factored once when it opens (_open_face).
+
+    free indexes the free variables, a_w stacks the equality and working
+    rows and a_f is a_w on free; z, multipliers, restore and dependent are
+    _face's for a_f, zq is z'Q on free and step the _reduced_step of z'Qz
+    (None when z has no column).  For the event tests, lower and upper
+    index the fixed bounds, keys orders the working rows and those bounds
+    as _follow's candidates, outside indexes the general rows not in the
+    working list, and lows and ups the free variables with a finite bound.
+    """
+
+    free: np.ndarray
+    a_w: np.ndarray
+    a_f: np.ndarray
+    z: np.ndarray
+    multipliers: Callable
+    restore: Callable
+    dependent: np.ndarray
+    zq: np.ndarray
+    step: Callable | None
+    lower: np.ndarray
+    upper: np.ndarray
+    keys: np.ndarray
+    outside: np.ndarray
+    lows: np.ndarray
+    ups: np.ndarray
+
+
+def _open_face(problem: QpProblem, rows: _UnitRows, lam_max: float, working: list[int],
+               at_lower: np.ndarray, at_upper: np.ndarray, factors=None) -> _Face:
+    """The _Face of the working rows and the bounds at_lower and at_upper
+    fix; factors is the QR of the working rows on the free variables when
+    _start has it."""
+    m_in, n = rows.ineq.shape[0], problem.n
+    free = np.flatnonzero(~(at_lower | at_upper))
+    a_w = np.vstack([rows.eq, rows.ineq[working]])
+    a_f = a_w[:, free]
+    z, multipliers, restore, dependent = _face(a_f, factors)
+    zq = z.T @ problem.Q.take(free, axis=0).take(free, axis=1)
+    lower, upper = np.flatnonzero(at_lower), np.flatnonzero(at_upper)
+    outside = np.ones(m_in, dtype=bool)
+    outside[working] = False
+    return _Face(free, a_w, a_f, z, multipliers, restore, dependent, zq,
+                 _reduced_step(zq @ z, lam_max) if z.shape[1] else None, lower, upper,
+                 np.concatenate([working, m_in + lower, m_in + n + upper]),
+                 np.flatnonzero(outside), free[problem._finite_lb[free]],
+                 free[problem._finite_ub[free]])
 
 
 class _Optimum(NamedTuple):
     """A point of a path: x on the face of the working rows and fixed
-    bounds, that face's _face factorization and the events so far."""
+    bounds, that face and the events so far."""
 
     x: np.ndarray
     working: list[int]
     at_lower: np.ndarray
     at_upper: np.ndarray
-    face: tuple
+    face: _Face
     iterations: int
 
 
@@ -455,24 +520,29 @@ def _start(problem: QpProblem, rows: _UnitRows, x0: np.ndarray):
     The equality rows, then the bounds and then the rows active at x0 are
     kept, each only if it is independent of those kept before it; a kept
     bound puts x on its value, and a variable with equal bounds starts at
-    its lower one.  Returns (x, working, at_lower, at_upper, factors):
-    factors is the dependency search's last QR, for _face, when that is the
-    QR of the kept rows in their order, and None otherwise.
+    its lower one.  The bounds and the equality rows are independent
+    together exactly when the equality rows are independent on the free
+    variables, so the bounds take a search of their own only when the QR
+    of the face names an equality row dependent.  Returns (x, working,
+    at_lower, at_upper, factors): factors is the last dependency search's
+    QR, for _face, when that is the QR of the kept rows in their order, and
+    None otherwise.
     """
     lb, ub, m_eq = problem.lb, problem.ub, rows.eq.shape[0]
     x = x0.copy()
     active = np.flatnonzero(rows.ineq @ x - rows.b_in <= 1e-8)
     at_lower = x - lb <= 1e-8
     at_upper = (ub - x <= 1e-8) & ~at_lower
-    fixed = np.flatnonzero(at_lower | at_upper)
-    if m_eq and fixed.size:     # bounds alone are always independent
+    a_active = np.vstack([rows.eq, rows.ineq[active]])
+    q, r, independent, dependent = _independent_rows(a_active[:, ~(at_lower | at_upper)])
+    if (dependent < m_eq).any():
+        fixed = np.flatnonzero(at_lower | at_upper)
         kept = _independent_rows(np.vstack([rows.eq, np.eye(problem.n)[fixed]]))[2]
         spanned = np.delete(fixed, kept[kept >= m_eq] - m_eq)
         at_lower[spanned] = at_upper[spanned] = False
+        q, r, independent, _ = _independent_rows(a_active[:, ~(at_lower | at_upper)])
     x[at_lower] = lb[at_lower]
     x[at_upper] = ub[at_upper]
-    free = ~(at_lower | at_upper)
-    q, r, independent, _ = _independent_rows(np.vstack([rows.eq, rows.ineq[active]])[:, free])
     kept = np.sort(independent)
     working = [int(i) for i in active[kept[kept >= m_eq] - m_eq]]
     reuse = np.array_equal(kept, independent) and np.array_equal(kept[:m_eq], np.arange(m_eq))
@@ -513,34 +583,26 @@ def _finish(problem: QpProblem, rows: _UnitRows, optimum: _Optimum) -> QpSolutio
     through the same QR, every bound dual is read off the stationarity
     residual, and the result must pass the KKT check; a non-finite x or
     multiplier fails it too, since it would slip through the comparisons.
+    The objective, the violation and the KKT residuals come from one Qx + c
+    and one set of row slacks (_residuals).
     """
-    x, working, at_lower, at_upper, (_, multipliers, restore, _), iterations = optimum
-    free = ~(at_lower | at_upper)
-    b_w = np.concatenate([rows.b_eq, rows.b_in[working]])
+    x, working, at_lower, at_upper, face, iterations = optimum
     x = x.copy()
-    x[free] += restore(b_w - np.vstack([rows.eq, rows.ineq[working]]) @ x)
+    x[face.free] += face.restore(np.concatenate([rows.b_eq, rows.b_in[working]]) - face.a_w @ x)
     x = np.clip(x, problem.lb, problem.ub)
-    nu = multipliers((problem.Q @ x + problem.c)[free])
+    grad = problem.Q @ x + problem.c
+    nu = face.multipliers(grad[face.free])
     m_eq = rows.eq.shape[0]
     eq_mult = np.zeros(problem.a_eq.shape[0])
     eq_mult[rows.eq_index] = nu[:m_eq] / rows.eq_norm
     in_mult = np.zeros(problem.a_in.shape[0])
     in_mult[working] = np.maximum(nu[m_eq:] / rows.in_norm[working], 0.0)
-    resid = problem.Q @ x + problem.c - problem.a_eq.T @ eq_mult - problem.a_in.T @ in_mult
-    sol = QpSolution(
-        x=x,
-        objective=problem.objective_value(x),
-        status=STATUS_OPTIMAL,
-        max_violation=problem.max_violation(x),
-        eq_multipliers=eq_mult,
-        in_multipliers=in_mult,
-        lower_multipliers=np.where(at_lower, np.maximum(resid, 0.0), 0.0),
-        upper_multipliers=np.where(at_upper, np.maximum(-resid, 0.0), 0.0),
-        iterations=iterations,
-    )
+    resid = grad - problem.a_eq.T @ eq_mult - problem.a_in.T @ in_mult
     if not np.all(np.isfinite(resid)):     # x and every multiplier feed it
         raise QpError("internal KKT verification failed: non-finite solution or multiplier")
-    report = kkt_report(problem, sol)
+    lower = np.where(at_lower, np.maximum(resid, 0.0), 0.0)
+    upper = np.where(at_upper, np.maximum(-resid, 0.0), 0.0)
+    report = _residuals(problem, x, (eq_mult, in_mult, lower, upper), grad)
     grad_scale = 1.0 + float(np.abs(problem.c).max(initial=0.0))
     rhs_scale = 1.0 + problem.rhs_scale()
     if report["stationarity"] > STATIONARITY_TOL * grad_scale or \
@@ -548,7 +610,10 @@ def _finish(problem: QpProblem, rows: _UnitRows, optimum: _Optimum) -> QpSolutio
         raise QpError("internal KKT verification failed: "
                       f"stationarity={report['stationarity']:.3e}, "
                       f"complementarity={report['complementarity']:.3e}")
-    return sol
+    return QpSolution(x=x, objective=report["objective"], status=STATUS_OPTIMAL,
+                      max_violation=report["max_violation"], eq_multipliers=eq_mult,
+                      in_multipliers=in_mult, lower_multipliers=lower,
+                      upper_multipliers=upper, iterations=iterations)
 
 
 def _feasible_start(problem: QpProblem, start):
@@ -619,15 +684,15 @@ def _multiplier_test(mults: np.ndarray, rates: np.ndarray, keys: np.ndarray, tol
     return least, int(tied[np.argmin(keys[tied])])
 
 
-def _carrying(face, a_f: np.ndarray, nu: np.ndarray):
+def _carrying(face: _Face, nu: np.ndarray) -> _Face:
     """face with multipliers that keep nu's part in the null space of a_f'.
 
     The QR's own multipliers give a row it finds dependent a zero; these
     fit the gradient the same way but start from nu, the path's carried
     multipliers, so a dependency keeps the share nu gave it.
     """
-    z, multipliers, restore, dependent = face
-    return z, lambda g: nu + multipliers(g - a_f.T @ nu), restore, dependent
+    multipliers, a_f = face.multipliers, face.a_f
+    return face._replace(multipliers=lambda g: nu + multipliers(g - a_f.T @ nu))
 
 
 def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
@@ -638,11 +703,18 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
     Leg 0 runs t from -1 to 0, the gradient c + t dc moving from c0, for
     which x0 is optimal, to c; leg j >= 1 runs t from j - 1 to j, b_in
     moving by db_legs[j - 1].  The module docstring describes the events.
+    Each face is factored once, when it opens (_open_face); a pass on it
+    only solves with those factors.
     """
     q, c, n = problem.Q, problem.c, problem.n
     m_eq, m_in = rows.eq.shape[0], rows.ineq.shape[0]
     b_starts = problem.b_in + np.cumsum(np.vstack([np.zeros(m_in), db_legs]), axis=0)
     d_legs = db_legs / rows.in_norm
+    unit_starts = b_starts / rows.in_norm
+
+    def unit_b_in(t: float, leg: int) -> np.ndarray:
+        """The unit rows' b_in where leg puts it at t."""
+        return rows.b_in if leg == 0 else unit_starts[leg - 1] + (t - leg + 1) * d_legs[leg - 1]
 
     def at(t: float, leg: int):
         """The problem and its unit rows with b_in where leg puts it at t
@@ -653,7 +725,7 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
         b_in.setflags(write=False)
         problem_t = copy.copy(problem)
         object.__setattr__(problem_t, "b_in", b_in)
-        return problem_t, rows._replace(b_in=b_in / rows.in_norm)
+        return problem_t, rows._replace(b_in=unit_b_in(t, leg))
 
     def key_of(kind: str, i: int) -> int:
         return i + {"row": 0, "lower": m_in, "upper": m_in + n}[kind]
@@ -662,11 +734,9 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
     t, leg, path, entered, face, dc = -1.0, 0, [], -1, None, None
     for passes in range(1, max_events + 2):
         if face is None:
-            free = ~(at_lower | at_upper)
-            a_w = np.vstack([rows.eq, rows.ineq[working]])
-            a_f = a_w[:, free]
-            face, factors = _face(a_f, factors), None
-        z, multipliers, restore, dependent = face
+            face, factors = _open_face(problem, rows, lam_max, working, at_lower, at_upper,
+                                       factors), None
+        free, a_w, a_f, multipliers = face.free, face.a_w, face.a_f, face.multipliers
         g_true = q @ x + c
         if dc is None:
             # x0 is optimal for c0 = a_w'nu + mu_lower - mu_upper - Q x0,
@@ -686,17 +756,16 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
         mu_tol = 1e-9 * (1.0 + np.abs(g_true).max(initial=0.0))
         nu = nu + multipliers(grad[free] - a_f.T @ nu)    # refit the part a_f' sees
         resid = grad - a_w.T @ nu
-        lower_idx, upper_idx = np.flatnonzero(at_lower), np.flatnonzero(at_upper)
         # Candidates in order: working rows, lower bounds, upper bounds; a
         # key orders every row and bound of the problem by index.
-        mults = np.concatenate([nu[m_eq:], resid[lower_idx], -resid[upper_idx]])
-        keys = np.concatenate([working, m_in + lower_idx, m_in + n + upper_idx])
-        for j in dependent:
+        mults = np.concatenate([nu[m_eq:], resid[face.lower], -resid[face.upper]])
+        keys = face.keys
+        for j in face.dependent:
             # y'a_f = 0: moving nu along y keeps the free variables stationary
             y = multipliers(a_f[j])
             y[j] -= 1.0
             ay = a_w.T @ y
-            rates = np.concatenate([y[m_eq:], -ay[lower_idx], ay[upper_idx]])
+            rates = np.concatenate([y[m_eq:], -ay[face.lower], ay[face.upper]])
             tol = 1e-12 * (1.0 + np.abs(y).max())
             if np.abs(rates).max(initial=0.0) > tol:
                 break
@@ -719,7 +788,7 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
                         raise QpError(f"the rows cannot be met past tau = {t!r}")
                     if len(path) < taus.size and taus[len(path)] == tau:
                         path.append(_finish(problem_t, rows_t, _Optimum(
-                            x, working, at_lower, at_upper, _carrying(face, a_f, nu), passes)))
+                            x, working, at_lower, at_upper, _carrying(face, nu), passes)))
                 if len(path) == taus.size:
                     return path
                 t, leg, entered = float(leg), leg + 1, -1
@@ -730,29 +799,27 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
             d_in = d_legs[leg - 1] if leg else None
             dx = np.zeros(n)
             if leg:
-                dx[free] = restore(np.concatenate([np.zeros(m_eq), d_in[working]]))
+                dx[free] = face.restore(np.concatenate([np.zeros(m_eq), d_in[working]]))
             v_flat = None
-            if z.shape[1]:
+            if face.step is not None:
                 # x moves on the face so that the gradient's rate at fixed x
                 # stays in the span of the working rows
-                q_ff = q[np.ix_(free, free)]
-                v, v_flat = _face_step(z.T @ q_ff @ z,
-                                       z.T @ (dc[free] if leg == 0 else q_ff @ dx[free]), lam_max)
+                v, v_flat = face.step(face.z.T @ dc[free] if leg == 0 else face.zq @ dx[free])
                 if v_flat is not None and leg == 0 and -t * np.abs(v_flat).max() <= mu_tol:
                     # over the rest of the leg that descent moves the gradient
                     # by less than the tolerance on it: dc leaves it out, so
                     # that the multipliers' rates agree with x's
-                    dc[free] += z @ v_flat
+                    dc[free] += face.z @ v_flat
                     v_flat = None
-                dx[free] += z @ v
+                dx[free] += face.z @ v
             if v_flat is not None and leg == 0:
                 # the moving gradient descends where the face has no
                 # curvature: x moves at fixed t to the first block, or the
                 # leg ends on a ray
                 p = np.zeros(n)
-                p[free] = z @ v_flat
+                p[free] = face.z @ v_flat
                 p /= np.abs(p).max()
-                alpha, kind, i = _ratio_test(problem, rows, x, p, working, free, np.inf)
+                alpha, kind, i = _ratio_test(problem, face, rows.ineq, rows.b_in, x, p, np.inf)
                 if kind is None:
                     return _unbounded(problem, rows, lam_max, x, p, passes)
                 x = x + alpha * p
@@ -760,7 +827,7 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
                 q_dx = q @ dx + dc if leg == 0 else q @ dx
                 d_nu = multipliers(q_dx[free])
                 d_resid = q_dx - a_w.T @ d_nu
-                d_mults = np.concatenate([d_nu[m_eq:], d_resid[lower_idx], -d_resid[upper_idx]])
+                d_mults = np.concatenate([d_nu[m_eq:], d_resid[face.lower], -d_resid[face.upper]])
                 if j >= 0 and last.size and abs(rates[last[0]]) > tol:
                     # a gradient leg's dependent add is rounding: it keeps
                     # its multiplier, the rates moving along the dependency
@@ -769,7 +836,7 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
                 # A multiplier falling slower than the tolerance on it stays
                 # within that tolerance for the rest of the leg.
                 beta, drop = _multiplier_test(mults, d_mults, keys, mu_tol)
-                alpha, kind, i = _ratio_test(problem, at(t, leg)[1], x, dx, working, free,
+                alpha, kind, i = _ratio_test(problem, face, rows.ineq, unit_b_in(t, leg), x, dx,
                                              leg - t, d_in)
                 # an event within rounding of the leg's end waits for the
                 # next leg, whose direction can differ
@@ -779,7 +846,7 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
                     tau = taus[len(path)]
                     path.append(_finish(*at(tau, leg), _Optimum(
                         x + (tau - t) * dx, working, at_lower, at_upper,
-                        _carrying(face, a_f, nu + (tau - t) * d_nu), passes)))
+                        _carrying(face, nu + (tau - t) * d_nu), passes)))
                 if len(path) == taus.size:
                     return path
                 x, t, nu = x + step * dx, t + step, nu + step * d_nu

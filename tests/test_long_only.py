@@ -173,8 +173,9 @@ def test_frontier_point_mean_attained():
 
 
 def test_sample_fund_and_frontier_solve_no_lp():
-    # every QP starts from a point its caller knows to be feasible: uniform
-    # weights, e_k / excess_k, the homogenized optimum, the GMV; and the
+    # every QP starts from a point its caller knows to be feasible: the
+    # positive part of Sigma^+ 1, renormalized, e_k / excess_k, the
+    # homogenized optimum, the GMV; and the
     # frontier is one GMV solve plus one path, not a QP per target
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
     with mock.patch("longplan.qp._phase1", wraps=qp._phase1) as phase1:
@@ -187,6 +188,67 @@ def test_sample_fund_and_frontier_solve_no_lp():
     assert phase1.call_count == 0
     assert solve_qp.call_count == 1
     assert solve_qp_path.call_count == 1
+
+
+def _uniform_start_gmv(stats):
+    n = stats.mu.shape[0]
+    return long_only._clamp_and_renormalize(
+        long_only._simplex_min_variance(stats, np.full(n, 1.0 / n)))
+
+
+@st.composite
+def gmv_covariances(draw):
+    """(stats, pair): a PD factor-model Sigma with N in 2..12 and pair None,
+    or, half the time, a PD Sigma on N - 1 assets with one of them copied
+    (a singular Sigma) and pair the indexes of the two copies."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    copied = draw(st.booleans())
+    base = n - 1 if copied else n
+    g = rng.normal(1.0, 0.3, (3, base)) * 0.05
+    sigma = g.T @ g + np.diag(rng.uniform(0.0005, 0.004, base))
+    pair = None
+    if copied:
+        copy = rng.integers(base)
+        order = rng.permutation(np.r_[0:base, copy])
+        sigma = sigma[np.ix_(order, order)]
+        pair = np.flatnonzero(order == copy)
+    return _stats(rng.uniform(0.02, 0.12, n), sigma), pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(gmv_covariances())
+def test_gmv_start_reaches_the_uniform_start_gmv(case):
+    # the start changes the path, not the GMV; copies of one asset are
+    # exchangeable, and the start, the least-norm Sigma^+ 1, keeps them so
+    stats, pair = case
+    w = long_only_gmv(stats).weights
+    np.testing.assert_allclose(w, _uniform_start_gmv(stats), rtol=0, atol=1e-10)
+    if pair is not None:
+        assert w[pair[0]] == pytest.approx(w[pair[1]], rel=0, abs=1e-10)
+
+
+def test_gmv_start_takes_fewer_events_than_uniform_weights():
+    # a seeded 3-factor model with N = 30: the GMV holds 7 assets, and from
+    # uniform weights the other 23 leave one event at a time
+    rng = np.random.default_rng(2)
+    returns = (rng.normal(0.0, 0.03, (120, 3)) @ rng.normal(1.0, 0.3, (3, 30))
+               + rng.uniform(0.003, 0.012, 30) + rng.normal(0.0, 1.0, (120, 30))
+               * rng.uniform(0.02, 0.06, 30))
+    centered = returns - returns.mean(axis=0)
+    stats = _stats(returns.mean(axis=0) * 12.0, centered.T @ centered / 119 * 12.0)
+    solutions = []
+
+    def recording(problem, *, start):
+        solutions.append(qp.solve_qp(problem, start=start))
+        return solutions[-1]
+
+    with mock.patch("longplan.long_only.solve_qp", recording):
+        w = long_only_gmv(stats).weights
+    uniform = qp.solve_qp(long_only._simplex_problem(stats), start=np.full(30, 1.0 / 30))
+    assert np.count_nonzero(w) == 7
+    np.testing.assert_allclose(w, _uniform_start_gmv(stats), rtol=0, atol=1e-12)
+    assert solutions[0].iterations < uniform.iterations
 
 
 @st.composite

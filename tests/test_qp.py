@@ -111,10 +111,11 @@ def test_finish_rejects_a_non_finite_point():
     problem = QpProblem(Q=np.eye(2), c=np.ones(2), lb=np.zeros(2))
     at_lower = np.array([False, True])
     for x in ([np.nan, 0.0], [np.inf, 0.0]):
-        optimum = qp._Optimum(np.array(x), [], at_lower, np.zeros(2, dtype=bool),
-                              qp._face(np.zeros((0, 1))), 1)
+        at_upper, rows = np.zeros(2, dtype=bool), qp._unit_rows(problem)
+        optimum = qp._Optimum(np.array(x), [], at_lower, at_upper,
+                              qp._open_face(problem, rows, 1.0, [], at_lower, at_upper), 1)
         with pytest.raises(QpError, match="non-finite"), np.errstate(invalid="ignore"):
-            qp._finish(problem, qp._unit_rows(problem), optimum)
+            qp._finish(problem, rows, optimum)
 
 
 def test_asymmetric_q_rejected():
@@ -607,6 +608,24 @@ def test_phase_1_names_itself_when_its_lp_fails():
         qp._phase1(problem)
 
 
+def test_phase_1_lp_takes_no_factor_of_its_zero_reduced_hessian():
+    # Q = 0, so Z'QZ is zero on every face and every direction is flat: no
+    # Cholesky factor is tried and no eigendecomposition taken
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((12, 8))
+    problem = QpProblem(Q=np.eye(8), c=np.zeros(8), a_eq=a[:2], b_eq=2.0 * rng.standard_normal(2),
+                        a_in=a[2:], b_in=2.0 * rng.standard_normal(10),
+                        lb=np.full(8, -1.0), ub=np.full(8, 1.0))
+    with mock.patch("numpy.linalg.cholesky", wraps=np.linalg.cholesky) as cholesky, \
+            mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh, \
+            mock.patch.object(qp, "_reduced_step", wraps=qp._reduced_step) as factor:
+        x0, t_star = qp._phase1(problem)
+    assert factor.call_count > 0
+    assert cholesky.call_count == 0 and eigh.call_count == 0
+    assert abs(t_star - chebyshev_violation_highs(problem)) <= 1e-9 * (1.0 + t_star)
+    assert abs(problem.max_violation(x0) - t_star) <= 1e-9 * (1.0 + t_star)
+
+
 def _degenerate_vertex_qp(seed):
     """A QP of Q rank 1-3 whose n + 1 to n + 5 integer rows are all tight at
     the integer point v, some bounds tight there too, and v."""
@@ -797,6 +816,10 @@ def test_path_matches_cold_solves(case, grid):
         if pd:
             np.testing.assert_allclose(sol.x, cold.x, rtol=0, atol=1e-7)
         assert sol.max_violation <= FEASIBILITY_TOL * (1.0 + at_tau.rhs_scale())
+        # the point's own verification and the public checks read the
+        # same residuals
+        assert sol.max_violation == at_tau.max_violation(sol.x)
+        assert sol.objective == pytest.approx(at_tau.objective_value(sol.x), rel=1e-12)
         report = kkt_report(at_tau, sol)
         assert report["stationarity"] <= 1e-8 * (1.0 + np.abs(problem.c).max())
         assert report["complementarity"] <= 1e-6
@@ -1047,6 +1070,37 @@ def test_gradient_leg_faces_have_full_row_rank_on_the_sample_run():
     counts = _gradient_leg_dependencies(run)
     assert len(counts) > 50
     assert max(counts) == 0
+
+
+def test_sample_plan_factors_each_face_once():
+    # Z'QZ is factored when a face opens, and every pass on that face, a
+    # leg's end included, solves with those factors
+    stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
+    fund = max_sharpe_long_only(stats, 0.025)
+    faces, steps, open_face, reduced_step = [], [], qp._open_face, qp._reduced_step
+
+    def opening(*args):
+        faces.append(open_face(*args))
+        return faces[-1]
+
+    def factoring(h_red, lam_max):
+        step = reduced_step(h_red, lam_max)
+
+        def counted(g_red):
+            steps.append(h_red.shape[0])
+            return step(g_red)
+        return counted
+
+    with mock.patch.object(qp, "_open_face", opening), \
+            mock.patch.object(qp, "_reduced_step", factoring), \
+            mock.patch("numpy.linalg.cholesky", wraps=np.linalg.cholesky) as cholesky, \
+            mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
+        plan = solve_lifecycle(LifecycleConfig(), RiskyAssetSummary(fund.mean, fund.variance))
+    assert plan.house_year == 6
+    with_null_space = sum(face.z.shape[1] > 0 for face in faces)
+    assert cholesky.call_count <= with_null_space and eigh.call_count <= with_null_space
+    # the 20 house-year legs end on faces already open
+    assert len(steps) >= with_null_space + 20
 
 
 def test_start_at_a_vertex_with_more_active_rows_than_free_variables():
