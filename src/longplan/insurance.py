@@ -45,6 +45,9 @@ class HazardModel:
     horizon_M: int
 
     def __post_init__(self):
+        for name in ("h", "r", "L", "s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.h > 0:
             raise ValueError("hazard rate h must be positive")
         if self.r < 0:

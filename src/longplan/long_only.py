@@ -1,19 +1,21 @@
 """Sharpe maximization and efficient frontiers under a no-short-sale rule.
 
-The feasible set is the simplex {w : 1'w = 1, w >= 0}.  Maximizing the
-Sharpe ratio over it is a quasiconcave ratio problem; instead of a direct
-nonlinear solve we use the standard homogenization: whenever some asset has
-positive excess return, the solution of
+Both portfolios are one solve of the budget QP
 
-    minimize y' Sigma y   subject to  (e - r_f 1)' y = 1,  y >= 0
+    minimize y' Sigma y   subject to  a'y = 1,  y >= 0
 
-normalized by its coordinate sum is the global Sharpe maximizer.  Frontier
-points come from the direct quadratic program
+The global-minimum-variance (GMV) portfolio has a = 1.  By the standard
+homogenization of the quasiconcave Sharpe ratio, whenever some asset beats
+r_f the optimum with a = e - r_f 1, normalized by its sum, is the global
+Sharpe maximizer over the simplex {w : 1'w = 1, w >= 0}.  Both start from
+the positive part of Sigma^+ a scaled onto the row, or from equal weights
+on the largest entries of a if that part misses it.  Where the optimum is
+not unique the point returned is the one reached from that start, its
+weight on exact copies of one asset (equal rows of Sigma, equal means)
+shared equally.
 
-    minimize w' Sigma w   subject to  e'w >= mu_target, 1'w = 1, w >= 0
-
-whose ">=" target constraint makes the curve flat below the long-only
-global-minimum-variance mean instead of bending back.  trace_frontier
+Frontier points add the row e'w >= mu_target to a = 1, whose ">=" makes
+the curve flat below the GMV mean instead of bending back.  trace_frontier
 solves it for every target in one critical-line pass: from the GMV, the
 target's right-hand side runs up to max(e) (qp.solve_qp_path), and between
 turning points, where an asset enters or leaves the support, the weights
@@ -90,13 +92,13 @@ class ConstrainedFrontier:
         object.__setattr__(self, "points", points)
 
 
-def _simplex_problem(stats: AssetStats, a_in=None, b_in=None) -> QpProblem:
-    """Minimize w'Sigma w over the simplex, optionally with extra rows."""
+def _budget_problem(stats: AssetStats, a: np.ndarray, a_in=None, b_in=None) -> QpProblem:
+    """Minimize y'Sigma y subject to a'y = 1, y >= 0 and any rows a_in y >= b_in."""
     n = stats.mu.shape[0]
     return QpProblem(
         Q=2.0 * stats.sigma,
         c=np.zeros(n),
-        a_eq=np.ones((1, n)),
+        a_eq=a[None, :],
         b_eq=np.array([1.0]),
         a_in=a_in,
         b_in=b_in,
@@ -104,13 +106,29 @@ def _simplex_problem(stats: AssetStats, a_in=None, b_in=None) -> QpProblem:
     )
 
 
-def _simplex_min_variance(stats: AssetStats, start: np.ndarray,
-                          a_in=None, b_in=None) -> np.ndarray:
-    """The simplex QP's optimum from a start that is feasible for it."""
-    sol = solve_qp(_simplex_problem(stats, a_in, b_in), start=start)
+def _budget_start(stats: AssetStats, a: np.ndarray) -> np.ndarray:
+    """The positive part of Sigma^+ a (least squares, so a singular Sigma is
+    fine) scaled onto a'y = 1, or, if it misses that row, equal weights on
+    the largest entries of a, whose maximum must be positive."""
+    y = np.maximum(np.linalg.lstsq(stats.sigma, a, rcond=None)[0], 0.0)
+    total = float((a * y).sum())
+    if total > 0.0:
+        return y / total
+    top = a == a.max()
+    return top / (np.count_nonzero(top) * a.max())
+
+
+def _budget_min_variance(stats: AssetStats, a: np.ndarray, start: np.ndarray,
+                         a_in=None, b_in=None) -> np.ndarray:
+    """The budget QP's optimum from a start that is feasible for it, its
+    weight shared equally among exact copies of one asset (equal rows of
+    Sigma, equal means), which moves neither y'Sigma y nor a'y nor e'y."""
+    sol = solve_qp(_budget_problem(stats, a, a_in, b_in), start=start)
     if sol.status != STATUS_OPTIMAL:
-        raise QpError(f"simplex variance QP returned status {sol.status!r}")
-    return sol.x
+        raise QpError(f"minimum-variance QP returned status {sol.status!r}")
+    rows = np.column_stack([stats.sigma, stats.mu])
+    copies = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+    return copies @ sol.x / copies.sum(axis=1)
 
 
 def _clamp_and_renormalize(w: np.ndarray) -> np.ndarray:
@@ -143,48 +161,23 @@ def max_sharpe_long_only(stats: AssetStats, r_f: float) -> PortfolioWeights:
         and the maximal Sharpe would be nonpositive).
     DegenerateSupportError
         If the optimum has zero variance, making the ratio unbounded.
+    ValueError
+        If r_f is not finite.
 
     Notes
     -----
-    When the optimal face of the homogenized QP contains more than one point
-    (exchangeable assets, repeated columns), a second solve picks the
-    minimum-norm point of that face, so symmetric instances return the
-    symmetric (equal-weight) answer rather than an arbitrary vertex.
+    One solve of the budget QP with a = e - r_f from the GMV's start rule.
+    Where its optimal face holds more than one point (singular Sigma,
+    copied assets), the point returned is the one reached from the start,
+    with its weight on exact copies of one asset shared equally.
     """
+    r_f = float(r_f)
+    if not np.isfinite(r_f):
+        raise ValueError(f"r_f must be finite, got {r_f!r}")
     excess = stats.mu - r_f
     if float(excess.max()) <= 0.0:
         raise NoExcessReturnError("no asset beats the riskless rate")
-    n = excess.shape[0]
-    zeros = np.zeros(n)
-    homogenized = QpProblem(
-        Q=2.0 * stats.sigma,
-        c=zeros,
-        a_eq=excess[None, :],
-        b_eq=np.array([1.0]),
-        lb=zeros,
-    )
-    # All weight on the asset with the largest excess return meets the row.
-    best = int(np.argmax(excess))
-    sol = solve_qp(homogenized, start=np.eye(n)[best] / excess[best])
-    if sol.status != STATUS_OPTIMAL:
-        raise QpError(f"homogenized Sharpe QP returned status {sol.status!r}")
-    y = sol.x
-
-    # Averaging step: the optimal set is {y >= 0 : excess'y = 1,
-    # Sigma y = Sigma y*}; its minimum-norm point is unique and respects
-    # any permutation symmetry of the instance.
-    face = QpProblem(
-        Q=2.0 * np.eye(n),
-        c=zeros,
-        a_eq=np.vstack([excess[None, :], stats.sigma]),
-        b_eq=np.concatenate([[1.0], stats.sigma @ y]),
-        lb=zeros,
-    )
-    refined = solve_qp(face, start=y)
-    if refined.status == STATUS_OPTIMAL:
-        y = refined.x
-
-    w = _clamp_and_renormalize(y)
+    w = _clamp_and_renormalize(_budget_min_variance(stats, excess, _budget_start(stats, excess)))
     mean = float(stats.mu @ w)
     variance = float(w @ stats.sigma @ w)
     if variance <= 1e-14 * max(1.0, float(np.abs(stats.sigma).max())):
@@ -208,8 +201,12 @@ def min_variance_at_return(stats: AssetStats, mu_target: float) -> FrontierPoint
     InfeasibleTargetError
         If mu_target exceeds max(e): no fully-invested long-only portfolio
         can attain it.
+    ValueError
+        If mu_target is not finite.
     """
     mu_target = float(mu_target)
+    if not np.isfinite(mu_target):
+        raise ValueError(f"mu_target must be finite, got {mu_target!r}")
     max_e = float(stats.mu.max())
     if mu_target > max_e:
         raise InfeasibleTargetError(
@@ -218,8 +215,8 @@ def min_variance_at_return(stats: AssetStats, mu_target: float) -> FrontierPoint
         )
     # The best-mean vertex attains every admissible target.
     best = np.eye(stats.mu.shape[0])[int(np.argmax(stats.mu))]
-    x = _simplex_min_variance(stats, best, a_in=stats.mu[None, :],
-                              b_in=np.array([mu_target]))
+    x = _budget_min_variance(stats, np.ones_like(stats.mu), best, a_in=stats.mu[None, :],
+                             b_in=np.array([mu_target]))
     return _frontier_point(stats, mu_target, x)
 
 
@@ -238,15 +235,11 @@ def _frontier_point(stats: AssetStats, mu_target: float, x: np.ndarray) -> Front
 def long_only_gmv(stats: AssetStats) -> FrontierPoint:
     """Global minimum-variance point of the simplex-constrained frontier.
 
-    The QP starts from the positive part of Sigma^+ 1 (least squares, so a
-    singular Sigma is fine), renormalized, or uniform weights if that is
-    zero: a long-only GMV holds few assets, so few leave on the way.
+    The budget QP with a = 1, from the fund's start rule: the positive part
+    of Sigma^+ 1 renormalized, or uniform weights if that is zero.
     """
-    n = stats.mu.shape[0]
-    start = np.maximum(np.linalg.lstsq(stats.sigma, np.ones(n), rcond=None)[0], 0.0)
-    total = float(start.sum())
-    start = start / total if total > 0.0 else np.full(n, 1.0 / n)
-    w = _clamp_and_renormalize(_simplex_min_variance(stats, start))
+    ones = np.ones_like(stats.mu)
+    w = _clamp_and_renormalize(_budget_min_variance(stats, ones, _budget_start(stats, ones)))
     return FrontierPoint(mu_target=float(stats.mu @ w),
                          variance=float(w @ stats.sigma @ w), weights=w)
 
@@ -270,7 +263,8 @@ def trace_frontier(stats: AssetStats, n_points: int) -> ConstrainedFrontier:
     if max_e - gmv.mu_target <= 1e-12 * max(1.0, abs(max_e)):
         return ConstrainedFrontier(points=(gmv,), gmv_point=gmv)
     targets = np.linspace(gmv.mu_target, max_e, n_points)
-    problem = _simplex_problem(stats, stats.mu[None, :], np.array([gmv.mu_target]))
+    problem = _budget_problem(stats, np.ones_like(stats.mu), stats.mu[None, :],
+                              np.array([gmv.mu_target]))
     path = solve_qp_path(problem, np.array([max_e - gmv.mu_target]),
                          np.linspace(0.0, 1.0, n_points), start=gmv.weights)
     points = tuple(_frontier_point(stats, t, sol.x) for t, sol in zip(targets, path))

@@ -56,8 +56,9 @@ the long-only frontier, Markowitz's critical line):
   and takes no factor;
 * an event is the first row or bound that blocks x, which enters, or the
   first working multiplier that reaches zero, whose row or bound leaves.
-  A rate within rounding of zero, 1e-12 of the step's size, never blocks,
-  and an event within rounding of a leg's end waits for the next leg;
+  A rate within 1e-12, or a multiplier's within its tolerance, times 1 +
+  the step's size triggers no event, and an event within rounding of a
+  leg's end waits for the next leg;
 * what blocks a step p has a'p != 0 where every working row and bound has
   a'p = 0, and a drop keeps the rest independent, so the working rows stay
   linearly independent on the free variables.  In exact arithmetic only a
@@ -833,9 +834,10 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
                     # its multiplier, the rates moving along the dependency
                     shift = d_mults[last[0]] / rates[last[0]]
                     d_nu, d_mults = d_nu - shift * y, d_mults - shift * rates
-                # A multiplier falling slower than the tolerance on it stays
-                # within that tolerance for the rest of the leg.
-                beta, drop = _multiplier_test(mults, d_mults, keys, mu_tol)
+                # A multiplier falling slower than the tolerance on it, times
+                # 1 + |dx|, stays within that tolerance for the rest of the leg.
+                beta, drop = _multiplier_test(mults, d_mults, keys,
+                                              mu_tol * (1.0 + np.abs(dx).max()))
                 alpha, kind, i = _ratio_test(problem, face, rows.ineq, unit_b_in(t, leg), x, dx,
                                              leg - t, d_in)
                 # an event within rounding of the leg's end waits for the

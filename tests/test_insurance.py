@@ -183,3 +183,14 @@ def test_model_validation():
         HazardModel(h=0.06, r=0.03, L=-1.0, s=0.5, horizon_M=30)
     with pytest.raises(ValueError):
         HazardModel(h=0.06, r=0.03, L=30.0, s=0.5, horizon_M=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("h", math.inf), ("h", math.nan), ("r", math.inf), ("r", math.nan),
+    ("L", math.inf), ("L", math.nan), ("s", math.inf), ("s", math.nan),
+])
+def test_model_rejects_a_non_finite_field(field, value):
+    terms = dict(h=0.06, r=0.03, L=30.0, s=0.5, horizon_M=30)
+    terms[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        HazardModel(**terms)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from longplan.market import AssetStats, estimate_stats, load_returns
@@ -174,18 +174,20 @@ def test_frontier_point_mean_attained():
 
 def test_sample_fund_and_frontier_solve_no_lp():
     # every QP starts from a point its caller knows to be feasible: the
-    # positive part of Sigma^+ 1, renormalized, e_k / excess_k, the
-    # homogenized optimum, the GMV; and the
+    # positive part of Sigma^+ a scaled onto the budget row a'y = 1, for the
+    # fund and the GMV, and the GMV; the fund is one QP, and the
     # frontier is one GMV solve plus one path, not a QP per target
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
     with mock.patch("longplan.qp._phase1", wraps=qp._phase1) as phase1:
-        max_sharpe_long_only(stats, 0.025)
+        with mock.patch("longplan.long_only.solve_qp", wraps=long_only.solve_qp) as fund_qp:
+            max_sharpe_long_only(stats, 0.025)
         with mock.patch("longplan.long_only.solve_qp", wraps=long_only.solve_qp) as solve_qp, \
                 mock.patch("longplan.long_only.solve_qp_path",
                            wraps=long_only.solve_qp_path) as solve_qp_path:
             frontier = trace_frontier(stats, 30)
     assert len(frontier.points) == 30
     assert phase1.call_count == 0
+    assert fund_qp.call_count == 1
     assert solve_qp.call_count == 1
     assert solve_qp_path.call_count == 1
 
@@ -193,7 +195,7 @@ def test_sample_fund_and_frontier_solve_no_lp():
 def _uniform_start_gmv(stats):
     n = stats.mu.shape[0]
     return long_only._clamp_and_renormalize(
-        long_only._simplex_min_variance(stats, np.full(n, 1.0 / n)))
+        long_only._budget_min_variance(stats, np.ones(n), np.full(n, 1.0 / n)))
 
 
 @st.composite
@@ -245,10 +247,106 @@ def test_gmv_start_takes_fewer_events_than_uniform_weights():
 
     with mock.patch("longplan.long_only.solve_qp", recording):
         w = long_only_gmv(stats).weights
-    uniform = qp.solve_qp(long_only._simplex_problem(stats), start=np.full(30, 1.0 / 30))
+    uniform = qp.solve_qp(long_only._budget_problem(stats, np.ones(30)),
+                          start=np.full(30, 1.0 / 30))
     assert np.count_nonzero(w) == 7
     np.testing.assert_allclose(w, _uniform_start_gmv(stats), rtol=0, atol=1e-12)
     assert solutions[0].iterations < uniform.iterations
+
+
+# Sigma on three assets, the first and last copies of one another: the
+# fund's optimal face is the segment between them, and its midpoint is
+# the best point of a 0.001-step simplex grid
+COPIED_PAIR = _stats([0.05, 0.04, 0.05],
+                     np.array([[1.33, 1.0, 1.33], [1.0, 1.88, 1.0], [1.33, 1.0, 1.33]]) / 100)
+
+
+@example((COPIED_PAIR, np.array([0, 2])), 0.01)
+@settings(max_examples=150, deadline=None)
+@given(gmv_covariances(), st.floats(0.0, 0.1))
+def test_fund_gives_copies_equal_weights_and_beats_the_frontier(case, r_f):
+    # the fund is one QP, its weight on exact copies of one asset shared
+    # equally; it is the best Sharpe ratio on the simplex, so no frontier
+    # point beats it
+    stats, pair = case
+    if pair is not None:
+        # a copy has its original's mean too
+        mu = stats.mu.copy()
+        mu[pair[1]] = mu[pair[0]]
+        stats = _stats(mu, stats.sigma)
+    assume(float(stats.mu.max()) > r_f)
+    fund = max_sharpe_long_only(stats, r_f)
+    if pair is not None:
+        assert fund.weights[pair[0]] == pytest.approx(fund.weights[pair[1]], rel=0, abs=1e-10)
+    for point in trace_frontier(stats, 12).points:
+        sharpe = (float(stats.mu @ point.weights) - r_f) / np.sqrt(point.variance)
+        assert fund.sharpe >= sharpe - 1e-9
+
+
+def test_fund_on_a_copied_pair_is_the_grid_optimum():
+    fund = max_sharpe_long_only(COPIED_PAIR, 0.01)
+    np.testing.assert_allclose(fund.weights, [0.5, 0.0, 0.5], rtol=0, atol=1e-10)
+    assert fund.sharpe == pytest.approx(0.3468440, abs=1e-7)
+    grid = simplex_grid_best_sharpe(COPIED_PAIR.mu, COPIED_PAIR.sigma, 0.01, step=0.001)
+    assert fund.sharpe == pytest.approx(grid, rel=0, abs=1e-12)
+
+
+def _copied_asset_case(seed):
+    """(stats, pair, r_f): a PD factor-model Sigma and means on N - 1 assets,
+    N in 3..12, with one asset and its mean copied, pair the indexes of the
+    two copies, and r_f in [0, 0.1)."""
+    rng = np.random.default_rng(seed)
+    base = int(rng.integers(3, 13)) - 1
+    g = rng.normal(1.0, 0.3, (3, base)) * 0.05
+    sigma = g.T @ g + np.diag(rng.uniform(0.0005, 0.004, base))
+    mu = rng.uniform(0.02, 0.12, base)
+    copy = rng.integers(base)
+    order = rng.permutation(np.r_[0:base, copy])
+    return (_stats(mu[order], sigma[np.ix_(order, order)]), np.flatnonzero(order == copy),
+            rng.uniform(0.0, 0.1))
+
+
+def test_exact_copies_share_their_weight():
+    # on each of these the solver reaches an optimum that holds one copy
+    # alone: the GMV of case 5373; the fund of case 3944, whose start holds
+    # neither copy, and of case 1782, whose start is the best vertex; and
+    # the target QP at the best mean from the best-mean vertex
+    stats, pair, _ = _copied_asset_case(5373)
+    results = [(long_only_gmv(stats).weights, pair)]
+    for seed in (3944, 1782):
+        stats, pair, r_f = _copied_asset_case(seed)
+        results.append((max_sharpe_long_only(stats, r_f).weights, pair))
+    results.append((min_variance_at_return(COPIED_PAIR, 0.05).weights, [0, 2]))
+    for w, pair in results:
+        assert w[pair[0]] > 0.0
+        assert w[pair[0]] == pytest.approx(w[pair[1]], rel=0, abs=1e-12)
+
+
+def test_fund_keeps_its_sharpe_where_the_start_exposed_a_drop_cycle():
+    # the data of tests/test_qp.py::test_newton_drop_rate_is_relative_to_the_step
+    returns = np.array([
+        [2.5, -0.5, 0.8, 0.6, -0.5, -1.3, -2.2, -0.7, 0.6],
+        [-0.7, -2.2, -1.1, -1.5, 0.0, -0.4, 0.9, -0.5, -0.9],
+        [3.5, 3.6, 2.7, 2.9, -0.1, -1.4, 0.7, -1.0, -1.6],
+        [2.8, 2.1, 1.6, 1.4, 1.5, 0.9, -0.6, -0.9, 0.6],
+        [1.6, 0.6, 2.2, 2.7, 0.8, 0.3, -1.2, -1.1, 0.5]])
+    centered = returns - returns.mean(axis=0)
+    stats = _stats([0.56, 0.97, 0.47, 0.8, 0.16, 0.67, 0.17, 0.4, 0.39], centered.T @ centered)
+    assert max_sharpe_long_only(stats, 0.3).sharpe == pytest.approx(3.8608233, abs=1e-7)
+
+
+@pytest.mark.parametrize("r_f", [np.nan, np.inf, -np.inf])
+def test_fund_rejects_a_non_finite_riskless_rate(r_f):
+    with pytest.raises(ValueError, match="^r_f must be finite") as raised:
+        max_sharpe_long_only(DIAG, r_f)
+    assert not isinstance(raised.value, qp.QpError)
+
+
+@pytest.mark.parametrize("mu_target", [np.nan, np.inf, -np.inf])
+def test_min_variance_rejects_a_non_finite_target(mu_target):
+    with pytest.raises(ValueError, match="^mu_target must be finite") as raised:
+        min_variance_at_return(DIAG, mu_target)
+    assert not isinstance(raised.value, qp.QpError)
 
 
 @st.composite

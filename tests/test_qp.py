@@ -686,6 +686,36 @@ def test_gradient_leg_keeps_a_bound_added_by_rounding(seed):
     assert report["dual_feasibility"] >= -1e-9
 
 
+
+def test_newton_drop_rate_is_relative_to_the_step():
+    # the long-only fund's QP, min y'Sigma y s.t. (mu - r_f)'y = 1, y >= 0,
+    # of a rank-4 sample covariance on 9 assets, from the positive part of
+    # Sigma^+ (mu - r_f) scaled onto the row: on a near-singular face a
+    # Newton step of size 3.3e3 gives a bound's multiplier a rate of -4.4e-8
+    # against a tolerance of 3.5e-8, so a drop rule blind to the step's size
+    # drops the bound at once, the step blocks on it again at once, and the
+    # two repeat until the event cap
+    returns = np.array([
+        [2.5, -0.5, 0.8, 0.6, -0.5, -1.3, -2.2, -0.7, 0.6],
+        [-0.7, -2.2, -1.1, -1.5, 0.0, -0.4, 0.9, -0.5, -0.9],
+        [3.5, 3.6, 2.7, 2.9, -0.1, -1.4, 0.7, -1.0, -1.6],
+        [2.8, 2.1, 1.6, 1.4, 1.5, 0.9, -0.6, -0.9, 0.6],
+        [1.6, 0.6, 2.2, 2.7, 0.8, 0.3, -1.2, -1.1, 0.5]])
+    centered = returns - returns.mean(axis=0)
+    sigma = centered.T @ centered
+    excess = np.array([0.56, 0.97, 0.47, 0.8, 0.16, 0.67, 0.17, 0.4, 0.39]) - 0.3
+    problem = QpProblem(Q=2.0 * sigma, c=np.zeros(9), a_eq=excess[None, :], b_eq=[1.0],
+                        lb=np.zeros(9))
+    start = np.maximum(np.linalg.lstsq(sigma, excess, rcond=None)[0], 0.0)
+    start /= excess @ start
+    warm, cold = solve_qp(problem, start=start), solve_qp(problem)
+    assert warm.status == cold.status == "optimal"
+    assert cold.objective == pytest.approx(0.0670872742592347, rel=1e-12)
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+    report = kkt_report(problem, warm)
+    assert report["stationarity"] <= 1e-8 and report["complementarity"] <= 1e-8
+    assert report["dual_feasibility"] >= -1e-9
+
 def test_tiny_feasible_interval_keeps_its_rows():
     # min 0.179 x^2 - 0.413 x on 2.98e-8 <= x <= 3.874e-8 (and 3x <= 1.554e-7):
     # the optimum is the upper end, which a solve that keeps a row violation
