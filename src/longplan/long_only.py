@@ -11,8 +11,9 @@ Sharpe maximizer over the simplex {w : 1'w = 1, w >= 0}.  Both start from
 the positive part of Sigma^+ a scaled onto the row, or from equal weights
 on the largest entries of a if that part misses it.  Where the optimum is
 not unique the point returned is the one reached from that start, its
-weight on exact copies of one asset (equal rows of Sigma, equal means)
-shared equally.
+weight shared equally among exact copies of one asset, the assets the QP
+cannot tell apart: equal rows of Sigma for the GMV, and equal means too
+for the fund and the frontier.
 
 Frontier points add the row e'w >= mu_target to a = 1, whose ">=" makes
 the curve flat below the GMV mean instead of bending back.  trace_frontier
@@ -118,17 +119,25 @@ def _budget_start(stats: AssetStats, a: np.ndarray) -> np.ndarray:
     return top / (np.count_nonzero(top) * a.max())
 
 
+def _copy_sharing(problem: QpProblem) -> np.ndarray:
+    """The matrix that shares weight equally among the exact copies of one
+    asset, the variables with equal columns of [Q; a_eq; a_in]: a budget QP
+    (c = 0, y >= 0) cannot tell them apart, so sharing moves neither its
+    objective nor any of its rows."""
+    columns = np.vstack([problem.Q, problem.a_eq, problem.a_in]).T
+    copies = (columns[:, None, :] == columns[None, :, :]).all(axis=2)
+    return copies / copies.sum(axis=1, keepdims=True)
+
+
 def _budget_min_variance(stats: AssetStats, a: np.ndarray, start: np.ndarray,
                          a_in=None, b_in=None) -> np.ndarray:
     """The budget QP's optimum from a start that is feasible for it, its
-    weight shared equally among exact copies of one asset (equal rows of
-    Sigma, equal means), which moves neither y'Sigma y nor a'y nor e'y."""
-    sol = solve_qp(_budget_problem(stats, a, a_in, b_in), start=start)
+    weight shared equally among exact copies of one asset."""
+    problem = _budget_problem(stats, a, a_in, b_in)
+    sol = solve_qp(problem, start=start)
     if sol.status != STATUS_OPTIMAL:
         raise QpError(f"minimum-variance QP returned status {sol.status!r}")
-    rows = np.column_stack([stats.sigma, stats.mu])
-    copies = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
-    return copies @ sol.x / copies.sum(axis=1)
+    return _copy_sharing(problem) @ sol.x
 
 
 def _clamp_and_renormalize(w: np.ndarray) -> np.ndarray:
@@ -253,8 +262,9 @@ def trace_frontier(stats: AssetStats, n_points: int) -> ConstrainedFrontier:
     between turning points the weights are affine in the target.  Each
     point is the optimum min_variance_at_return finds for its target; where
     Sigma is singular on the optimal face, it is the point the pass reaches
-    from the GMV.  When the two endpoints coincide (single asset, or all
-    means equal) the frontier degenerates to the single GMV point.
+    from the GMV, its weight shared equally among exact copies of one
+    asset.  When the two endpoints coincide (single asset, or all means
+    equal) the frontier degenerates to the single GMV point.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -267,5 +277,6 @@ def trace_frontier(stats: AssetStats, n_points: int) -> ConstrainedFrontier:
                               np.array([gmv.mu_target]))
     path = solve_qp_path(problem, np.array([max_e - gmv.mu_target]),
                          np.linspace(0.0, 1.0, n_points), start=gmv.weights)
-    points = tuple(_frontier_point(stats, t, sol.x) for t, sol in zip(targets, path))
+    share = _copy_sharing(problem)
+    points = tuple(_frontier_point(stats, t, share @ sol.x) for t, sol in zip(targets, path))
     return ConstrainedFrontier(points=points, gmv_point=gmv)

@@ -26,7 +26,8 @@ Every solve follows one path of optima, a chain of legs in a parameter t
 along which the working set changes only at events, with x and the
 multipliers affine in t in between (the parametric active-set method of
 Best 1996 and qpOASES, Ferreau, Kirches, Potschka, Bock & Diehl 2014; on
-the long-only frontier, Markowitz's critical line):
+the long-only frontier, Markowitz's critical line).  The path's state is
+x, the working rows and one side per bound, lower, upper or free:
 
 * the start keeps the equality rows, then the bounds and then the rows
   active at the feasible x0, each only if it is independent of those kept
@@ -56,19 +57,24 @@ the long-only frontier, Markowitz's critical line):
   and takes no factor;
 * an event is the first row or bound that blocks x, which enters, or the
   first working multiplier that reaches zero, whose row or bound leaves.
-  A rate within 1e-12, or a multiplier's within its tolerance, times 1 +
-  the step's size triggers no event, and an event within rounding of a
-  leg's end waits for the next leg;
+  A rate within 1e-12 times 1 + the step's size blocks nothing; a
+  multiplier leaves only if over the rest of the leg it would fall below
+  minus its tolerance, at a rate above 1e-12 (1 + lambda_max(Q)) times
+  1 + the step's size; and an event within rounding of a leg's end waits
+  for the next leg;
 * what blocks a step p has a'p != 0 where every working row and bound has
   a'p = 0, and a drop keeps the rest independent, so the working rows stay
-  linearly independent on the free variables.  In exact arithmetic only a
+  linearly independent on the free variables, but for an equality row that
+  depends on the other equality rows: it holds wherever they do, and the
+  face's QR gives it a zero multiplier.  In exact arithmetic only a
   moving right-hand side adds a dependent row; then the multipliers move
   along the dependency, the added one's rising, until another reaches zero
   and leaves (qpOASES's ensureLI).  If none falls, the rows cannot be met
   past that t, except on the gradient leg, where such an add is rounding:
   the rates then move along the dependency so that its multiplier stays;
 * one tie rule: ties go to the least index in the order general rows,
-  lower bounds, upper bounds, which at a zero-length step is Bland's rule;
+  then bounds in variable order, which at a zero-length step is Bland's
+  rule;
 * every returned point passes a restore step, a least-norm step from the
   face's QR back onto the working rows, and a KKT check; its objective,
   violation and KKT residuals are all read off one Qx + c and one set of
@@ -262,11 +268,8 @@ def _residuals(problem: QpProblem, x: np.ndarray, multipliers=None,
 # ---------------------------------------------------------------------------
 
 class _UnitRows(NamedTuple):
-    """The general rows scaled to unit norm; a zero row keeps norm 1.
-
-    eq keeps the equality rows eq_index of the problem, those independent
-    of the ones before them; eq_norm/in_norm unscale the multipliers.
-    """
+    """The general rows scaled to unit norm, a zero row keeping norm 1;
+    eq_norm and in_norm unscale the multipliers."""
 
     eq: np.ndarray
     b_eq: np.ndarray
@@ -274,7 +277,6 @@ class _UnitRows(NamedTuple):
     b_in: np.ndarray
     eq_norm: np.ndarray
     in_norm: np.ndarray
-    eq_index: np.ndarray
 
 
 def _unit_rows(problem: QpProblem) -> _UnitRows:
@@ -285,11 +287,7 @@ def _unit_rows(problem: QpProblem) -> _UnitRows:
 
     eq, b_eq, eq_norm = scaled(problem.a_eq, problem.b_eq)
     ineq, b_in, in_norm = scaled(problem.a_in, problem.b_in)
-    # An equality row that depends on the others holds wherever they do,
-    # within the feasibility tolerance, so it is left out once.
-    eq_index = np.sort(_independent_rows(eq)[2])
-    return _UnitRows(eq[eq_index], b_eq[eq_index], ineq, b_in, eq_norm[eq_index], in_norm,
-                     eq_index)
+    return _UnitRows(eq, b_eq, ineq, b_in, eq_norm, in_norm)
 
 
 def _phase1(problem: QpProblem):
@@ -390,11 +388,13 @@ def _ratio_test(problem: QpProblem, face: _Face, a_in: np.ndarray, b_in: np.ndar
     a_in and b_in are the unit rows, b_in where the leg puts it.  On a path
     the inequality right-hand sides move by d_in per unit step; within one
     QP they stay put (d_in None).  Candidates are the general rows outside
-    the face's working list, then the finite lower and upper bounds of its
-    free variables, each in index order, that the step approaches at a rate
+    the face's working list, in index order, then the free variables, in
+    index order, at the finite bound that the step approaches at a rate
     above rounding (1e-12 of the largest entry of p and d_in); the first
-    near-minimal ratio blocks.  Returns (alpha, kind, i) with kind "row",
-    "lower" or "upper", or (cap, None, -1) when nothing blocks first.
+    near-minimal ratio blocks.  Returns (alpha, key, side): key is i for
+    row i and m_in + i for a bound of variable i, and side is 1 for its
+    lower bound and -1 for its upper one; (cap, -1, 0) when nothing blocks
+    first.
     """
     ap = a_in @ p
     # a rate within rounding of zero, relative to the step, never blocks
@@ -403,20 +403,23 @@ def _ratio_test(problem: QpProblem, face: _Face, a_in: np.ndarray, b_in: np.ndar
         ap -= d_in
         tol += 1e-12 * np.abs(d_in).max(initial=0.0)
     blocking = face.outside[ap[face.outside] < -tol]
-    lows = face.lows[p[face.lows] < -tol]
-    ups = face.ups[p[face.ups] > tol]
-    lb, ub = problem.lb, problem.ub
+    free = face.free
+    down = (p[free] < -tol) & problem._finite_lb[free]
+    hits = down | ((p[free] > tol) & problem._finite_ub[free])
+    bounds, side = free[hits], np.where(down[hits], 1.0, -1.0)
+    value = np.where(side > 0, problem.lb[bounds], problem.ub[bounds])
     ratios = np.concatenate([
         np.maximum(a_in[blocking] @ x - b_in[blocking], 0.0) / -ap[blocking],
-        np.maximum(x[lows] - lb[lows], 0.0) / -p[lows],
-        np.maximum(ub[ups] - x[ups], 0.0) / p[ups],
+        np.maximum(side * (x[bounds] - value), 0.0) / (-side * p[bounds]),
     ])
     if not ratios.size or ratios.min() >= cap:
-        return cap, None, -1
+        return cap, -1, 0.0
     alpha = float(ratios.min())
     k = int(np.argmax(_near(ratios, alpha)))
-    kind = "row" if k < blocking.size else "lower" if k < blocking.size + lows.size else "upper"
-    return alpha, kind, int(np.concatenate([blocking, lows, ups])[k])
+    if k < blocking.size:
+        return alpha, int(blocking[k]), 0.0
+    k -= blocking.size
+    return alpha, a_in.shape[0] + int(bounds[k]), float(side[k])
 
 
 def _reduced_step(h_red: np.ndarray, lam_max: float):
@@ -459,10 +462,10 @@ class _Face(NamedTuple):
     free indexes the free variables, a_w stacks the equality and working
     rows and a_f is a_w on free; z, multipliers, restore and dependent are
     _face's for a_f, zq is z'Q on free and step the _reduced_step of z'Qz
-    (None when z has no column).  For the event tests, lower and upper
-    index the fixed bounds, keys orders the working rows and those bounds
-    as _follow's candidates, outside indexes the general rows not in the
-    working list, and lows and ups the free variables with a finite bound.
+    (None when z has no column).  For the event tests, fixed indexes the
+    fixed variables and side their bounds' sides, keys orders the working
+    rows and those bounds as _solve's candidates, and outside indexes the
+    general rows not in the working list.
     """
 
     free: np.ndarray
@@ -474,45 +477,27 @@ class _Face(NamedTuple):
     dependent: np.ndarray
     zq: np.ndarray
     step: Callable | None
-    lower: np.ndarray
-    upper: np.ndarray
+    fixed: np.ndarray
+    side: np.ndarray
     keys: np.ndarray
     outside: np.ndarray
-    lows: np.ndarray
-    ups: np.ndarray
 
 
 def _open_face(problem: QpProblem, rows: _UnitRows, lam_max: float, working: list[int],
-               at_lower: np.ndarray, at_upper: np.ndarray, factors=None) -> _Face:
-    """The _Face of the working rows and the bounds at_lower and at_upper
-    fix; factors is the QR of the working rows on the free variables when
-    _start has it."""
-    m_in, n = rows.ineq.shape[0], problem.n
-    free = np.flatnonzero(~(at_lower | at_upper))
+               side: np.ndarray, factors=None) -> _Face:
+    """The _Face of the working rows and the bounds side fixes; factors is
+    the QR of the working rows on the free variables when _start has it."""
+    m_in = rows.ineq.shape[0]
+    free, fixed = np.flatnonzero(side == 0.0), np.flatnonzero(side)
     a_w = np.vstack([rows.eq, rows.ineq[working]])
     a_f = a_w[:, free]
     z, multipliers, restore, dependent = _face(a_f, factors)
     zq = z.T @ problem.Q.take(free, axis=0).take(free, axis=1)
-    lower, upper = np.flatnonzero(at_lower), np.flatnonzero(at_upper)
     outside = np.ones(m_in, dtype=bool)
     outside[working] = False
     return _Face(free, a_w, a_f, z, multipliers, restore, dependent, zq,
-                 _reduced_step(zq @ z, lam_max) if z.shape[1] else None, lower, upper,
-                 np.concatenate([working, m_in + lower, m_in + n + upper]),
-                 np.flatnonzero(outside), free[problem._finite_lb[free]],
-                 free[problem._finite_ub[free]])
-
-
-class _Optimum(NamedTuple):
-    """A point of a path: x on the face of the working rows and fixed
-    bounds, that face and the events so far."""
-
-    x: np.ndarray
-    working: list[int]
-    at_lower: np.ndarray
-    at_upper: np.ndarray
-    face: _Face
-    iterations: int
+                 _reduced_step(zq @ z, lam_max) if z.shape[1] else None, fixed, side[fixed],
+                 np.concatenate([working, m_in + fixed]), np.flatnonzero(outside))
 
 
 def _start(problem: QpProblem, rows: _UnitRows, x0: np.ndarray):
@@ -525,29 +510,26 @@ def _start(problem: QpProblem, rows: _UnitRows, x0: np.ndarray):
     together exactly when the equality rows are independent on the free
     variables, so the bounds take a search of their own only when the QR
     of the face names an equality row dependent.  Returns (x, working,
-    at_lower, at_upper, factors): factors is the last dependency search's
-    QR, for _face, when that is the QR of the kept rows in their order, and
+    side, factors): side is 1 at a kept lower bound, -1 at a kept upper
+    one and 0 elsewhere, and factors is the last dependency search's QR,
+    for _face, when that is the QR of the kept rows in their order, and
     None otherwise.
     """
     lb, ub, m_eq = problem.lb, problem.ub, rows.eq.shape[0]
-    x = x0.copy()
-    active = np.flatnonzero(rows.ineq @ x - rows.b_in <= 1e-8)
-    at_lower = x - lb <= 1e-8
-    at_upper = (ub - x <= 1e-8) & ~at_lower
+    active = np.flatnonzero(rows.ineq @ x0 - rows.b_in <= 1e-8)
+    side = np.where(x0 - lb <= 1e-8, 1.0, np.where(ub - x0 <= 1e-8, -1.0, 0.0))
     a_active = np.vstack([rows.eq, rows.ineq[active]])
-    q, r, independent, dependent = _independent_rows(a_active[:, ~(at_lower | at_upper)])
+    q, r, independent, dependent = _independent_rows(a_active[:, side == 0.0])
     if (dependent < m_eq).any():
-        fixed = np.flatnonzero(at_lower | at_upper)
+        fixed = np.flatnonzero(side)
         kept = _independent_rows(np.vstack([rows.eq, np.eye(problem.n)[fixed]]))[2]
-        spanned = np.delete(fixed, kept[kept >= m_eq] - m_eq)
-        at_lower[spanned] = at_upper[spanned] = False
-        q, r, independent, _ = _independent_rows(a_active[:, ~(at_lower | at_upper)])
-    x[at_lower] = lb[at_lower]
-    x[at_upper] = ub[at_upper]
+        side[np.delete(fixed, kept[kept >= m_eq] - m_eq)] = 0.0
+        q, r, independent, _ = _independent_rows(a_active[:, side == 0.0])
+    x = np.where(side > 0, lb, np.where(side < 0, ub, x0))
     kept = np.sort(independent)
     working = [int(i) for i in active[kept[kept >= m_eq] - m_eq]]
     reuse = np.array_equal(kept, independent) and np.array_equal(kept[:m_eq], np.arange(m_eq))
-    return x, working, at_lower, at_upper, (q, r, np.arange(kept.size), kept[:0]) if reuse else None
+    return x, working, side, (q, r, np.arange(kept.size), kept[:0]) if reuse else None
 
 
 def _unbounded(problem: QpProblem, rows: _UnitRows, lam_max: float, x: np.ndarray,
@@ -574,35 +556,37 @@ def _unbounded(problem: QpProblem, rows: _UnitRows, lam_max: float, x: np.ndarra
                       max_violation=problem.max_violation(x), iterations=iterations, ray=ray)
 
 
-def _finish(problem: QpProblem, rows: _UnitRows, optimum: _Optimum) -> QpSolution:
-    """The verified optimal solution at a point of a path.
+def _finish(problem: QpProblem, rows: _UnitRows, x: np.ndarray, working: list[int],
+            side: np.ndarray, face: _Face, nu: np.ndarray, iterations: int) -> QpSolution:
+    """The verified optimal solution at the point x of a path, on face,
+    with the path's multipliers nu of the face's rows.
 
     A least-norm step from the face's QR first puts the working rows back
     on their right-hand sides: the events leave them off by rounding in
     proportion to |x|, which a large multiplier turns into a false
-    complementarity failure.  The multipliers fit the gradient Qx + c
-    through the same QR, every bound dual is read off the stationarity
+    complementarity failure.  The multipliers refit nu to the gradient
+    Qx + c through the same QR, so a row the QR finds dependent keeps the
+    share nu gave it, every bound dual is read off the stationarity
     residual, and the result must pass the KKT check; a non-finite x or
     multiplier fails it too, since it would slip through the comparisons.
     The objective, the violation and the KKT residuals come from one Qx + c
     and one set of row slacks (_residuals).
     """
-    x, working, at_lower, at_upper, face, iterations = optimum
     x = x.copy()
     x[face.free] += face.restore(np.concatenate([rows.b_eq, rows.b_in[working]]) - face.a_w @ x)
     x = np.clip(x, problem.lb, problem.ub)
     grad = problem.Q @ x + problem.c
-    nu = face.multipliers(grad[face.free])
+    nu = nu + face.multipliers(grad[face.free] - face.a_f.T @ nu)
     m_eq = rows.eq.shape[0]
-    eq_mult = np.zeros(problem.a_eq.shape[0])
-    eq_mult[rows.eq_index] = nu[:m_eq] / rows.eq_norm
+    eq_mult = nu[:m_eq] / rows.eq_norm
     in_mult = np.zeros(problem.a_in.shape[0])
     in_mult[working] = np.maximum(nu[m_eq:] / rows.in_norm[working], 0.0)
     resid = grad - problem.a_eq.T @ eq_mult - problem.a_in.T @ in_mult
     if not np.all(np.isfinite(resid)):     # x and every multiplier feed it
         raise QpError("internal KKT verification failed: non-finite solution or multiplier")
-    lower = np.where(at_lower, np.maximum(resid, 0.0), 0.0)
-    upper = np.where(at_upper, np.maximum(-resid, 0.0), 0.0)
+    bound_mult = np.maximum(side * resid, 0.0)
+    lower = np.where(side > 0, bound_mult, 0.0)
+    upper = np.where(side < 0, bound_mult, 0.0)
     report = _residuals(problem, x, (eq_mult, in_mult, lower, upper), grad)
     grad_scale = 1.0 + float(np.abs(problem.c).max(initial=0.0))
     rhs_scale = 1.0 + problem.rhs_scale()
@@ -615,34 +599,6 @@ def _finish(problem: QpProblem, rows: _UnitRows, optimum: _Optimum) -> QpSolutio
                       max_violation=report["max_violation"], eq_multipliers=eq_mult,
                       in_multipliers=in_mult, lower_multipliers=lower,
                       upper_multipliers=upper, iterations=iterations)
-
-
-def _feasible_start(problem: QpProblem, start):
-    """(rows, lam_max, x0): the unit rows, the largest eigenvalue of Q on
-    the variables whose bounds differ, and start if it is feasible, else
-    phase 1's point, or the infeasible QpSolution if phase 1 finds none."""
-    if start is not None:
-        start = np.asarray(start, dtype=float).ravel()
-        if start.shape[0] != problem.n or not np.all(np.isfinite(start)):
-            raise QpInputError(
-                f"start must be a finite vector of length {problem.n}")
-    rows = _unit_rows(problem)
-    feas_tol = FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
-    # Equal bounds fix a variable, so Q need only be PSD on the others.
-    movable = problem.lb < problem.ub
-    eigvals = np.linalg.eigvalsh(problem.Q[np.ix_(movable, movable)])
-    lam_max = float(eigvals.max(initial=0.0))
-    if eigvals.min(initial=0.0) < -1e-8 * max(1.0, lam_max):
-        raise QpInputError("Q is not positive semidefinite")
-
-    if start is not None and np.all((problem.lb <= start) & (start <= problem.ub)) \
-            and problem.max_violation(start) <= feas_tol:
-        return rows, lam_max, start
-    x0, t_star = _phase1(problem)
-    if t_star > feas_tol:
-        return rows, lam_max, QpSolution(
-            x=x0, objective=np.nan, status=STATUS_INFEASIBLE, max_violation=t_star)
-    return rows, lam_max, x0
 
 
 def solve_qp(problem: QpProblem, *, start=None,
@@ -664,18 +620,15 @@ def solve_qp(problem: QpProblem, *, start=None,
     not positive semidefinite on the variables whose bounds differ, and
     QpIterationLimitError past 50*n events.
     """
-    rows, lam_max, x0 = _feasible_start(problem, start)
-    if isinstance(x0, QpSolution):
-        return x0
-    result = _follow(problem, rows, lam_max, x0, np.zeros((0, problem.b_in.shape[0])),
-                     np.zeros(1), 50 * problem.n if _max_iter is None else _max_iter)
-    return result if isinstance(result, QpSolution) else result[0]
+    return _solve(problem, start, np.zeros((0, problem.b_in.shape[0])), np.zeros(1),
+                  50 * problem.n if _max_iter is None else _max_iter)[0]
 
 
-def _multiplier_test(mults: np.ndarray, rates: np.ndarray, keys: np.ndarray, tol: float):
+def _multiplier_test(mults: np.ndarray, rates: np.ndarray, keys: np.ndarray, tol):
     """(beta, k): the least beta >= 0 at which mults + beta * rates first
     reaches zero, and the candidate k that does, the one with the least key
-    among near-ties; (inf, -1) if none falls faster than tol."""
+    among near-ties; (inf, -1) if none falls faster than tol, a scalar or
+    one per candidate."""
     falling = np.flatnonzero(rates < -tol)
     if not falling.size:
         return np.inf, -1
@@ -685,32 +638,45 @@ def _multiplier_test(mults: np.ndarray, rates: np.ndarray, keys: np.ndarray, tol
     return least, int(tied[np.argmin(keys[tied])])
 
 
-def _carrying(face: _Face, nu: np.ndarray) -> _Face:
-    """face with multipliers that keep nu's part in the null space of a_f'.
+def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
+           max_events: int) -> list[QpSolution]:
+    """The verified optima at taus along the legs, or a one-element list
+    holding the infeasible or unbounded verdict.
 
-    The QR's own multipliers give a row it finds dependent a zero; these
-    fit the gradient the same way but start from nu, the path's carried
-    multipliers, so a dependency keeps the share nu gave it.
-    """
-    multipliers, a_f = face.multipliers, face.a_f
-    return face._replace(multipliers=lambda g: nu + multipliers(g - a_f.T @ nu))
-
-
-def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
-            db_legs: np.ndarray, taus: np.ndarray, max_events: int):
-    """The verified optima at taus along the legs from the feasible x0, or
-    the unbounded QpSolution when leg 0 ends on a ray.
-
+    The path starts at start if it is feasible, else at phase 1's point.
     Leg 0 runs t from -1 to 0, the gradient c + t dc moving from c0, for
-    which x0 is optimal, to c; leg j >= 1 runs t from j - 1 to j, b_in
-    moving by db_legs[j - 1].  The module docstring describes the events.
-    Each face is factored once, when it opens (_open_face); a pass on it
-    only solves with those factors.
+    which that point is optimal, to c; leg j >= 1 runs t from j - 1 to j,
+    b_in moving by legs[j - 1].  The module docstring describes the events.
+    The state is x, the working rows and side, each bound's side (1 lower,
+    -1 upper, 0 free).  Each face is factored once, when it opens
+    (_open_face); a pass on it only solves with those factors.
     """
+    if start is not None:
+        start = np.asarray(start, dtype=float).ravel()
+        if start.shape[0] != problem.n or not np.all(np.isfinite(start)):
+            raise QpInputError(
+                f"start must be a finite vector of length {problem.n}")
+    rows = _unit_rows(problem)
+    feas_tol = FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
+    # Equal bounds fix a variable, so Q need only be PSD on the others.
+    movable = problem.lb < problem.ub
+    eigvals = np.linalg.eigvalsh(problem.Q[np.ix_(movable, movable)])
+    lam_max = float(eigvals.max(initial=0.0))
+    if eigvals.min(initial=0.0) < -1e-8 * max(1.0, lam_max):
+        raise QpInputError("Q is not positive semidefinite")
+    if start is not None and np.all((problem.lb <= start) & (start <= problem.ub)) \
+            and problem.max_violation(start) <= feas_tol:
+        x0 = start
+    else:
+        x0, t_star = _phase1(problem)
+        if t_star > feas_tol:
+            return [QpSolution(x=x0, objective=np.nan, status=STATUS_INFEASIBLE,
+                               max_violation=t_star)]
+
     q, c, n = problem.Q, problem.c, problem.n
     m_eq, m_in = rows.eq.shape[0], rows.ineq.shape[0]
-    b_starts = problem.b_in + np.cumsum(np.vstack([np.zeros(m_in), db_legs]), axis=0)
-    d_legs = db_legs / rows.in_norm
+    b_starts = problem.b_in + np.cumsum(np.vstack([np.zeros(m_in), legs]), axis=0)
+    d_legs = legs / rows.in_norm
     unit_starts = b_starts / rows.in_norm
 
     def unit_b_in(t: float, leg: int) -> np.ndarray:
@@ -722,51 +688,49 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
         (the copy skips __post_init__: a finite b_in is all that changes)."""
         if leg == 0:
             return problem, rows
-        b_in = b_starts[leg - 1] + (t - leg + 1) * db_legs[leg - 1]
+        b_in = b_starts[leg - 1] + (t - leg + 1) * legs[leg - 1]
         b_in.setflags(write=False)
         problem_t = copy.copy(problem)
         object.__setattr__(problem_t, "b_in", b_in)
         return problem_t, rows._replace(b_in=unit_b_in(t, leg))
 
-    def key_of(kind: str, i: int) -> int:
-        return i + {"row": 0, "lower": m_in, "upper": m_in + n}[kind]
-
-    x, working, at_lower, at_upper, factors = _start(problem, rows, x0)
+    x, working, side, factors = _start(problem, rows, x0)
     t, leg, path, entered, face, dc = -1.0, 0, [], -1, None, None
     for passes in range(1, max_events + 2):
         if face is None:
-            face, factors = _open_face(problem, rows, lam_max, working, at_lower, at_upper,
-                                       factors), None
+            face, factors = _open_face(problem, rows, lam_max, working, side, factors), None
         free, a_w, a_f, multipliers = face.free, face.a_w, face.a_f, face.multipliers
         g_true = q @ x + c
         if dc is None:
-            # x0 is optimal for c0 = a_w'nu + mu_lower - mu_upper - Q x0,
-            # where nu and mu are the first face's fit of the true gradient,
-            # and dc = c - c0.  Every inequality and bound multiplier is
-            # clipped at a ramp of distinct values near zero (qpOASES's
-            # ramping), not at zero, where every drop would tie at t = -1:
-            # least-index ties alone cycled there.
+            # x0 is optimal for c0 = a_w'nu + side * mu - Q x0, where nu and
+            # mu are the first face's fit of the true gradient, and dc =
+            # c - c0.  Every inequality and bound multiplier is clipped at a
+            # ramp of distinct values near zero (qpOASES's ramping), not at
+            # zero, where every drop would tie at t = -1: least-index ties
+            # alone cycled there.  The ramp spaces m_in + 2n slots and a
+            # bound takes its variable's slot on either side: spaced over
+            # m_in + n slots instead, the values moved, and that failed more
+            # tied-means solves (50 against 43 of 3,000 from the best vertex,
+            # 84 against 60 cold) and changed a digit of the sample plan.
             ramp = (1e-6 * (1.0 + np.abs(g_true).max(initial=0.0))
-                    * (1.0 + np.arange(m_in + 2 * n) / (m_in + 2 * n)))
+                    * (1.0 + np.arange(m_in + n) / (m_in + 2 * n)))
             nu = multipliers(g_true[free])
             nu[m_eq:] = np.maximum(nu[m_eq:], ramp[working])
             resid = g_true - a_w.T @ nu
-            dc = np.where(at_lower, np.minimum(resid - ramp[m_in:m_in + n], 0.0),
-                          np.where(at_upper, np.maximum(resid + ramp[m_in + n:], 0.0), resid))
+            dc = np.where(side != 0.0, side * np.minimum(side * resid - ramp[m_in:], 0.0), resid)
         grad = g_true + t * dc if leg == 0 else g_true
         mu_tol = 1e-9 * (1.0 + np.abs(g_true).max(initial=0.0))
         nu = nu + multipliers(grad[free] - a_f.T @ nu)    # refit the part a_f' sees
         resid = grad - a_w.T @ nu
-        # Candidates in order: working rows, lower bounds, upper bounds; a
-        # key orders every row and bound of the problem by index.
-        mults = np.concatenate([nu[m_eq:], resid[face.lower], -resid[face.upper]])
+        # Candidates in order: working rows, then fixed bounds; a key orders
+        # every row and bound of the problem by index.
+        mults = np.concatenate([nu[m_eq:], face.side * resid[face.fixed]])
         keys = face.keys
         for j in face.dependent:
             # y'a_f = 0: moving nu along y keeps the free variables stationary
             y = multipliers(a_f[j])
             y[j] -= 1.0
-            ay = a_w.T @ y
-            rates = np.concatenate([y[m_eq:], -ay[face.lower], ay[face.upper]])
+            rates = np.concatenate([y[m_eq:], -face.side * (a_w.T @ y)[face.fixed]])
             tol = 1e-12 * (1.0 + np.abs(y).max())
             if np.abs(rates).max(initial=0.0) > tol:
                 break
@@ -788,14 +752,13 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
                     if problem_t.max_violation(x) > FEASIBILITY_TOL * (1.0 + problem_t.rhs_scale()):
                         raise QpError(f"the rows cannot be met past tau = {t!r}")
                     if len(path) < taus.size and taus[len(path)] == tau:
-                        path.append(_finish(problem_t, rows_t, _Optimum(
-                            x, working, at_lower, at_upper, _carrying(face, nu), passes)))
+                        path.append(_finish(problem_t, rows_t, x, working, side, face, nu, passes))
                 if len(path) == taus.size:
                     return path
                 t, leg, entered = float(leg), leg + 1, -1
                 continue
         if j >= 0 and drop >= 0:
-            nu, kind = nu + theta * sign * y, None
+            nu, key = nu + theta * sign * y, -1
         else:
             d_in = d_legs[leg - 1] if leg else None
             dx = np.zeros(n)
@@ -820,35 +783,39 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
                 p = np.zeros(n)
                 p[free] = face.z @ v_flat
                 p /= np.abs(p).max()
-                alpha, kind, i = _ratio_test(problem, face, rows.ineq, rows.b_in, x, p, np.inf)
-                if kind is None:
-                    return _unbounded(problem, rows, lam_max, x, p, passes)
+                alpha, key, s = _ratio_test(problem, face, rows.ineq, rows.b_in, x, p, np.inf)
+                if key < 0:
+                    return [_unbounded(problem, rows, lam_max, x, p, passes)]
                 x = x + alpha * p
             else:
                 q_dx = q @ dx + dc if leg == 0 else q @ dx
                 d_nu = multipliers(q_dx[free])
                 d_resid = q_dx - a_w.T @ d_nu
-                d_mults = np.concatenate([d_nu[m_eq:], d_resid[face.lower], -d_resid[face.upper]])
+                d_mults = np.concatenate([d_nu[m_eq:], face.side * d_resid[face.fixed]])
                 if j >= 0 and last.size and abs(rates[last[0]]) > tol:
                     # a gradient leg's dependent add is rounding: it keeps
                     # its multiplier, the rates moving along the dependency
                     shift = d_mults[last[0]] / rates[last[0]]
                     d_nu, d_mults = d_nu - shift * y, d_mults - shift * rates
-                # A multiplier falling slower than the tolerance on it, times
-                # 1 + |dx|, stays within that tolerance for the rest of the leg.
-                beta, drop = _multiplier_test(mults, d_mults, keys,
-                                              mu_tol * (1.0 + np.abs(dx).max()))
-                alpha, kind, i = _ratio_test(problem, face, rows.ineq, unit_b_in(t, leg), x, dx,
-                                             leg - t, d_in)
+                # A multiplier drops only if, over the rest of the leg, it
+                # would fall below minus the tolerance on it, at a rate above
+                # the rounding of Q dx: a slower fall stays within that
+                # tolerance until the leg ends, and on a near-singular face,
+                # whose step is large, a rate at rounding level would drop a
+                # bound that the next face adds back at once, in a cycle.
+                rounding = 1e-12 * (1.0 + lam_max) * (1.0 + np.abs(dx).max())
+                beta, drop = _multiplier_test(mults, d_mults, keys, np.maximum(
+                    (np.maximum(mults, 0.0) + mu_tol) / (leg - t), rounding))
+                alpha, key, s = _ratio_test(problem, face, rows.ineq, unit_b_in(t, leg), x, dx,
+                                            leg - t, d_in)
                 # an event within rounding of the leg's end waits for the
                 # next leg, whose direction can differ
                 ends = _near(leg - t, min(alpha, beta))
                 step = leg - t if ends else min(alpha, beta)
                 while len(path) < taus.size and taus[len(path)] - t <= step:
                     tau = taus[len(path)]
-                    path.append(_finish(*at(tau, leg), _Optimum(
-                        x + (tau - t) * dx, working, at_lower, at_upper,
-                        _carrying(face, nu + (tau - t) * d_nu), passes)))
+                    path.append(_finish(*at(tau, leg), x + (tau - t) * dx, working, side, face,
+                                        nu + (tau - t) * d_nu, passes))
                 if len(path) == taus.size:
                     return path
                 x, t, nu = x + step * dx, t + step, nu + step * d_nu
@@ -856,28 +823,24 @@ def _follow(problem: QpProblem, rows: _UnitRows, lam_max: float, x0: np.ndarray,
                     t, leg = float(leg), leg + 1        # the next leg, on the same face
                     continue
                 tied = drop >= 0 and _near(max(alpha, beta), step)
-                if kind is not None and not ((key_of(kind, i) < keys[drop]) if tied
-                                             else (alpha < beta)):
-                    kind = None
-            if kind is not None:
+                if key >= 0 and not ((key < keys[drop]) if tied else (alpha < beta)):
+                    key = -1
+            if key >= 0:
                 # what blocks enters; a bound puts x[i] on its value
-                if kind == "row":
-                    working.append(i)
+                if key < m_in:
+                    working.append(key)
                     nu = np.append(nu, 0.0)
-                elif kind == "lower":
-                    at_lower[i], x[i] = True, problem.lb[i]
                 else:
-                    at_upper[i], x[i] = True, problem.ub[i]
-                entered, face = key_of(kind, i), None
+                    i = key - m_in
+                    side[i], x[i] = s, problem.lb[i] if s > 0 else problem.ub[i]
+                entered, face = key, None
                 continue
         entered, face, key = -1, None, int(keys[drop])
         if key < m_in:
             working.pop(drop)
             nu = np.delete(nu, m_eq + drop)
-        elif key < m_in + n:
-            at_lower[key - m_in] = False
         else:
-            at_upper[key - m_in - n] = False
+            side[key - m_in] = 0.0
     raise QpIterationLimitError(f"event cap {max_events} exceeded")
 
 
@@ -916,9 +879,7 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
     taus = np.asarray(taus, dtype=float).ravel()
     if not (taus.size and np.all((taus >= 0.0) & (taus <= k)) and np.all(np.diff(taus) >= 0.0)):
         raise QpInputError(f"taus must be a nonempty nondecreasing sequence in [0, {k}]")
-    rows, lam_max, x0 = _feasible_start(problem, start)
-    result = x0 if isinstance(x0, QpSolution) else _follow(
-        problem, rows, lam_max, x0, legs, taus, 50 * problem.n * (k + 1))
-    if isinstance(result, QpSolution):
-        raise QpError(f"the path needs an optimum at tau = 0, where the QP is {result.status}")
-    return result
+    path = _solve(problem, start, legs, taus, 50 * problem.n * (k + 1))
+    if path[0].status != STATUS_OPTIMAL:
+        raise QpError(f"the path needs an optimum at tau = 0, where the QP is {path[0].status}")
+    return path

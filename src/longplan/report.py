@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -89,35 +89,19 @@ class RunConfig:
             raise ValueError("mc_seed must be >= 0")
 
 
-_RUN_KEYS = {
-    "returns_path": str,
-    "periods_per_year": int,
-    "r_f": float,
-    "frontier_points": int,
-    "mc_draws": int,
-    "mc_seed": int,
-    "output_dir": str,
-    "paper_faithful_v": bool,
-    "mc_kstart": bool,
-    "emit_svg": bool,
-}
-_LIFECYCLE_KEYS = {
-    "years_M": int,
-    "r": float,
-    "r_borrow": float,
-    "r_save": float,
-    "income_high": float,
-    "income_low": float,
-    "d_floor": float,
-    "initial_saving": float,
-    "risk_aversion_B": float,
-    "house_initial": float,
-    "house_annual": float,
-    "house_years": int,
-    "house_growth": float,
-    "house_utility": float,
-}
-_HAZARD_KEYS = {"hazard_h": float, "hazard_L": float, "hazard_s": float}
+def _config_keys(cls, prefix: str = "", skip: tuple[str, ...] = ()) -> dict:
+    """The config-file keys of cls's scalar fields, prefix + name, each
+    with its type; fields in skip and nested configs are not keys."""
+    kinds = {kind.__name__: kind for kind in (str, int, float, bool)}
+    # the modules postpone annotations, so a field's type is its name
+    return {prefix + f.name: kinds[f.type] for f in fields(cls)
+            if f.type in kinds and f.name not in skip}
+
+
+_RUN_KEYS = _config_keys(RunConfig)
+_LIFECYCLE_KEYS = _config_keys(LifecycleConfig)
+# the hazard's discount rate and horizon are the plan's r and years_M
+_HAZARD_KEYS = _config_keys(HazardModel, "hazard_", ("r", "horizon_M"))
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longplan import lifecycle, qp
@@ -391,8 +391,9 @@ def test_warm_started_branches_match_cold_solves():
 
 
 def test_sample_plan_solves_no_lp():
-    # the first branch starts from the zero plan and every later one from
-    # the previous plan repaired by borrowing, so phase 1 never runs
+    # the no-house QP starts from the zero plan, which meets its rows, and
+    # every later branch is a leg of one path from that optimum, so phase 1
+    # never runs
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
     fund = max_sharpe_long_only(stats, 0.025)
     with mock.patch("longplan.qp._phase1", wraps=qp._phase1) as phase1:
@@ -447,15 +448,9 @@ def test_every_branch_starts_from_a_feasible_point(seed):
         [f"house-year-{year}" for year in range(1, legs + 1)]
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_chained_branches_match_cold_solves(seed):
-    # every branch after the first comes from a path step off the one
-    # before it; each must still be the optimum a cold solve finds
-    rng = np.random.default_rng(seed)
-    config = _random_margin_config(rng)
-    asset = RiskyAssetSummary(r_stock=rng.uniform(0.04, 0.14),
-                              var_stock=rng.uniform(0.005, 0.05))
+def _assert_branches_match_cold_solves(config, asset):
+    """Every branch objective of the plan must match a cold solve of that
+    branch's pinned QP, and the best cold branch must win."""
     plan = solve_lifecycle(config, asset)
     m = config.years_M
     c = assemble_linear_coefficients(config, asset)
@@ -474,6 +469,42 @@ def test_chained_branches_match_cold_solves(seed):
         assert objective == pytest.approx(cold[label], rel=1e-9, abs=1e-9)
     best = max(cold, key=cold.get)
     assert best == ("none" if plan.house_year is None else f"house-year-{plan.house_year}")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_chained_branches_match_cold_solves(seed):
+    # every branch after the first comes from a path step off the one
+    # before it; each must still be the optimum a cold solve finds
+    rng = np.random.default_rng(seed)
+    config = _random_margin_config(rng)
+    asset = RiskyAssetSummary(r_stock=rng.uniform(0.04, 0.14),
+                              var_stock=rng.uniform(0.005, 0.05))
+    _assert_branches_match_cold_solves(config, asset)
+
+
+# The examples are draws 5, 11, 12 and 16 of default_rng(0) over these
+# ranges, in this order.  On their early house years a cold solve's
+# Newton steps reach a size of 2e5, so a drop rule that scales the
+# multiplier tolerance by the step's size lets bound multipliers fall far
+# below zero unseen, and the KKT check fails (stationarity 8e-3 to 4e-2).
+@settings(max_examples=6, deadline=None)
+@given(st.floats(80.0, 300.0), st.floats(1000.0, 6000.0), st.floats(100.0, 900.0),
+       st.floats(0.5, 6.0), st.floats(0.03, 0.15), st.floats(0.005, 0.06))
+@example(231.4582807256068, 2944.6071198955187, 208.07720401792898, 4.468185871067449,
+         0.0930425186970871, 0.022063303155742564)
+@example(123.89339767300692, 5710.565552532489, 392.08813459586287, 1.0802240376362624,
+         0.10549297818476511, 0.0559935004187327)
+@example(176.88297403747248, 5772.952468453686, 499.9166509501176, 2.8387574366699155,
+         0.10442561424184534, 0.059730307787942825)
+@example(112.72808269114954, 5863.1440691147745, 811.9484445764165, 5.023056051486887,
+         0.08759855085693985, 0.017780510580161713)
+def test_thirty_year_branches_match_cold_solves(income_high, house_utility, initial_saving,
+                                                risk_aversion_B, r_stock, var_stock):
+    # the default M = 30 over wide income, house and risk-aversion draws
+    config = LifecycleConfig(income_high=income_high, house_utility=house_utility,
+                             initial_saving=initial_saving, risk_aversion_B=risk_aversion_B)
+    _assert_branches_match_cold_solves(config, RiskyAssetSummary(r_stock, var_stock))
 
 
 @settings(max_examples=25, deadline=None)

@@ -218,6 +218,24 @@ def gmv_covariances(draw):
     return _stats(rng.uniform(0.02, 0.12, n), sigma), pair
 
 
+def _gmv_copied_case(seed):
+    """(stats, pair): a PD factor-model Sigma on N - 1 assets, N in 3..12,
+    with one asset copied, pair the indexes of the two copies, and means
+    drawn for all N assets, so the copies' means differ."""
+    rng = np.random.default_rng(seed)
+    base = int(rng.integers(3, 13)) - 1
+    g = rng.normal(1.0, 0.3, (3, base)) * 0.05
+    sigma = g.T @ g + np.diag(rng.uniform(0.0005, 0.004, base))
+    copy = rng.integers(base)
+    order = rng.permutation(np.r_[0:base, copy])
+    return (_stats(rng.uniform(0.02, 0.12, base + 1), sigma[np.ix_(order, order)]),
+            np.flatnonzero(order == copy))
+
+
+# Seeds whose GMV holds copies of one Sigma row unequally unless the
+# sharing ignores the means, which the GMV's QP never sees.
+@example(_gmv_copied_case(5373))
+@example(_gmv_copied_case(19239))
 @settings(max_examples=150, deadline=None)
 @given(gmv_covariances())
 def test_gmv_start_reaches_the_uniform_start_gmv(case):
@@ -306,6 +324,19 @@ def _copied_asset_case(seed):
             rng.uniform(0.0, 0.1))
 
 
+@example(2997)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_frontier_points_share_weight_among_copies(seed):
+    # every point of the one-pass frontier holds exact copies equally, as
+    # min_variance_at_return does at its target; on case 2997 the pass
+    # ends at max(e) holding one copy alone
+    stats, pair, _ = _copied_asset_case(seed)
+    for point in trace_frontier(stats, 6).points:
+        w = point.weights
+        assert w[pair[0]] == pytest.approx(w[pair[1]], rel=0, abs=1e-12)
+
+
 def test_exact_copies_share_their_weight():
     # on each of these the solver reaches an optimum that holds one copy
     # alone: the GMV of case 5373; the fund of case 3944, whose start holds
@@ -366,21 +397,32 @@ def frontier_stats(draw):
     else:
         periods = draw(st.integers(n + 1, n + 40)) if kind == "pd" or n == 1 \
             else draw(st.integers(2, n))
-        returns = (rng.normal(0.008, 0.03, (periods, 3)) @ rng.normal(1.0, 0.3, (3, n))
-                   + rng.normal(0.0, 1.0, (periods, n)) * rng.uniform(0.02, 0.06, n))
-        mu = returns.mean(axis=0) * 12.0
-        centered = returns - returns.mean(axis=0)
-        sigma = centered.T @ centered / (periods - 1) * 12.0
-        sigma = (sigma + sigma.T) / 2.0
+        mu, sigma = _sample_moments(rng, n, periods)
     if n > 1 and draw(st.booleans()):
         best = int(np.argmax(mu))
         mu[(best + 1) % n] = mu[best]
     return _stats(mu, sigma)
 
 
+def _sample_moments(rng, n, periods):
+    """(mu, Sigma) annualized from `periods` monthly 3-factor returns on n
+    assets, Sigma of rank min(n, periods - 1)."""
+    returns = (rng.normal(0.008, 0.03, (periods, 3)) @ rng.normal(1.0, 0.3, (3, n))
+               + rng.normal(0.0, 1.0, (periods, n)) * rng.uniform(0.02, 0.06, n))
+    centered = returns - returns.mean(axis=0)
+    sigma = centered.T @ centered / (periods - 1) * 12.0
+    return returns.mean(axis=0) * 12.0, (sigma + sigma.T) / 2.0
+
+
 # The GMV at a single-asset vertex: on that one-asset face the budget and
 # target rows are dependent, and the path must let asset 1 enter there.
 @example(_stats([0.05, 0.10], [[0.01, 0.015], [0.015, 0.09]]), 7)
+# A rank-3 Sigma on 28 assets: on a near-singular face of the path, where
+# the step reaches 5e4, a bound's multiplier falls at a rate of -2.8e-9,
+# rounding that a drop rule blind to the step's size takes for a drop;
+# the next face adds the bound back at once, and the two repeat until the
+# event cap.
+@example(_stats(*_sample_moments(np.random.default_rng(4), 28, 4)), 2)
 @settings(max_examples=60, deadline=None)
 @given(frontier_stats(), st.integers(2, 30))
 def test_frontier_matches_per_target_solves(stats, n_points):

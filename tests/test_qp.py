@@ -109,13 +109,11 @@ def test_finish_rejects_a_non_finite_point():
     # the factorizations do not check finiteness, and a NaN passes every
     # comparison of the KKT check, so _finish checks finiteness itself
     problem = QpProblem(Q=np.eye(2), c=np.ones(2), lb=np.zeros(2))
-    at_lower = np.array([False, True])
+    side, rows = np.array([0.0, 1.0]), qp._unit_rows(problem)
+    face = qp._open_face(problem, rows, 1.0, [], side)
     for x in ([np.nan, 0.0], [np.inf, 0.0]):
-        at_upper, rows = np.zeros(2, dtype=bool), qp._unit_rows(problem)
-        optimum = qp._Optimum(np.array(x), [], at_lower, at_upper,
-                              qp._open_face(problem, rows, 1.0, [], at_lower, at_upper), 1)
         with pytest.raises(QpError, match="non-finite"), np.errstate(invalid="ignore"):
-            qp._finish(problem, rows, optimum)
+            qp._finish(problem, rows, np.array(x), [], side, face, np.zeros(0), 1)
 
 
 def test_asymmetric_q_rejected():

@@ -10,6 +10,8 @@ import shutil
 
 import pytest
 
+from longplan import report
+
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
@@ -31,3 +33,14 @@ def test_demo_runs(demo, tmp_path, capsys):
     copy = shutil.copy(demo, tmp_path)
     runpy.run_path(copy, run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_lists_every_config_key():
+    # the keys parse_config accepts come from the config dataclasses, so a
+    # field added to one must be documented, and a documented key must parse
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("### Config file", 1)[1]
+    listed = re.findall(r"`(\w+)`", section.split("Keys:", 1)[1].split("The hazard's", 1)[0])
+    accepted = {**report._RUN_KEYS, **report._LIFECYCLE_KEYS, **report._HAZARD_KEYS}
+    assert len(listed) == len(set(listed)) == 27
+    assert set(listed) == set(accepted)
