@@ -428,15 +428,14 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
     if sol.status != STATUS_OPTIMAL:
         raise LifecycleBranchError(
             f"branch {_branch_label(None)}: solver status {sol.status!r}")
-    sols = [sol]
-    if len(chain) > 1:
-        # Leg j of the path moves b from the branch before it to its own.
-        try:
-            sols += solve_qp_path(problem, np.diff(b_chain, axis=0),
-                                  np.arange(1.0, len(chain)), start=sol.x)
-        except QpError as exc:
-            raise LifecycleBranchError(
-                f"branches {', '.join(map(_branch_label, chain[1:]))}: {exc}") from exc
+    # Leg j of the path moves b from the branch before it to its own; house
+    # year 1 is always admissible (house_years < years_M), so there is one.
+    try:
+        sols = [sol, *solve_qp_path(problem, np.diff(b_chain, axis=0),
+                                    np.arange(1.0, len(chain)), start=sol.x)]
+    except QpError as exc:
+        raise LifecycleBranchError(
+            f"branches {', '.join(map(_branch_label, chain[1:]))}: {exc}") from exc
     branches = {year: (float(c[3 * m:4 * m] @ house_of(year)) - branch.objective, branch.x)
                 for year, branch in zip(chain, sols)}
 

@@ -7,13 +7,14 @@ Both portfolios are one solve of the budget QP
 The global-minimum-variance (GMV) portfolio has a = 1.  By the standard
 homogenization of the quasiconcave Sharpe ratio, whenever some asset beats
 r_f the optimum with a = e - r_f 1, normalized by its sum, is the global
-Sharpe maximizer over the simplex {w : 1'w = 1, w >= 0}.  Both start from
-the positive part of Sigma^+ a scaled onto the row, or from equal weights
-on the largest entries of a if that part misses it.  Where the optimum is
-not unique the point returned is the one reached from that start, its
-weight shared equally among exact copies of one asset, the assets the QP
-cannot tell apart: equal rows of Sigma for the GMV, and equal means too
-for the fund and the frontier.
+Sharpe maximizer over the simplex {w : 1'w = 1, w >= 0}.  Every budget QP
+starts from the vertex y = e_k / a_k (a_k > 0) of least variance
+Sigma_kk / a_k^2 that meets its other rows, the least k on a tie: a
+long-only optimum holds few assets, so few events lead there.  Where the
+optimum is not unique the point returned is the one reached from that
+start, its weight shared equally among exact copies of one asset, the
+assets the QP cannot tell apart: equal rows of Sigma for the GMV, and
+equal means too for the fund and the frontier.
 
 Frontier points add the row e'w >= mu_target to a = 1, whose ">=" makes
 the curve flat below the GMV mean instead of bending back.  trace_frontier
@@ -107,18 +108,6 @@ def _budget_problem(stats: AssetStats, a: np.ndarray, a_in=None, b_in=None) -> Q
     )
 
 
-def _budget_start(stats: AssetStats, a: np.ndarray) -> np.ndarray:
-    """The positive part of Sigma^+ a (least squares, so a singular Sigma is
-    fine) scaled onto a'y = 1, or, if it misses that row, equal weights on
-    the largest entries of a, whose maximum must be positive."""
-    y = np.maximum(np.linalg.lstsq(stats.sigma, a, rcond=None)[0], 0.0)
-    total = float((a * y).sum())
-    if total > 0.0:
-        return y / total
-    top = a == a.max()
-    return top / (np.count_nonzero(top) * a.max())
-
-
 def _copy_sharing(problem: QpProblem) -> np.ndarray:
     """The matrix that shares weight equally among the exact copies of one
     asset, the variables with equal columns of [Q; a_eq; a_in]: a budget QP
@@ -129,12 +118,22 @@ def _copy_sharing(problem: QpProblem) -> np.ndarray:
     return copies / copies.sum(axis=1, keepdims=True)
 
 
-def _budget_min_variance(stats: AssetStats, a: np.ndarray, start: np.ndarray,
-                         a_in=None, b_in=None) -> np.ndarray:
-    """The budget QP's optimum from a start that is feasible for it, its
-    weight shared equally among exact copies of one asset."""
+def _vertex_start(problem: QpProblem) -> np.ndarray:
+    """The vertex y = e_k / a_k of the budget row a'y = 1 (a_k > 0) that
+    meets every other row a_in y >= b_in and has the least variance
+    Sigma_kk / a_k^2, the least k on a tie; every caller has such a k."""
+    a = problem.a_eq[0]
+    inverse = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0.0)
+    meets = (a > 0.0) & np.all(problem.a_in * inverse >= problem.b_in[:, None], axis=0)
+    k = int(np.argmin(np.where(meets, np.diag(problem.Q) * inverse**2, np.inf)))
+    return np.eye(a.shape[0])[k] * inverse[k]
+
+
+def _budget_min_variance(stats: AssetStats, a: np.ndarray, a_in=None, b_in=None) -> np.ndarray:
+    """The budget QP's optimum from its least-variance vertex, its weight
+    shared equally among exact copies of one asset."""
     problem = _budget_problem(stats, a, a_in, b_in)
-    sol = solve_qp(problem, start=start)
+    sol = solve_qp(problem, start=_vertex_start(problem))
     if sol.status != STATUS_OPTIMAL:
         raise QpError(f"minimum-variance QP returned status {sol.status!r}")
     return _copy_sharing(problem) @ sol.x
@@ -175,7 +174,7 @@ def max_sharpe_long_only(stats: AssetStats, r_f: float) -> PortfolioWeights:
 
     Notes
     -----
-    One solve of the budget QP with a = e - r_f from the GMV's start rule.
+    One solve of the budget QP with a = e - r_f from the best-Sharpe asset.
     Where its optimal face holds more than one point (singular Sigma,
     copied assets), the point returned is the one reached from the start,
     with its weight on exact copies of one asset shared equally.
@@ -186,7 +185,7 @@ def max_sharpe_long_only(stats: AssetStats, r_f: float) -> PortfolioWeights:
     excess = stats.mu - r_f
     if float(excess.max()) <= 0.0:
         raise NoExcessReturnError("no asset beats the riskless rate")
-    w = _clamp_and_renormalize(_budget_min_variance(stats, excess, _budget_start(stats, excess)))
+    w = _clamp_and_renormalize(_budget_min_variance(stats, excess))
     mean = float(stats.mu @ w)
     variance = float(w @ stats.sigma @ w)
     if variance <= 1e-14 * max(1.0, float(np.abs(stats.sigma).max())):
@@ -204,6 +203,7 @@ def min_variance_at_return(stats: AssetStats, mu_target: float) -> FrontierPoint
 
     The target enters as e'w >= mu_target, so for targets below the
     long-only GMV mean the constraint is slack and the GMV point comes back.
+    It starts from the least-variance asset whose mean reaches mu_target.
 
     Raises
     ------
@@ -222,9 +222,7 @@ def min_variance_at_return(stats: AssetStats, mu_target: float) -> FrontierPoint
             f"target mean {mu_target:.6g} exceeds the best asset mean "
             f"{max_e:.6g}; no long-only portfolio attains it"
         )
-    # The best-mean vertex attains every admissible target.
-    best = np.eye(stats.mu.shape[0])[int(np.argmax(stats.mu))]
-    x = _budget_min_variance(stats, np.ones_like(stats.mu), best, a_in=stats.mu[None, :],
+    x = _budget_min_variance(stats, np.ones_like(stats.mu), a_in=stats.mu[None, :],
                              b_in=np.array([mu_target]))
     return _frontier_point(stats, mu_target, x)
 
@@ -244,11 +242,10 @@ def _frontier_point(stats: AssetStats, mu_target: float, x: np.ndarray) -> Front
 def long_only_gmv(stats: AssetStats) -> FrontierPoint:
     """Global minimum-variance point of the simplex-constrained frontier.
 
-    The budget QP with a = 1, from the fund's start rule: the positive part
-    of Sigma^+ 1 renormalized, or uniform weights if that is zero.
+    The budget QP with a = 1, from the fund's start rule: the single asset
+    of least variance.
     """
-    ones = np.ones_like(stats.mu)
-    w = _clamp_and_renormalize(_budget_min_variance(stats, ones, _budget_start(stats, ones)))
+    w = _clamp_and_renormalize(_budget_min_variance(stats, np.ones_like(stats.mu)))
     return FrontierPoint(mu_target=float(stats.mu @ w),
                          variance=float(w @ stats.sigma @ w), weights=w)
 
@@ -256,15 +253,16 @@ def long_only_gmv(stats: AssetStats) -> FrontierPoint:
 def trace_frontier(stats: AssetStats, n_points: int) -> ConstrainedFrontier:
     """Trace the long-only frontier on an even mean grid in one pass.
 
-    Targets are evenly spaced on [long-only GMV mean, max(e)].  One
-    critical-line pass from the GMV gives them all: the target row's
-    right-hand side runs from the GMV mean to max(e) (solve_qp_path), and
-    between turning points the weights are affine in the target.  Each
-    point is the optimum min_variance_at_return finds for its target; where
-    Sigma is singular on the optimal face, it is the point the pass reaches
-    from the GMV, its weight shared equally among exact copies of one
-    asset.  When the two endpoints coincide (single asset, or all means
-    equal) the frontier degenerates to the single GMV point.
+    Targets are evenly spaced on [long-only GMV mean, max(e)].  The first
+    point is the GMV itself, and one critical-line pass from it gives the
+    others: the target row's right-hand side runs from the GMV mean to
+    max(e) (solve_qp_path), and between turning points the weights are
+    affine in the target.  Each point is the optimum min_variance_at_return
+    finds for its target; where Sigma is singular on the optimal face, it
+    is the point the pass reaches from the GMV, its weight shared equally
+    among exact copies of one asset.  When the two endpoints coincide
+    (single asset, or all means equal) the frontier degenerates to the
+    single GMV point.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -272,11 +270,11 @@ def trace_frontier(stats: AssetStats, n_points: int) -> ConstrainedFrontier:
     max_e = float(stats.mu.max())
     if max_e - gmv.mu_target <= 1e-12 * max(1.0, abs(max_e)):
         return ConstrainedFrontier(points=(gmv,), gmv_point=gmv)
-    targets = np.linspace(gmv.mu_target, max_e, n_points)
+    targets = np.linspace(gmv.mu_target, max_e, n_points)[1:]
     problem = _budget_problem(stats, np.ones_like(stats.mu), stats.mu[None, :],
                               np.array([gmv.mu_target]))
     path = solve_qp_path(problem, np.array([max_e - gmv.mu_target]),
-                         np.linspace(0.0, 1.0, n_points), start=gmv.weights)
+                         np.linspace(0.0, 1.0, n_points)[1:], start=gmv.weights)
     share = _copy_sharing(problem)
-    points = tuple(_frontier_point(stats, t, share @ sol.x) for t, sol in zip(targets, path))
+    points = (gmv, *(_frontier_point(stats, t, share @ sol.x) for t, sol in zip(targets, path)))
     return ConstrainedFrontier(points=points, gmv_point=gmv)

@@ -110,7 +110,7 @@ def load_returns(path: str | Path, periods_per_year: int) -> ReturnMatrix:
     if not path.exists():
         raise FileNotFoundError(f"returns file not found: {path}")
 
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -76,9 +76,9 @@ x, the working rows and one side per bound, lower, upper or free:
   then bounds in variable order, which at a zero-length step is Bland's
   rule;
 * every returned point passes a restore step, a least-norm step from the
-  face's QR back onto the working rows, and a KKT check; its objective,
-  violation and KKT residuals are all read off one Qx + c and one set of
-  row slacks.
+  face's QR back onto the working rows, and a KKT check, feasibility
+  included; its objective, violation and KKT residuals come from one
+  Qx + c and one set of row slacks.
 
 When the optimal face has a direction of zero curvature, the optimum is
 not unique and the solver returns the point its path reaches; ``start``
@@ -567,8 +567,9 @@ def _finish(problem: QpProblem, rows: _UnitRows, x: np.ndarray, working: list[in
     complementarity failure.  The multipliers refit nu to the gradient
     Qx + c through the same QR, so a row the QR finds dependent keeps the
     share nu gave it, every bound dual is read off the stationarity
-    residual, and the result must pass the KKT check; a non-finite x or
-    multiplier fails it too, since it would slip through the comparisons.
+    residual, and the result must pass the KKT check, feasibility within
+    a start's tolerance included; a non-finite x or multiplier fails it
+    too, since it would slip through the comparisons.
     The objective, the violation and the KKT residuals come from one Qx + c
     and one set of row slacks (_residuals).
     """
@@ -590,11 +591,12 @@ def _finish(problem: QpProblem, rows: _UnitRows, x: np.ndarray, working: list[in
     report = _residuals(problem, x, (eq_mult, in_mult, lower, upper), grad)
     grad_scale = 1.0 + float(np.abs(problem.c).max(initial=0.0))
     rhs_scale = 1.0 + problem.rhs_scale()
-    if report["stationarity"] > STATIONARITY_TOL * grad_scale or \
+    if report["max_violation"] > FEASIBILITY_TOL * rhs_scale or \
+            report["stationarity"] > STATIONARITY_TOL * grad_scale or \
             report["complementarity"] > COMPLEMENTARITY_TOL * grad_scale * rhs_scale:
-        raise QpError("internal KKT verification failed: "
-                      f"stationarity={report['stationarity']:.3e}, "
-                      f"complementarity={report['complementarity']:.3e}")
+        raise QpError("internal KKT verification failed: " + ", ".join(
+            f"{key}={report[key]:.3e}"
+            for key in ("max_violation", "stationarity", "complementarity")))
     return QpSolution(x=x, objective=report["objective"], status=STATUS_OPTIMAL,
                       max_violation=report["max_violation"], eq_multipliers=eq_mult,
                       in_multipliers=in_mult, lower_multipliers=lower,

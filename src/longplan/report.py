@@ -132,7 +132,7 @@ def parse_config(path: str) -> RunConfig:
     run_kwargs: dict = {}
     lc_kwargs: dict = {}
     hz_kwargs: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -319,9 +319,9 @@ def run_pipeline(config: RunConfig, steps=ALL_STEPS) -> list[str]:
     """Run the requested pipeline steps and return the paths written.
 
     Steps are a subset of ("fund", "frontier", "insure", "plan"); the fund
-    is computed whenever frontier or plan work needs it.  Module errors
-    propagate unchanged; any files this call already wrote are removed
-    first, so failures never leave partial output behind.
+    is computed only for the fund and plan steps, whose outputs use it.
+    Module errors propagate unchanged; any files this call already wrote
+    are removed first, so failures never leave partial output behind.
     """
     unknown = set(steps) - set(ALL_STEPS)
     if unknown:

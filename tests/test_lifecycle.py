@@ -292,6 +292,15 @@ def test_branch_objectives_enumerate_all_admissible_years():
     assert plan.objective == pytest.approx(best, rel=1e-12)
 
 
+def test_longest_house_payments_leave_one_house_year():
+    # house_years = years_M - 1 admits house year 1 alone: the chain is the
+    # no-house QP and one path leg, and both branches match cold solves
+    config = _mini_config(house_years=3)
+    plan = solve_lifecycle(config, ASSET)
+    assert [label for label, _ in plan.branch_objectives] == ["none", "house-year-1"]
+    _assert_branches_match_cold_solves(config, ASSET)
+
+
 def test_solve_deterministic():
     config = _mini_config()
     a = solve_lifecycle(config, ASSET, seed=0)

@@ -173,10 +173,10 @@ def test_frontier_point_mean_attained():
 
 
 def test_sample_fund_and_frontier_solve_no_lp():
-    # every QP starts from a point its caller knows to be feasible: the
-    # positive part of Sigma^+ a scaled onto the budget row a'y = 1, for the
-    # fund and the GMV, and the GMV; the fund is one QP, and the
-    # frontier is one GMV solve plus one path, not a QP per target
+    # every QP starts from a point known to be feasible: the fund and the
+    # GMV from the least-variance vertex of the budget row a'y = 1, the path
+    # from the GMV; the fund is one QP, and the frontier is one GMV solve
+    # plus one path, not a QP per target
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
     with mock.patch("longplan.qp._phase1", wraps=qp._phase1) as phase1:
         with mock.patch("longplan.long_only.solve_qp", wraps=long_only.solve_qp) as fund_qp:
@@ -193,9 +193,12 @@ def test_sample_fund_and_frontier_solve_no_lp():
 
 
 def _uniform_start_gmv(stats):
+    """The GMV's QP solved from uniform weights, its weight shared among
+    exact copies as long_only_gmv shares it."""
     n = stats.mu.shape[0]
-    return long_only._clamp_and_renormalize(
-        long_only._budget_min_variance(stats, np.ones(n), np.full(n, 1.0 / n)))
+    problem = long_only._budget_problem(stats, np.ones(n))
+    x = qp.solve_qp(problem, start=np.full(n, 1.0 / n)).x
+    return long_only._clamp_and_renormalize(long_only._copy_sharing(problem) @ x)
 
 
 @st.composite
@@ -239,8 +242,8 @@ def _gmv_copied_case(seed):
 @settings(max_examples=150, deadline=None)
 @given(gmv_covariances())
 def test_gmv_start_reaches_the_uniform_start_gmv(case):
-    # the start changes the path, not the GMV; copies of one asset are
-    # exchangeable, and the start, the least-norm Sigma^+ 1, keeps them so
+    # the start changes the path, not the GMV; the start, a vertex, holds
+    # one copy of an asset alone, and the copy sharing evens them out
     stats, pair = case
     w = long_only_gmv(stats).weights
     np.testing.assert_allclose(w, _uniform_start_gmv(stats), rtol=0, atol=1e-10)
@@ -249,8 +252,10 @@ def test_gmv_start_reaches_the_uniform_start_gmv(case):
 
 
 def test_gmv_start_takes_fewer_events_than_uniform_weights():
-    # a seeded 3-factor model with N = 30: the GMV holds 7 assets, and from
-    # uniform weights the other 23 leave one event at a time
+    # a seeded 3-factor model with N = 30: the GMV holds 7 assets and the
+    # fund at r_f = 0.02 holds 5; from uniform weights the other 23 leave
+    # one event at a time, and from the least-variance vertex the GMV takes
+    # 7 events and the fund 5
     rng = np.random.default_rng(2)
     returns = (rng.normal(0.0, 0.03, (120, 3)) @ rng.normal(1.0, 0.3, (3, 30))
                + rng.uniform(0.003, 0.012, 30) + rng.normal(0.0, 1.0, (120, 30))
@@ -265,11 +270,13 @@ def test_gmv_start_takes_fewer_events_than_uniform_weights():
 
     with mock.patch("longplan.long_only.solve_qp", recording):
         w = long_only_gmv(stats).weights
+        fund = max_sharpe_long_only(stats, 0.02).weights
     uniform = qp.solve_qp(long_only._budget_problem(stats, np.ones(30)),
                           start=np.full(30, 1.0 / 30))
-    assert np.count_nonzero(w) == 7
+    assert np.count_nonzero(w) == 7 and np.count_nonzero(fund) == 5
     np.testing.assert_allclose(w, _uniform_start_gmv(stats), rtol=0, atol=1e-12)
     assert solutions[0].iterations < uniform.iterations
+    assert solutions[0].iterations <= 7 and solutions[1].iterations <= 5
 
 
 # Sigma on three assets, the first and last copies of one another: the
@@ -340,8 +347,8 @@ def test_frontier_points_share_weight_among_copies(seed):
 def test_exact_copies_share_their_weight():
     # on each of these the solver reaches an optimum that holds one copy
     # alone: the GMV of case 5373; the fund of case 3944, whose start holds
-    # neither copy, and of case 1782, whose start is the best vertex; and
-    # the target QP at the best mean from the best-mean vertex
+    # neither copy, and of case 1782, whose start is the first copy's
+    # vertex; and the target QP at the best mean, which starts there too
     stats, pair, _ = _copied_asset_case(5373)
     results = [(long_only_gmv(stats).weights, pair)]
     for seed in (3944, 1782):

@@ -28,6 +28,14 @@ def test_load_two_assets(tmp_path):
     np.testing.assert_allclose(rm.data, [[0.01, 0.02], [0.03, -0.01]])
 
 
+def test_load_strips_a_utf8_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark,
+    # which must not end up in the first asset id
+    path = tmp_path / "returns.csv"
+    path.write_text("A,B\n0.01,0.02\n0.03,-0.01\n", encoding="utf-8-sig")
+    assert list(load_returns(path, 12).asset_ids) == ["A", "B"]
+
+
 def test_load_single_asset(tmp_path):
     path = _write(tmp_path, "ONLY\n0.01\n0.00\n-0.02\n")
     rm = load_returns(path, 4)

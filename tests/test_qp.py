@@ -116,6 +116,17 @@ def test_finish_rejects_a_non_finite_point():
             qp._finish(problem, rows, np.array(x), [], side, face, np.zeros(0), 1)
 
 
+def test_finish_rejects_a_point_that_breaks_a_row():
+    # x is stationary (Qx + c = 0) and no row is working, so only primal
+    # feasibility tells that x + y >= 1 fails, by 0.6
+    x = np.array([0.2, 0.2])
+    problem = QpProblem(Q=np.eye(2), c=-x, a_in=np.ones((1, 2)), b_in=[1.0])
+    side, rows = np.zeros(2), qp._unit_rows(problem)
+    face = qp._open_face(problem, rows, 1.0, [], side)
+    with pytest.raises(QpError, match="max_violation=6.000e-01"):
+        qp._finish(problem, rows, x, [], side, face, np.zeros(0), 1)
+
+
 def test_asymmetric_q_rejected():
     with pytest.raises(QpInputError):
         QpProblem(Q=np.array([[1.0, 0.5], [0.0, 1.0]]), c=np.zeros(2))
@@ -688,11 +699,12 @@ def test_gradient_leg_keeps_a_bound_added_by_rounding(seed):
 def test_newton_drop_rate_is_relative_to_the_step():
     # the long-only fund's QP, min y'Sigma y s.t. (mu - r_f)'y = 1, y >= 0,
     # of a rank-4 sample covariance on 9 assets, from the positive part of
-    # Sigma^+ (mu - r_f) scaled onto the row: on a near-singular face a
-    # Newton step of size 3.3e3 gives a bound's multiplier a rate of -4.4e-8
-    # against a tolerance of 3.5e-8, so a drop rule blind to the step's size
-    # drops the bound at once, the step blocks on it again at once, and the
-    # two repeat until the event cap
+    # Sigma^+ (mu - r_f) scaled onto the row (the fund's start until the
+    # least-variance vertex replaced it; kept as an engine case): on a
+    # near-singular face a Newton step of size 3.3e3 gives a bound's
+    # multiplier a rate of -4.4e-8 against a tolerance of 3.5e-8, so a drop
+    # rule blind to the step's size drops the bound at once, the step blocks
+    # on it again at once, and the two repeat until the event cap
     returns = np.array([
         [2.5, -0.5, 0.8, 0.6, -0.5, -1.3, -2.2, -0.7, 0.6],
         [-0.7, -2.2, -1.1, -1.5, 0.0, -0.4, 0.9, -0.5, -0.9],

@@ -122,6 +122,13 @@ def test_parse_config_empty_file_gives_defaults(tmp_path):
     assert config.returns_path == SAMPLE_RETURNS
 
 
+def test_parse_config_strips_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_text("r_f = 0.02\nmc_seed = 42\n", encoding="utf-8-sig")
+    config = parse_config(str(path))
+    assert config.r_f == 0.02 and config.mc_seed == 42
+
+
 def test_parse_config_unknown_key(tmp_path):
     path = _write_config(tmp_path, "r_f = 0.02\nwibble = 3\n")
     with pytest.raises(ValueError, match="line 2.*wibble"):
