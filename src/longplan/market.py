@@ -104,7 +104,8 @@ def load_returns(path: str | Path, periods_per_year: int) -> ReturnMatrix:
     ReturnsFormatError
         On an empty file, ragged row, non-numeric or non-finite cell or
         fewer than two data rows; the message carries the 1-based row (and
-        column) position.
+        column) position.  A repeated asset id in the header names row 1,
+        the id and both of its columns.
     """
     path = Path(path)
     if not path.exists():
@@ -119,6 +120,11 @@ def load_returns(path: str | Path, periods_per_year: int) -> ReturnMatrix:
         asset_ids = [name.strip() for name in header]
         if any(not name for name in asset_ids):
             raise ReturnsFormatError(f"{path}: row 1: empty asset id in header")
+        for col, name in enumerate(asset_ids, start=1):
+            first = asset_ids.index(name) + 1
+            if first < col:
+                raise ReturnsFormatError(
+                    f"{path}: row 1: asset id {name!r} repeated in columns {first} and {col}")
         n = len(asset_ids)
 
         rows: list[list[float]] = []

@@ -10,13 +10,16 @@ Problems have the form
 with Q symmetric positive semidefinite, small and dense (n up to a few
 hundred), as the portfolio and lifetime-planning layers produce them:
 
+* a QpProblem is checked once, when it is built, Q's convexity included
+  (one eigvalsh on the variables whose bounds differ), and that pass also
+  derives the unit rows and lambda_max(Q) that every solve of it reads;
 * feasibility is decided by a phase-1 LP, solved by this same method, that
   minimizes the Chebyshev (max) constraint violation, so an infeasible
   verdict comes with the smallest achievable violation as a certificate.
   A ``start`` that keeps every bound and meets every row within the
   feasibility tolerance settles feasibility without it; any other
   ``start`` is ignored, so verdicts and certificates never depend on it;
-* rows are normalized internally, so solutions are invariant under
+* rows are normalized to unit norm, so solutions are invariant under
   positive rescaling of any row.  A bound enters the working set by fixing
   its variable, so the null-space solves see only the equality and working
   rows on the free variables, and every bound multiplier is read off the
@@ -31,9 +34,9 @@ x, the working rows and one side per bound, lower, upper or free:
 
 * the start keeps the equality rows, then the bounds and then the rows
   active at the feasible x0, each only if it is independent of those kept
-  before it; one unpivoted QR both names the dependent ones and factors
-  the first face, and the bounds take a search of their own only when
-  that QR names an equality row dependent;
+  before it; one unpivoted QR names the dependent ones, and the bounds
+  take a search of their own only when that QR names an equality row
+  dependent;
 * on the gradient leg, t from -1 to 0, the gradient moves to c from c0 =
   a_w'y0 + mu_lb - mu_ub - Q x0, for which x0 is optimal: y0 and mu are
   the first face's fit of Qx0 + c, every inequality and bound multiplier
@@ -119,18 +122,35 @@ class QpIterationLimitError(QpError):
     """Active-set event cap exceeded (distinct from infeasibility)."""
 
 
-def _as_matrix(a, rows: int | None, cols: int, name: str) -> np.ndarray:
+def _as_matrix(a, cols: int, name: str) -> np.ndarray:
     if a is None:
         return np.zeros((0, cols))
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[1] != cols or (rows is not None and a.shape[0] != rows):
+    if a.shape[1] != cols:
         raise QpInputError(f"{name} has shape {a.shape}, expected (*, {cols})")
     return a
 
 
+class _UnitRows(NamedTuple):
+    """The general rows scaled to unit norm, a zero row keeping norm 1;
+    eq_norm and in_norm unscale the multipliers."""
+
+    eq: np.ndarray
+    b_eq: np.ndarray
+    eq_norm: np.ndarray
+    ineq: np.ndarray
+    b_in: np.ndarray
+    in_norm: np.ndarray
+
+
 @dataclass(frozen=True)
 class QpProblem:
-    """Immutable convex QP data; validated on construction."""
+    """Immutable convex QP data, checked and prepared on construction.
+
+    Raises QpInputError for malformed data or for a Q that is not positive
+    semidefinite on the variables whose bounds differ (equal bounds fix a
+    variable).  The private fields hold what every solve reads.
+    """
 
     Q: np.ndarray
     c: np.ndarray
@@ -140,9 +160,10 @@ class QpProblem:
     b_in: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
-    # which bounds are finite, found once per problem
     _finite_lb: np.ndarray = field(init=False, repr=False, compare=False)
     _finite_ub: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: _UnitRows = field(init=False, repr=False, compare=False)
+    _lam_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = np.asarray(self.Q, dtype=float)
@@ -157,9 +178,9 @@ class QpProblem:
             raise QpInputError("Q must be symmetric (within 1e-12 relative)")
         q = (q + q.T) / 2.0
 
-        a_eq = _as_matrix(self.a_eq, None, n, "a_eq")
+        a_eq = _as_matrix(self.a_eq, n, "a_eq")
         b_eq = np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float).ravel()
-        a_in = _as_matrix(self.a_in, None, n, "a_in")
+        a_in = _as_matrix(self.a_in, n, "a_in")
         b_in = np.zeros(0) if self.b_in is None else np.asarray(self.b_in, dtype=float).ravel()
         if a_eq.shape[0] != b_eq.shape[0]:
             raise QpInputError("a_eq and b_eq row counts differ")
@@ -176,14 +197,25 @@ class QpProblem:
         if np.any(np.isnan(lb)) or np.any(np.isnan(ub)):
             raise QpInputError("bounds must not be NaN")
         if np.any(lb > ub):
-            bad = int(np.argmax(lb > ub))
-            raise QpInputError(f"lb > ub at index {bad}")
+            raise QpInputError(f"lb > ub at index {int(np.argmax(lb > ub))}")
 
+        eigvals = np.linalg.eigvalsh(q[np.ix_(lb < ub, lb < ub)])
+        lam_max = float(eigvals.max(initial=0.0))
+        if eigvals.min(initial=0.0) < -1e-8 * max(1.0, lam_max):
+            raise QpInputError("Q is not positive semidefinite")
+
+        unit = []
+        for a, b in ((a_eq, b_eq), (a_in, b_in)):
+            norm = np.linalg.norm(a, axis=1)
+            norm[norm <= 1e-300] = 1.0
+            unit += [a / norm[:, None], b / norm, norm]
         for name, arr in (("Q", q), ("c", c), ("a_eq", a_eq), ("b_eq", b_eq),
                           ("a_in", a_in), ("b_in", b_in), ("lb", lb), ("ub", ub),
                           ("_finite_lb", np.isfinite(lb)), ("_finite_ub", np.isfinite(ub))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_rows", _UnitRows(*unit))
+        object.__setattr__(self, "_lam_max", lam_max)
 
     @property
     def n(self) -> int:
@@ -198,12 +230,7 @@ class QpProblem:
         return _residuals(self, np.asarray(x, dtype=float))["max_violation"]
 
     def rhs_scale(self) -> float:
-        scale = 0.0
-        if self.b_eq.shape[0]:
-            scale = max(scale, float(np.abs(self.b_eq).max()))
-        if self.b_in.shape[0]:
-            scale = max(scale, float(np.abs(self.b_in).max()))
-        return scale
+        return float(max(np.abs(self.b_eq).max(initial=0.0), np.abs(self.b_in).max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -224,7 +251,10 @@ def kkt_report(problem: QpProblem, sol: QpSolution) -> dict[str, float]:
     """Stationarity / complementarity / dual-feasibility residuals at sol.
 
     Stationarity is || Qx + c - a_eq'lam - a_in'mu - mu_lb + mu_ub ||_inf.
+    Raises QpInputError unless sol is optimal.
     """
+    if sol.status != STATUS_OPTIMAL:
+        raise QpInputError(f"kkt_report needs an optimal solution, not an {sol.status!r} one")
     report = _residuals(problem, sol.x, (sol.eq_multipliers, sol.in_multipliers,
                                          sol.lower_multipliers, sol.upper_multipliers))
     return {key: report[key] for key in ("stationarity", "complementarity", "dual_feasibility")}
@@ -266,29 +296,6 @@ def _residuals(problem: QpProblem, x: np.ndarray, multipliers=None,
 # ---------------------------------------------------------------------------
 # internal machinery
 # ---------------------------------------------------------------------------
-
-class _UnitRows(NamedTuple):
-    """The general rows scaled to unit norm, a zero row keeping norm 1;
-    eq_norm and in_norm unscale the multipliers."""
-
-    eq: np.ndarray
-    b_eq: np.ndarray
-    ineq: np.ndarray
-    b_in: np.ndarray
-    eq_norm: np.ndarray
-    in_norm: np.ndarray
-
-
-def _unit_rows(problem: QpProblem) -> _UnitRows:
-    def scaled(a, b):
-        norm = np.linalg.norm(a, axis=1)
-        norm[norm <= 1e-300] = 1.0
-        return a / norm[:, None], b / norm, norm
-
-    eq, b_eq, eq_norm = scaled(problem.a_eq, problem.b_eq)
-    ineq, b_in, in_norm = scaled(problem.a_in, problem.b_in)
-    return _UnitRows(eq, b_eq, ineq, b_in, eq_norm, in_norm)
-
 
 def _phase1(problem: QpProblem):
     """Chebyshev feasibility LP: minimize the max constraint violation t.
@@ -350,9 +357,9 @@ def _independent_rows(a: np.ndarray):
     return q, r, independent, dependent
 
 
-def _face(a_w: np.ndarray, factors=None):
+def _face(a_w: np.ndarray):
     """(z, multipliers, restore, dependent) for the working rows a_w, from
-    the QR of _independent_rows (factors, when that is at hand already).
+    the QR of _independent_rows.
 
     z is an orthonormal basis of {p : a_w p = 0}; multipliers(g) solves
     a_w' nu = g on the independent rows, with R inverted once, giving every
@@ -361,7 +368,7 @@ def _face(a_w: np.ndarray, factors=None):
     indexes the other rows.
     """
     m = a_w.shape[0]
-    q, r, independent, dependent = _independent_rows(a_w) if factors is None else factors
+    q, r, independent, dependent = _independent_rows(a_w)
     rank = independent.size
     to_nu = np.linalg.inv(r[:rank, :rank]) @ q[:, :rank].T
 
@@ -381,21 +388,22 @@ def _near(ratios, least: float):
     return ratios <= least * (1.0 + 1e-9) + 1e-15
 
 
-def _ratio_test(problem: QpProblem, face: _Face, a_in: np.ndarray, b_in: np.ndarray,
-                x: np.ndarray, p: np.ndarray, cap: float, d_in=None):
+def _ratio_test(problem: QpProblem, face: _Face, b_in: np.ndarray, x: np.ndarray,
+                p: np.ndarray, cap: float, d_in=None):
     """Longest step alpha <= cap from x along p, and what blocks it.
 
-    a_in and b_in are the unit rows, b_in where the leg puts it.  On a path
-    the inequality right-hand sides move by d_in per unit step; within one
-    QP they stay put (d_in None).  Candidates are the general rows outside
-    the face's working list, in index order, then the free variables, in
-    index order, at the finite bound that the step approaches at a rate
-    above rounding (1e-12 of the largest entry of p and d_in); the first
-    near-minimal ratio blocks.  Returns (alpha, key, side): key is i for
-    row i and m_in + i for a bound of variable i, and side is 1 for its
-    lower bound and -1 for its upper one; (cap, -1, 0) when nothing blocks
-    first.
+    The rows are the problem's unit rows, b_in theirs where the leg puts
+    it.  On a path the inequality right-hand sides move by d_in per unit
+    step; within one QP they stay put (d_in None).  Candidates are the
+    general rows outside the face's working list, in index order, then the
+    free variables, in index order, at the finite bound that the step
+    approaches at a rate above rounding (1e-12 of the largest entry of p
+    and d_in); the first near-minimal ratio blocks.  Returns (alpha, key,
+    side): key is i for row i and m_in + i for a bound of variable i, and
+    side is 1 for its lower bound and -1 for its upper one; (cap, -1, 0)
+    when nothing blocks first.
     """
+    a_in = problem._rows.ineq
     ap = a_in @ p
     # a rate within rounding of zero, relative to the step, never blocks
     tol = 1e-12 * (1.0 + np.abs(p).max(initial=0.0))
@@ -422,13 +430,13 @@ def _ratio_test(problem: QpProblem, face: _Face, a_in: np.ndarray, b_in: np.ndar
     return alpha, a_in.shape[0] + int(bounds[k]), float(side[k])
 
 
-def _reduced_step(h_red: np.ndarray, lam_max: float):
-    """step(g_red) -> (p, p_flat): the steps on a face with reduced Hessian
-    h_red for a reduced gradient g_red, from one factorization of h_red.
+def _reduced_step(problem: QpProblem, h_red: np.ndarray):
+    """step(g_red) -> (p, p_flat): the steps on a face of problem with reduced
+    Hessian h_red for a reduced gradient g_red, from one factorization of it.
 
     An eigenvalue of h_red at or below dim * eps * lam_max, lam_max the
-    largest eigenvalue of Q on the variables whose bounds differ, is
-    rounding: zero curvature.  p is the minimum-norm Newton step on the
+    problem's largest eigenvalue of Q on the variables whose bounds differ,
+    is rounding: zero curvature.  p is the minimum-norm Newton step on the
     other eigenvectors, and p_flat is g_red's component along the flat
     ones, negated, or None when there are none.  A zero h_red is flat
     everywhere: p = 0 and p_flat = -g_red, with nothing to factor.  When
@@ -438,7 +446,7 @@ def _reduced_step(h_red: np.ndarray, lam_max: float):
     """
     if not h_red.any():
         return lambda g_red: (np.zeros_like(g_red), -g_red)
-    floor = max(1e-14, 1e-10 * lam_max)
+    floor = max(1e-14, 1e-10 * problem._lam_max)
     try:
         inv = np.linalg.inv(np.linalg.cholesky(h_red))
         if np.sum(inv * inv) < 1.0 / floor:
@@ -446,7 +454,7 @@ def _reduced_step(h_red: np.ndarray, lam_max: float):
     except np.linalg.LinAlgError:
         pass
     eigvals, eigvecs = np.linalg.eigh(h_red)
-    flat = eigvals <= h_red.shape[0] * np.finfo(float).eps * lam_max
+    flat = eigvals <= h_red.shape[0] * np.finfo(float).eps * problem._lam_max
     curved, flat_vecs, curvature = eigvecs[:, ~flat], eigvecs[:, flat], eigvals[~flat]
 
     def step(g_red: np.ndarray):
@@ -483,25 +491,23 @@ class _Face(NamedTuple):
     outside: np.ndarray
 
 
-def _open_face(problem: QpProblem, rows: _UnitRows, lam_max: float, working: list[int],
-               side: np.ndarray, factors=None) -> _Face:
-    """The _Face of the working rows and the bounds side fixes; factors is
-    the QR of the working rows on the free variables when _start has it."""
-    m_in = rows.ineq.shape[0]
+def _open_face(problem: QpProblem, working: list[int], side: np.ndarray) -> _Face:
+    """The _Face of the working rows and the bounds side fixes."""
+    rows, m_in = problem._rows, problem.a_in.shape[0]
     free, fixed = np.flatnonzero(side == 0.0), np.flatnonzero(side)
     a_w = np.vstack([rows.eq, rows.ineq[working]])
     a_f = a_w[:, free]
-    z, multipliers, restore, dependent = _face(a_f, factors)
+    z, multipliers, restore, dependent = _face(a_f)
     zq = z.T @ problem.Q.take(free, axis=0).take(free, axis=1)
     outside = np.ones(m_in, dtype=bool)
     outside[working] = False
     return _Face(free, a_w, a_f, z, multipliers, restore, dependent, zq,
-                 _reduced_step(zq @ z, lam_max) if z.shape[1] else None, fixed, side[fixed],
+                 _reduced_step(problem, zq @ z) if z.shape[1] else None, fixed, side[fixed],
                  np.concatenate([working, m_in + fixed]), np.flatnonzero(outside))
 
 
-def _start(problem: QpProblem, rows: _UnitRows, x0: np.ndarray):
-    """The working set at the feasible point x0, and the QR of its rows.
+def _start(problem: QpProblem, x0: np.ndarray):
+    """The working set at the feasible point x0.
 
     The equality rows, then the bounds and then the rows active at x0 are
     kept, each only if it is independent of those kept before it; a kept
@@ -510,30 +516,26 @@ def _start(problem: QpProblem, rows: _UnitRows, x0: np.ndarray):
     together exactly when the equality rows are independent on the free
     variables, so the bounds take a search of their own only when the QR
     of the face names an equality row dependent.  Returns (x, working,
-    side, factors): side is 1 at a kept lower bound, -1 at a kept upper
-    one and 0 elsewhere, and factors is the last dependency search's QR,
-    for _face, when that is the QR of the kept rows in their order, and
-    None otherwise.
+    side): side is 1 at a kept lower bound, -1 at a kept upper one and 0
+    elsewhere.
     """
-    lb, ub, m_eq = problem.lb, problem.ub, rows.eq.shape[0]
+    rows, lb, ub, m_eq = problem._rows, problem.lb, problem.ub, problem.a_eq.shape[0]
     active = np.flatnonzero(rows.ineq @ x0 - rows.b_in <= 1e-8)
     side = np.where(x0 - lb <= 1e-8, 1.0, np.where(ub - x0 <= 1e-8, -1.0, 0.0))
     a_active = np.vstack([rows.eq, rows.ineq[active]])
-    q, r, independent, dependent = _independent_rows(a_active[:, side == 0.0])
+    _, _, independent, dependent = _independent_rows(a_active[:, side == 0.0])
     if (dependent < m_eq).any():
         fixed = np.flatnonzero(side)
         kept = _independent_rows(np.vstack([rows.eq, np.eye(problem.n)[fixed]]))[2]
         side[np.delete(fixed, kept[kept >= m_eq] - m_eq)] = 0.0
-        q, r, independent, _ = _independent_rows(a_active[:, side == 0.0])
+        independent = _independent_rows(a_active[:, side == 0.0])[2]
     x = np.where(side > 0, lb, np.where(side < 0, ub, x0))
     kept = np.sort(independent)
     working = [int(i) for i in active[kept[kept >= m_eq] - m_eq]]
-    reuse = np.array_equal(kept, independent) and np.array_equal(kept[:m_eq], np.arange(m_eq))
-    return x, working, side, (q, r, np.arange(kept.size), kept[:0]) if reuse else None
+    return x, working, side
 
 
-def _unbounded(problem: QpProblem, rows: _UnitRows, lam_max: float, x: np.ndarray,
-               ray: np.ndarray, iterations: int) -> QpSolution:
+def _unbounded(problem: QpProblem, x: np.ndarray, ray: np.ndarray, iterations: int) -> QpSolution:
     """The unbounded verdict at x along ray, after checking the ray.
 
     With |ray|_inf = 1 it must have |Q ray|_inf within 1e-8 * max(1,
@@ -541,14 +543,14 @@ def _unbounded(problem: QpProblem, rows: _UnitRows, lam_max: float, x: np.ndarra
     within 1e-9 on the unit rows, and the sign of every finite bound;
     otherwise QpError is raised.
     """
-    tol = 1e-9
+    tol, rows = 1e-9, problem._rows
     failed = [name for name, bad in (
-        ("Qd = 0", np.abs(problem.Q @ ray).max() > 1e-8 * max(1.0, lam_max)),
+        ("Qd = 0", np.abs(problem.Q @ ray).max() > 1e-8 * max(1.0, problem._lam_max)),
         ("c'd < 0", problem.c @ ray >= 0.0),
         ("a_eq d = 0", np.abs(rows.eq @ ray).max(initial=0.0) > tol),
         ("a_in d >= 0", (rows.ineq @ ray).min(initial=0.0) < -tol),
-        ("lower bounds", ray[np.isfinite(problem.lb)].min(initial=0.0) < -tol),
-        ("upper bounds", ray[np.isfinite(problem.ub)].max(initial=0.0) > tol),
+        ("lower bounds", ray[problem._finite_lb].min(initial=0.0) < -tol),
+        ("upper bounds", ray[problem._finite_ub].max(initial=0.0) > tol),
     ) if bad]
     if failed:
         raise QpError(f"internal ray verification failed: {', '.join(failed)}")
@@ -556,8 +558,8 @@ def _unbounded(problem: QpProblem, rows: _UnitRows, lam_max: float, x: np.ndarra
                       max_violation=problem.max_violation(x), iterations=iterations, ray=ray)
 
 
-def _finish(problem: QpProblem, rows: _UnitRows, x: np.ndarray, working: list[int],
-            side: np.ndarray, face: _Face, nu: np.ndarray, iterations: int) -> QpSolution:
+def _finish(problem: QpProblem, x: np.ndarray, working: list[int], side: np.ndarray,
+            face: _Face, nu: np.ndarray, iterations: int) -> QpSolution:
     """The verified optimal solution at the point x of a path, on face,
     with the path's multipliers nu of the face's rows.
 
@@ -573,12 +575,12 @@ def _finish(problem: QpProblem, rows: _UnitRows, x: np.ndarray, working: list[in
     The objective, the violation and the KKT residuals come from one Qx + c
     and one set of row slacks (_residuals).
     """
+    rows, m_eq = problem._rows, problem.a_eq.shape[0]
     x = x.copy()
     x[face.free] += face.restore(np.concatenate([rows.b_eq, rows.b_in[working]]) - face.a_w @ x)
     x = np.clip(x, problem.lb, problem.ub)
     grad = problem.Q @ x + problem.c
     nu = nu + face.multipliers(grad[face.free] - face.a_f.T @ nu)
-    m_eq = rows.eq.shape[0]
     eq_mult = nu[:m_eq] / rows.eq_norm
     in_mult = np.zeros(problem.a_in.shape[0])
     in_mult[working] = np.maximum(nu[m_eq:] / rows.in_norm[working], 0.0)
@@ -603,8 +605,7 @@ def _finish(problem: QpProblem, rows: _UnitRows, x: np.ndarray, working: list[in
                       upper_multipliers=upper, iterations=iterations)
 
 
-def solve_qp(problem: QpProblem, *, start=None,
-             _max_iter: int | None = None) -> QpSolution:
+def solve_qp(problem: QpProblem, *, start=None) -> QpSolution:
     """Minimize 0.5 x'Qx + c'x subject to the problem's constraints.
 
     start, when given, is any finite point of length n.  If it keeps every
@@ -618,12 +619,11 @@ def solve_qp(problem: QpProblem, *, start=None,
     can select a different point of that face, with the same objective.
 
     Returns a solution with status "optimal", "infeasible" or "unbounded".
-    Raises QpInputError for malformed data or start, or for a Q that is
-    not positive semidefinite on the variables whose bounds differ, and
+    Raises QpInputError for a malformed start (QpProblem's constructor
+    rejects malformed data and a Q that is not positive semidefinite), and
     QpIterationLimitError past 50*n events.
     """
-    return _solve(problem, start, np.zeros((0, problem.b_in.shape[0])), np.zeros(1),
-                  50 * problem.n if _max_iter is None else _max_iter)[0]
+    return _solve(problem, start, np.zeros((0, problem.b_in.size)), np.zeros(1), 50 * problem.n)[0]
 
 
 def _multiplier_test(mults: np.ndarray, rates: np.ndarray, keys: np.ndarray, tol):
@@ -658,14 +658,7 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
         if start.shape[0] != problem.n or not np.all(np.isfinite(start)):
             raise QpInputError(
                 f"start must be a finite vector of length {problem.n}")
-    rows = _unit_rows(problem)
     feas_tol = FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
-    # Equal bounds fix a variable, so Q need only be PSD on the others.
-    movable = problem.lb < problem.ub
-    eigvals = np.linalg.eigvalsh(problem.Q[np.ix_(movable, movable)])
-    lam_max = float(eigvals.max(initial=0.0))
-    if eigvals.min(initial=0.0) < -1e-8 * max(1.0, lam_max):
-        raise QpInputError("Q is not positive semidefinite")
     if start is not None and np.all((problem.lb <= start) & (start <= problem.ub)) \
             and problem.max_violation(start) <= feas_tol:
         x0 = start
@@ -675,7 +668,7 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
             return [QpSolution(x=x0, objective=np.nan, status=STATUS_INFEASIBLE,
                                max_violation=t_star)]
 
-    q, c, n = problem.Q, problem.c, problem.n
+    q, c, n, rows = problem.Q, problem.c, problem.n, problem._rows
     m_eq, m_in = rows.eq.shape[0], rows.ineq.shape[0]
     b_starts = problem.b_in + np.cumsum(np.vstack([np.zeros(m_in), legs]), axis=0)
     d_legs = legs / rows.in_norm
@@ -685,22 +678,23 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
         """The unit rows' b_in where leg puts it at t."""
         return rows.b_in if leg == 0 else unit_starts[leg - 1] + (t - leg + 1) * d_legs[leg - 1]
 
-    def at(t: float, leg: int):
-        """The problem and its unit rows with b_in where leg puts it at t
-        (the copy skips __post_init__: a finite b_in is all that changes)."""
+    def at(t: float, leg: int) -> QpProblem:
+        """The problem with b_in and its unit rows' b_in where leg puts it at
+        t (the copy skips __post_init__: a finite b_in is all that changes)."""
         if leg == 0:
-            return problem, rows
+            return problem
         b_in = b_starts[leg - 1] + (t - leg + 1) * legs[leg - 1]
         b_in.setflags(write=False)
         problem_t = copy.copy(problem)
         object.__setattr__(problem_t, "b_in", b_in)
-        return problem_t, rows._replace(b_in=unit_b_in(t, leg))
+        object.__setattr__(problem_t, "_rows", rows._replace(b_in=unit_b_in(t, leg)))
+        return problem_t
 
-    x, working, side, factors = _start(problem, rows, x0)
+    x, working, side = _start(problem, x0)
     t, leg, path, entered, face, dc = -1.0, 0, [], -1, None, None
     for passes in range(1, max_events + 2):
         if face is None:
-            face, factors = _open_face(problem, rows, lam_max, working, side, factors), None
+            face = _open_face(problem, working, side)
         free, a_w, a_f, multipliers = face.free, face.a_w, face.a_f, face.multipliers
         g_true = q @ x + c
         if dc is None:
@@ -750,11 +744,11 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                 # Requested points up to its end, and the next leg, start
                 # from x while x meets their rows.
                 for tau in [*taus[len(path):][taus[len(path):] <= leg], leg]:
-                    problem_t, rows_t = at(tau, leg)
+                    problem_t = at(tau, leg)
                     if problem_t.max_violation(x) > FEASIBILITY_TOL * (1.0 + problem_t.rhs_scale()):
                         raise QpError(f"the rows cannot be met past tau = {t!r}")
                     if len(path) < taus.size and taus[len(path)] == tau:
-                        path.append(_finish(problem_t, rows_t, x, working, side, face, nu, passes))
+                        path.append(_finish(problem_t, x, working, side, face, nu, passes))
                 if len(path) == taus.size:
                     return path
                 t, leg, entered = float(leg), leg + 1, -1
@@ -785,9 +779,9 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                 p = np.zeros(n)
                 p[free] = face.z @ v_flat
                 p /= np.abs(p).max()
-                alpha, key, s = _ratio_test(problem, face, rows.ineq, rows.b_in, x, p, np.inf)
+                alpha, key, s = _ratio_test(problem, face, rows.b_in, x, p, np.inf)
                 if key < 0:
-                    return [_unbounded(problem, rows, lam_max, x, p, passes)]
+                    return [_unbounded(problem, x, p, passes)]
                 x = x + alpha * p
             else:
                 q_dx = q @ dx + dc if leg == 0 else q @ dx
@@ -805,18 +799,17 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                 # tolerance until the leg ends, and on a near-singular face,
                 # whose step is large, a rate at rounding level would drop a
                 # bound that the next face adds back at once, in a cycle.
-                rounding = 1e-12 * (1.0 + lam_max) * (1.0 + np.abs(dx).max())
+                rounding = 1e-12 * (1.0 + problem._lam_max) * (1.0 + np.abs(dx).max())
                 beta, drop = _multiplier_test(mults, d_mults, keys, np.maximum(
                     (np.maximum(mults, 0.0) + mu_tol) / (leg - t), rounding))
-                alpha, key, s = _ratio_test(problem, face, rows.ineq, unit_b_in(t, leg), x, dx,
-                                            leg - t, d_in)
+                alpha, key, s = _ratio_test(problem, face, unit_b_in(t, leg), x, dx, leg - t, d_in)
                 # an event within rounding of the leg's end waits for the
                 # next leg, whose direction can differ
                 ends = _near(leg - t, min(alpha, beta))
                 step = leg - t if ends else min(alpha, beta)
                 while len(path) < taus.size and taus[len(path)] - t <= step:
                     tau = taus[len(path)]
-                    path.append(_finish(*at(tau, leg), x + (tau - t) * dx, working, side, face,
+                    path.append(_finish(at(tau, leg), x + (tau - t) * dx, working, side, face,
                                         nu + (tau - t) * d_nu, passes))
                 if len(path) == taus.size:
                     return path
@@ -866,10 +859,11 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
     tau, and its iterations count the events from start to it.  Where Q
     leaves a face of optima, the path returns the points it reaches.
 
-    Raises QpInputError for a malformed db_in or taus (and as solve_qp
-    does), QpError if the QP at tau = 0 is infeasible or unbounded or the
-    rows cannot be met at a requested tau, and QpIterationLimitError past
-    50*n events per leg, the gradient leg included.
+    Raises QpInputError for a malformed db_in, taus or start (QpProblem's
+    constructor rejects a Q that is not positive semidefinite), QpError if
+    the QP at tau = 0 is infeasible or unbounded or the rows cannot be met
+    at a requested tau, and QpIterationLimitError past 50*n events per
+    leg, the gradient leg included.
     """
     m_in = problem.b_in.shape[0]
     db_in = np.asarray(db_in, dtype=float)

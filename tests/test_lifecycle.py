@@ -412,6 +412,14 @@ def test_sample_plan_solves_no_lp():
     assert phase1.call_count == 0
 
 
+def test_one_convexity_check_per_plan():
+    # the no-house QP and its path share one QpProblem, whose constructor
+    # checks Q once; the solves repeat no eigvalsh
+    with mock.patch("numpy.linalg.eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        solve_lifecycle(LifecycleConfig(), RiskyAssetSummary(0.08, 0.012))
+    assert eigvalsh.call_count == 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_every_branch_starts_from_a_feasible_point(seed):

@@ -83,6 +83,13 @@ def test_duplicate_ids_rejected(tmp_path):
         load_returns(path, 12)
 
 
+def test_duplicate_id_reports_path_row_and_columns(tmp_path):
+    path = _write(tmp_path, "A,B,A\n0.01,0.02,0.03\n0.03,0.04,0.05\n")
+    with pytest.raises(ReturnsFormatError) as err:
+        load_returns(path, 12)
+    assert str(err.value) == f"{path}: row 1: asset id 'A' repeated in columns 1 and 3"
+
+
 def test_stats_constant_column():
     rm = ReturnMatrix(asset_ids=["A"], data=np.full((3, 1), 0.01),
                       periods_per_year=12)

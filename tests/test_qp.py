@@ -101,19 +101,20 @@ def test_iteration_limit_reported_distinctly():
     g = rng.standard_normal((8, 5))
     p = QpProblem(Q=g.T @ g + 0.1 * np.eye(5), c=rng.standard_normal(5),
                   lb=np.zeros(5), ub=np.ones(5))
-    with pytest.raises(QpIterationLimitError):
-        solve_qp(p, _max_iter=0)
+    # solve_qp caps the events at 50 * n; the cap itself is _solve's
+    with pytest.raises(QpIterationLimitError, match="event cap 0"):
+        qp._solve(p, None, np.zeros((0, 0)), np.zeros(1), 0)
 
 
 def test_finish_rejects_a_non_finite_point():
     # the factorizations do not check finiteness, and a NaN passes every
     # comparison of the KKT check, so _finish checks finiteness itself
     problem = QpProblem(Q=np.eye(2), c=np.ones(2), lb=np.zeros(2))
-    side, rows = np.array([0.0, 1.0]), qp._unit_rows(problem)
-    face = qp._open_face(problem, rows, 1.0, [], side)
+    side = np.array([0.0, 1.0])
+    face = qp._open_face(problem, [], side)
     for x in ([np.nan, 0.0], [np.inf, 0.0]):
         with pytest.raises(QpError, match="non-finite"), np.errstate(invalid="ignore"):
-            qp._finish(problem, rows, np.array(x), [], side, face, np.zeros(0), 1)
+            qp._finish(problem, np.array(x), [], side, face, np.zeros(0), 1)
 
 
 def test_finish_rejects_a_point_that_breaks_a_row():
@@ -121,10 +122,10 @@ def test_finish_rejects_a_point_that_breaks_a_row():
     # feasibility tells that x + y >= 1 fails, by 0.6
     x = np.array([0.2, 0.2])
     problem = QpProblem(Q=np.eye(2), c=-x, a_in=np.ones((1, 2)), b_in=[1.0])
-    side, rows = np.zeros(2), qp._unit_rows(problem)
-    face = qp._open_face(problem, rows, 1.0, [], side)
+    side = np.zeros(2)
+    face = qp._open_face(problem, [], side)
     with pytest.raises(QpError, match="max_violation=6.000e-01"):
-        qp._finish(problem, rows, x, [], side, face, np.zeros(0), 1)
+        qp._finish(problem, x, [], side, face, np.zeros(0), 1)
 
 
 def test_asymmetric_q_rejected():
@@ -177,6 +178,18 @@ def test_kkt_report_on_optimal_solutions():
         assert report["stationarity"] <= 1e-6
         assert report["complementarity"] <= 1e-6
         assert report["dual_feasibility"] >= -1e-9
+
+
+def test_kkt_report_rejects_a_verdict_that_is_not_optimal():
+    # an infeasible or unbounded verdict has no multipliers to check
+    infeasible = QpProblem(Q=np.eye(1), c=np.zeros(1),
+                           a_in=np.array([[1.0], [-1.0]]), b_in=np.array([2.0, -1.0]))
+    unbounded = QpProblem(Q=np.zeros((1, 1)), c=np.array([-1.0]), lb=np.array([0.0]))
+    for p, status in ((infeasible, "infeasible"), (unbounded, "unbounded")):
+        sol = solve_qp(p)
+        assert sol.status == status
+        with pytest.raises(QpInputError, match=f"not an '{status}' one"):
+            kkt_report(p, sol)
 
 
 def test_matches_boxed_enumeration_oracle():
@@ -262,10 +275,11 @@ def test_start_validated():
 
 def test_psd_check_reads_the_unpinned_variables():
     # Q = diag(-1, 1) is indefinite, but once x0 is pinned the solver sees
-    # only its block on x1, which is positive definite
+    # only its block on x1, which is positive definite; the constructor
+    # checks, so the indefinite problem is never built
     q, c = np.diag([-1.0, 1.0]), np.array([0.0, -1.0])
-    with pytest.raises(QpInputError, match="positive semidefinite"):
-        solve_qp(QpProblem(Q=q, c=c, lb=np.array([1.0, -5.0]), ub=np.array([3.0, 5.0])))
+    with pytest.raises(QpInputError, match="Q is not positive semidefinite"):
+        QpProblem(Q=q, c=c, lb=np.array([1.0, -5.0]), ub=np.array([3.0, 5.0]))
     sol = solve_qp(QpProblem(Q=q, c=c, lb=np.array([2.0, -5.0]), ub=np.array([2.0, 5.0])))
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [2.0, 1.0], rtol=0, atol=1e-12)
@@ -908,6 +922,25 @@ def test_path_input_validated_and_infeasible_tail_raises():
         solve_qp_path(problem, np.array([2.0]), [0.25, 0.75], start=np.zeros(1))
 
 
+def test_path_goes_on_from_a_leg_end_met_within_tolerance():
+    # leg 1 moves x >= b to b = 1 + 5e-8 with x <= 1, so the rows cannot be
+    # met past tau = 1 - 5e-8; x = 1 still meets them within the
+    # feasibility tolerance, as solve_qp accepts it there, so the path
+    # returns it at tau = 1 and leg 2 starts from it, the row and the bound
+    # dependent with neither entered last, and takes b back to 5e-8
+    problem = QpProblem(Q=np.eye(1), c=np.zeros(1), a_in=np.array([[1.0]]),
+                        b_in=np.array([0.0]), ub=np.array([1.0]))
+    legs = np.array([[1.0 + 5e-8], [-1.0]])
+    leg_end = solve_qp(QpProblem(Q=np.eye(1), c=np.zeros(1), a_in=np.array([[1.0]]),
+                                 b_in=np.array([1.0 + 5e-8]), ub=np.array([1.0])))
+    assert leg_end.status == "optimal" and leg_end.x[0] == 1.0
+    for taus, expected in (([1.0, 2.0], [1.0, 5e-8]), ([2.0], [5e-8])):
+        path = solve_qp_path(problem, legs, taus, start=np.zeros(1))
+        np.testing.assert_allclose([sol.x[0] for sol in path], expected, rtol=0, atol=1e-15)
+        # Qx + c = x rests on the row alone, none of it on the bound
+        assert all(sol.in_multipliers[0] == pytest.approx(sol.x[0], rel=1e-9) for sol in path)
+
+
 @st.composite
 def qps_on_a_degenerate_path(draw):
     """(problem, db_in, start): a boxed QP whose rows, more than its
@@ -1080,8 +1113,8 @@ def _gradient_leg_dependencies(run):
     number of working rows that face finds dependent."""
     counts, face = [], qp._face
 
-    def counting(a_w, factors=None):
-        result = face(a_w, factors)
+    def counting(a_w):
+        result = face(a_w)
         frame = sys._getframe(1)
         while frame.f_code.co_name not in ("solve_qp", "solve_qp_path"):
             frame = frame.f_back
@@ -1123,8 +1156,8 @@ def test_sample_plan_factors_each_face_once():
         faces.append(open_face(*args))
         return faces[-1]
 
-    def factoring(h_red, lam_max):
-        step = reduced_step(h_red, lam_max)
+    def factoring(problem, h_red):
+        step = reduced_step(problem, h_red)
 
         def counted(g_red):
             steps.append(h_red.shape[0])
