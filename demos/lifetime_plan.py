@@ -3,8 +3,9 @@
 The planner maximizes mean minus B times variance of discounted lifetime
 wealth plus the utility of home ownership, subject to a consumption floor
 each year and a single 0/1 house-purchase decision.  The binary is handled
-by enumerating every admissible purchase year (plus never buying) and
-solving a convex quadratic program for each branch.
+by branch and bound over the admissible purchase years (plus never buying):
+each branch is a convex quadratic program, and a branch whose utility bound
+falls below the best solved branch is pruned, not solved.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ print(f"worst constraint slack : {plan.feasibility_report:.2e}")
 
 print("\nbranch objectives (house-purchase year -> value):")
 for label, value in plan.branch_objectives:
-    shown = "infeasible" if value is None else f"{value:10.4f}"
+    shown = f"{'pruned':>10}" if value is None else f"{value:10.4f}"
     print(f"  {label:14s} {shown}")
 
 print("\n year     stock    borrow       save   consumption")

@@ -1,4 +1,4 @@
-"""Lifetime investment planning as an enumerated mixed-integer QP.
+"""Lifetime investment planning as a mixed-integer QP.
 
 Over an M-year horizon the planner chooses, in units of 1,000 currency,
 
@@ -16,10 +16,10 @@ cash-flow recursions.  The income drop (and the end of insurance spread
 accrual) is handled deterministically at year kstart, the ceiling of the
 expected strike time.
 
-Binaries never enter a branch-and-bound: with at most one house purchase
-and the last house_years years excluded, fixing beta leaves one convex QP
-per admissible purchase year plus the no-house case, and the best branch
-is exact.  A fixed beta is a constant: its payments move to the right-hand
+The binaries are settled by branch and bound over the house years: with
+at most one house purchase and the last house_years years excluded, fixing
+beta leaves one convex QP per admissible purchase year plus the no-house
+case.  A fixed beta is a constant: its payments move to the right-hand
 side of the floor rows and its utility to the objective, and the house cap
 holds trivially.  So the branches share Q, c and A on the 3M + 1 other
 columns and differ only in b.
@@ -31,6 +31,14 @@ leg per house year, from the last to the first, along b_prev + tau
 (b_year - b_prev), so each leg passes only the breakpoints where the two
 optimal working sets differ and no branch is solved again from scratch.
 Borrowing has no upper bound, so the rows can be met all along the path.
+
+The optimal value V(b) of the minimization is convex in b, and a solved
+branch's verified multipliers are a subgradient of it, so every solved
+branch bounds the utility of every other (Lazimy 1982; Bonami & Lejeune
+2009).  The chain stops, through the path's stop predicate, as soon as no
+unsolved branch's bound comes within a margin of the KKT tolerances of the
+best utility found; those branches are pruned, not solved, and the best
+branch is still exact.
 """
 
 from __future__ import annotations
@@ -88,6 +96,9 @@ class LifecycleConfig:
     hazard: HazardModel | None = None
 
     def __post_init__(self):
+        for name in ("years_M", "house_years"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if int(self.years_M) != self.years_M or self.years_M < 2:
             raise ValueError("years_M must be an integer >= 2")
         object.__setattr__(self, "years_M", int(self.years_M))
@@ -133,6 +144,9 @@ class RiskyAssetSummary:
     var_stock: float
 
     def __post_init__(self):
+        for name in ("r_stock", "var_stock"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.var_stock < 0:
             raise ValueError("var_stock must be nonnegative")
 
@@ -204,7 +218,13 @@ class DecisionVector:
 
 @dataclass(frozen=True)
 class LifecyclePlan:
-    """An optimal plan with its implied consumption path."""
+    """An optimal plan with its implied consumption path.
+
+    branch_objectives lists every admissible branch in label order ("none",
+    then the house years) with its utility, or None where the branch was
+    pruned: its utility bound lay below the winner's, so it was not solved.
+    No branch is infeasible, since borrowing is unbounded.
+    """
 
     decision: DecisionVector
     house_year: int | None
@@ -357,7 +377,7 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
                     seed: int = 0, *, paper_faithful_v: bool = False,
                     mc_kstart: bool = False,
                     mc_draws: int = 10000) -> LifecyclePlan:
-    """Solve the lifetime plan by enumerating the house-purchase year.
+    """Solve the lifetime plan by branch and bound over the house-purchase year.
 
     The default pipeline is fully deterministic: V is the analytic
     h/(h+r) and kstart the analytic ceil(1/h).  With paper_faithful_v or
@@ -417,6 +437,24 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
     # first, which passes fewer breakpoints than the first to the last.
     chain = [None, *candidates[:0:-1]]
     b_chain = np.array([b[:m] - a[:m, 3 * m:4 * m] @ house_of(year) for year in chain])
+    # Each solved branch i caps the utility of every branch k at
+    # h_k - f_i - mu_i'(b_k - b_i), f_i its min-form objective and mu_i its
+    # multipliers.  The chain stops once every unsolved branch's cap lies a
+    # KKT-sized margin below the best utility, so a pruned branch can
+    # neither win nor tie.
+    utility = np.array([c[3 * m:4 * m] @ house_of(year) for year in chain])
+    cap = np.full(len(chain), np.inf)
+    sols = []
+
+    def settled(point) -> bool:
+        """Record the next branch's optimum; True once no other can win."""
+        sols.append(point)
+        solved = len(sols)
+        np.minimum(cap, utility - point.objective
+                   - (b_chain - b_chain[solved - 1]) @ point.in_multipliers, out=cap)
+        best = float(np.max(utility[:solved] - [done.objective for done in sols]))
+        return bool(np.all(cap[solved:] < best - 1e-6 * (1.0 + abs(best))))
+
     # Maximize c'x + 0.5 x'qx as the minimization of its negation, from the
     # zero plan, which meets the no-house rows (checked above).
     problem = QpProblem(Q=-q_rest, c=-c_rest, a_in=a_rest, b_in=b_chain[0],
@@ -430,18 +468,21 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
             f"branch {_branch_label(None)}: solver status {sol.status!r}")
     # Leg j of the path moves b from the branch before it to its own; house
     # year 1 is always admissible (house_years < years_M), so there is one.
-    try:
-        sols = [sol, *solve_qp_path(problem, np.diff(b_chain, axis=0),
-                                    np.arange(1.0, len(chain)), start=sol.x)]
-    except QpError as exc:
-        raise LifecycleBranchError(
-            f"branches {', '.join(map(_branch_label, chain[1:]))}: {exc}") from exc
-    branches = {year: (float(c[3 * m:4 * m] @ house_of(year)) - branch.objective, branch.x)
-                for year, branch in zip(chain, sols)}
+    # The path runs only while some house year can still win.
+    if not settled(sol):
+        try:
+            solve_qp_path(problem, np.diff(b_chain, axis=0), np.arange(1.0, len(chain)),
+                          start=sol.x, stop=settled)
+        except QpError as exc:
+            raise LifecycleBranchError(
+                f"branches {', '.join(map(_branch_label, chain[1:]))}: {exc}") from exc
+    objectives = {year: float(utility[j] - branch.objective)
+                  for j, (year, branch) in enumerate(zip(chain, sols))}
 
-    # The first best branch in label order wins a tie.
-    best_year = max(candidates, key=lambda year: branches[year][0])
-    best_x = np.insert(branches[best_year][1], 3 * m, house_of(best_year))
+    # The first best branch in label order wins a tie; a pruned branch
+    # reports None.
+    best_year = max((year for year in candidates if year in objectives), key=objectives.get)
+    best_x = np.insert(sols[chain.index(best_year)].x, 3 * m, house_of(best_year))
     x = np.where(best_x < VALUE_CLAMP, 0.0, best_x)
     decision = DecisionVector.from_vector(x, m)
     consumption = implied_consumption(decision, config, asset, kstart)
@@ -458,6 +499,6 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
         objective=objective,
         consumption=consumption,
         feasibility_report=violation,
-        branch_objectives=tuple((_branch_label(year), branches[year][0])
+        branch_objectives=tuple((_branch_label(year), objectives.get(year))
                                 for year in candidates),
     )

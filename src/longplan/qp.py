@@ -641,9 +641,11 @@ def _multiplier_test(mults: np.ndarray, rates: np.ndarray, keys: np.ndarray, tol
 
 
 def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
-           max_events: int) -> list[QpSolution]:
+           max_events: int, stop: Callable[[QpSolution], bool] | None = None
+           ) -> list[QpSolution]:
     """The verified optima at taus along the legs, or a one-element list
-    holding the infeasible or unbounded verdict.
+    holding the infeasible or unbounded verdict; the optima up to the first
+    for which stop, when given, returns True.
 
     The path starts at start if it is feasible, else at phase 1's point.
     Leg 0 runs t from -1 to 0, the gradient c + t dc moving from c0, for
@@ -658,6 +660,7 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
         if start.shape[0] != problem.n or not np.all(np.isfinite(start)):
             raise QpInputError(
                 f"start must be a finite vector of length {problem.n}")
+    stop = stop or (lambda point: False)
     feas_tol = FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
     if start is not None and np.all((problem.lb <= start) & (start <= problem.ub)) \
             and problem.max_violation(start) <= feas_tol:
@@ -749,6 +752,8 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                         raise QpError(f"the rows cannot be met past tau = {t!r}")
                     if len(path) < taus.size and taus[len(path)] == tau:
                         path.append(_finish(problem_t, x, working, side, face, nu, passes))
+                        if stop(path[-1]):
+                            return path
                 if len(path) == taus.size:
                     return path
                 t, leg, entered = float(leg), leg + 1, -1
@@ -811,6 +816,8 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                     tau = taus[len(path)]
                     path.append(_finish(at(tau, leg), x + (tau - t) * dx, working, side, face,
                                         nu + (tau - t) * d_nu, passes))
+                    if stop(path[-1]):
+                        return path
                 if len(path) == taus.size:
                     return path
                 x, t, nu = x + step * dx, t + step, nu + step * d_nu
@@ -839,7 +846,8 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
     raise QpIterationLimitError(f"event cap {max_events} exceeded")
 
 
-def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]:
+def solve_qp_path(problem: QpProblem, db_in, taus, *, start,
+                  stop: Callable[[QpSolution], bool] | None = None) -> list[QpSolution]:
     """Optima of the problem with b_in moved along legs, one per tau.
 
     db_in is one leg, a vector of length m_in, or k consecutive legs, an
@@ -859,6 +867,11 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
     tau, and its iterations count the events from start to it.  Where Q
     leaves a face of optima, the path returns the points it reaches.
 
+    stop, when given, is called on each point in tau order as soon as it
+    is verified; once it returns True the path ends there and returns the
+    points so far, the last one included, each bit for bit the point the
+    full path returns.
+
     Raises QpInputError for a malformed db_in, taus or start (QpProblem's
     constructor rejects a Q that is not positive semidefinite), QpError if
     the QP at tau = 0 is infeasible or unbounded or the rows cannot be met
@@ -875,7 +888,7 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start) -> list[QpSolution]
     taus = np.asarray(taus, dtype=float).ravel()
     if not (taus.size and np.all((taus >= 0.0) & (taus <= k)) and np.all(np.diff(taus) >= 0.0)):
         raise QpInputError(f"taus must be a nonempty nondecreasing sequence in [0, {k}]")
-    path = _solve(problem, start, legs, taus, 50 * problem.n * (k + 1))
+    path = _solve(problem, start, legs, taus, 50 * problem.n * (k + 1), stop)
     if path[0].status != STATUS_OPTIMAL:
         raise QpError(f"the path needs an optimum at tau = 0, where the QP is {path[0].status}")
     return path

@@ -249,6 +249,24 @@ def test_config_rejects_negative_risk_aversion():
     assert _mini_config(risk_aversion_B=0.0).risk_aversion_B == 0.0
 
 
+@pytest.mark.parametrize("name", ["years_M", "house_years"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite_horizons(name, value):
+    # int() of an infinity or a NaN raised OverflowError or an unnamed
+    # ValueError before the field was checked
+    with pytest.raises(ValueError, match=name):
+        _mini_config(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["r_stock", "var_stock"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_asset_summary_rejects_non_finite_values(name, value):
+    # nan < 0 is False, so a NaN variance got through to the QP solver
+    fields = {"r_stock": 0.09, "var_stock": 0.03, name: value}
+    with pytest.raises(ValueError, match=name):
+        RiskyAssetSummary(**fields)
+
+
 # ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------
@@ -379,24 +397,12 @@ def test_mc_modes_draw_one_strike_stream(monkeypatch):
 
 
 def test_warm_started_branches_match_cold_solves():
+    # the sample plan: the bound prunes at least 4 of the 21 branches
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
     fund = max_sharpe_long_only(stats, 0.025)
     asset = RiskyAssetSummary(r_stock=fund.mean, var_stock=fund.variance)
-    config = LifecycleConfig()
-    plan = solve_lifecycle(config, asset)
-    m = config.years_M
-    c = assemble_linear_coefficients(config, asset)
-    q = assemble_quadratic(config, asset)
-    a, b = assemble_constraints(config, asset, math.ceil(1.0 / config.hazard.h))
-    for label, objective in plan.branch_objectives:
-        lb, ub = np.zeros(4 * m + 1), np.full(4 * m + 1, np.inf)
-        ub[3 * m:4 * m] = 0.0
-        if label != "none":
-            year = int(label.rsplit("-", 1)[1])
-            lb[3 * m + year - 1] = ub[3 * m + year - 1] = 1.0
-        cold = solve_qp(QpProblem(Q=-q, c=-c, a_in=a, b_in=b, lb=lb, ub=ub))
-        assert cold.status == "optimal" and objective is not None
-        assert objective == pytest.approx(-cold.objective, rel=1e-9)
+    plan = _assert_branches_match_cold_solves(LifecycleConfig(), asset)
+    assert sum(objective is not None for _, objective in plan.branch_objectives) <= 17
 
 
 def test_sample_plan_solves_no_lp():
@@ -433,17 +439,19 @@ def test_every_branch_starts_from_a_feasible_point(seed):
         calls.append(("solve_qp", problem, start, np.zeros((0, problem.b_in.shape[0]))))
         return solve_qp(problem, start=start)
 
-    def recording_solve_qp_path(problem, db_in, taus, *, start):
+    def recording_solve_qp_path(problem, db_in, taus, *, start, stop):
         calls.append(("solve_qp_path", problem, start, db_in))
-        return qp.solve_qp_path(problem, db_in, taus, start=start)
+        return qp.solve_qp_path(problem, db_in, taus, start=start, stop=stop)
 
     with mock.patch.object(lifecycle, "solve_qp", recording_solve_qp), \
             mock.patch.object(lifecycle, "solve_qp_path", recording_solve_qp_path):
         plan = solve_lifecycle(config, asset)
-    # one QP for the no-house branch, then one path with a leg per house year
+    # one QP for the no-house branch, then one path with a leg per house
+    # year, unless the no-house optimum alone prunes every house year
     legs = len(plan.branch_objectives) - 1
-    assert [name for name, *_ in calls] == ["solve_qp", "solve_qp_path"]
-    assert calls[1][3].shape == (legs, calls[1][1].b_in.shape[0])
+    assert [label for label, _ in plan.branch_objectives[1:]] == \
+        [f"house-year-{year}" for year in range(1, legs + 1)]
+    assert [name for name, *_ in calls] in (["solve_qp"], ["solve_qp", "solve_qp_path"])
     m = config.years_M
     for _, problem, start, _ in calls:
         # the house column is a constant of the branch, not a pinned variable
@@ -452,22 +460,25 @@ def test_every_branch_starts_from_a_feasible_point(seed):
         assert np.all(problem.lb <= start) and np.all(start <= problem.ub)
         feas_tol = qp.FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
         assert problem.max_violation(start) <= feas_tol
+    if len(calls) == 1:
+        assert all(objective is None for _, objective in plan.branch_objectives[1:])
+        return
     # the path starts where the QP ended, and its legs run through the
     # branches' right-hand sides from the last house year to the first
     (_, first, _, _), (_, problem, start, db_in) = calls
+    assert db_in.shape == (legs, problem.b_in.shape[0])
     np.testing.assert_array_equal(problem.b_in, first.b_in)
     a, b = assemble_constraints(config, asset, max(1, min(math.ceil(1.0 / config.hazard.h), m + 1)))
     years = range(legs, 0, -1)
     np.testing.assert_allclose(problem.b_in + np.cumsum(db_in, axis=0),
                                [b[:m] - a[:m, 3 * m + year - 1] for year in years], rtol=0,
                                atol=1e-12 * (1.0 + problem.rhs_scale()))
-    assert [label for label, _ in plan.branch_objectives[1:]] == \
-        [f"house-year-{year}" for year in range(1, legs + 1)]
 
 
 def _assert_branches_match_cold_solves(config, asset):
-    """Every branch objective of the plan must match a cold solve of that
-    branch's pinned QP, and the best cold branch must win."""
+    """Every solved branch objective of the plan must match a cold solve of
+    that branch's pinned QP, every pruned branch's cold optimum must fall
+    below the plan's, and the best cold branch must win; returns the plan."""
     plan = solve_lifecycle(config, asset)
     m = config.years_M
     c = assemble_linear_coefficients(config, asset)
@@ -483,9 +494,13 @@ def _assert_branches_match_cold_solves(config, asset):
         sol = solve_qp(QpProblem(Q=-q, c=-c, a_in=a, b_in=b, lb=lb, ub=ub))
         assert sol.status == "optimal"
         cold[label] = -sol.objective
-        assert objective == pytest.approx(cold[label], rel=1e-9, abs=1e-9)
+        if objective is None:
+            assert cold[label] < plan.objective, label
+        else:
+            assert objective == pytest.approx(cold[label], rel=1e-9, abs=1e-9)
     best = max(cold, key=cold.get)
     assert best == ("none" if plan.house_year is None else f"house-year-{plan.house_year}")
+    return plan
 
 
 @settings(max_examples=25, deadline=None)

@@ -880,6 +880,44 @@ def test_path_matches_cold_solves(case, grid):
         assert report["dual_feasibility"] >= -1e-9
 
 
+def _assert_prefix(stopped, full):
+    assert 1 <= len(stopped) <= len(full)
+    for sol, ref in zip(stopped, full):
+        np.testing.assert_array_equal(sol.x, ref.x)
+        np.testing.assert_array_equal(sol.in_multipliers, ref.in_multipliers)
+        assert (sol.objective, sol.iterations) == (ref.objective, ref.iterations)
+
+
+@settings(max_examples=50, deadline=None)
+@given(qps_on_a_feasible_path(), st.lists(st.integers(0, 16), min_size=1, max_size=8),
+       st.integers(1, 8))
+def test_path_stop_returns_the_points_so_far(case, grid, k):
+    # stop sees each point in tau order, and the path ends at the first
+    # point it accepts with the full path's points, bit for bit
+    _, problem, db_in, start = case
+    taus = np.sort(grid) / 16.0
+    full = solve_qp_path(problem, db_in, taus, start=start)
+    seen = []
+    stopped = solve_qp_path(problem, db_in, taus, start=start,
+                            stop=lambda sol: seen.append(sol) or len(seen) == k)
+    assert len(stopped) == min(k, taus.size)
+    assert [id(sol) for sol in stopped] == [id(sol) for sol in seen]
+    _assert_prefix(stopped, full)
+
+
+def test_path_stop_ends_a_leg_whose_rows_cannot_be_met_further():
+    # the point at tau = 1 is returned where the rows cannot be met past
+    # it (as in test_path_goes_on_from_a_leg_end_met_within_tolerance);
+    # stop ends the path there, before leg 2
+    problem = QpProblem(Q=np.eye(1), c=np.zeros(1), a_in=np.array([[1.0]]),
+                        b_in=np.array([0.0]), ub=np.array([1.0]))
+    legs, taus = np.array([[1.0 + 5e-8], [-1.0]]), [1.0, 2.0]
+    full = solve_qp_path(problem, legs, taus, start=np.zeros(1))
+    stopped = solve_qp_path(problem, legs, taus, start=np.zeros(1), stop=lambda sol: True)
+    assert len(stopped) == 1
+    _assert_prefix(stopped, full)
+
+
 def test_path_start_is_checked_as_solve_qp_checks_it():
     rng = np.random.default_rng(5)
     g = rng.standard_normal((5, 4))
@@ -1172,8 +1210,12 @@ def test_sample_plan_factors_each_face_once():
     assert plan.house_year == 6
     with_null_space = sum(face.z.shape[1] > 0 for face in faces)
     assert cholesky.call_count <= with_null_space and eigh.call_count <= with_null_space
-    # the 20 house-year legs end on faces already open
-    assert len(steps) >= with_null_space + 20
+    # the path's legs end on faces already open: the gradient leg and one
+    # leg per house year before the last it solves, 16 of the 20 (the bound
+    # prunes house years 1-4)
+    legs = sum(objective is not None for _, objective in plan.branch_objectives[1:])
+    assert legs == 16
+    assert len(steps) >= with_null_space + legs
 
 
 def test_start_at_a_vertex_with_more_active_rows_than_free_variables():
