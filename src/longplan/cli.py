@@ -33,7 +33,7 @@ _SUBCOMMANDS = {
 
 
 def _seed(raw: str) -> int:
-    if not raw.isdigit():
+    if not (raw.isascii() and raw.isdigit()):
         raise argparse.ArgumentTypeError(
             f"expected a nonnegative integer, got {raw!r}")
     return int(raw)

@@ -54,10 +54,18 @@ x, the working rows and one side per bound, lower, upper or free:
   c'd < 0, every row and finite bound kept) before "unbounded" is
   returned; a smaller descent is dropped from the gradient's motion.  A
   Cholesky factor gives the step when it proves every eigenvalue above
-  max(1e-14, 1e-10 * lambda_max(Q)).  Z'QZ is factored once, when its face
-  opens, and every pass on the face, a leg's end included, solves with
-  that factor; a zero Z'QZ, as on every face of an LP, is flat throughout
-  and takes no factor;
+  max(1e-14, 1e-10 * lambda_max(Q));
+* a solve factors its first face from scratch, a QR of the working rows
+  on the free variables and a factor of Z'QZ.  Each event then updates
+  the face's null-space basis Z, its multiplier map T and (Z'QZ)^-1 in
+  O(n^2), with no QR, inverse or Cholesky factor: a row or bound that
+  leaves borders them, and one that enters splits Z by a Householder
+  reflection (the updates of Goldfarb & Idnani 1983 and qpOASES).  Every
+  pass on a face, a leg's end included, solves with its factors.  A face
+  is factored afresh only where an update is unsafe: the face before it
+  has a dependent row or no Cholesky certificate, or the update's pivot
+  is too small for its rounding (_next_face).  A zero Z'QZ, as on every
+  face of an LP, is flat throughout and takes no factor;
 * an event is the first row or bound that blocks x, which enters, or the
   first working multiplier that reaches zero, whose row or bound leaves.
   A rate within 1e-12 times 1 + the step's size blocks nothing; a
@@ -78,8 +86,8 @@ x, the working rows and one side per bound, lower, upper or free:
 * one tie rule: ties go to the least index in the order general rows,
   then bounds in variable order, which at a zero-length step is Bland's
   rule;
-* every returned point passes a restore step, a least-norm step from the
-  face's QR back onto the working rows, and a KKT check, feasibility
+* every returned point passes a restore step, a least-norm step through
+  the face's map T back onto the working rows, and a KKT check, feasibility
   included; its objective, violation and KKT residuals come from one
   Qx + c and one set of row slacks.
 
@@ -357,30 +365,30 @@ def _independent_rows(a: np.ndarray):
     return q, r, independent, dependent
 
 
-def _face(a_w: np.ndarray):
-    """(z, multipliers, restore, dependent) for the working rows a_w, from
-    the QR of _independent_rows.
+def _null_space(a_w: np.ndarray):
+    """(z, t, dependent) for the working rows a_w, from the QR of
+    _independent_rows.
 
-    z is an orthonormal basis of {p : a_w p = 0}; multipliers(g) solves
-    a_w' nu = g on the independent rows, with R inverted once, giving every
-    dependent row a zero multiplier; restore(r) is the least-norm step s
-    with a_w s = r on those rows, through the same inverse; dependent
-    indexes the other rows.
+    z is an orthonormal basis of {p : a_w p = 0}, dependent indexes the
+    rows that depend on the others, and t, with R inverted once, is the
+    multiplier map: t a_w' = I on the independent rows, t z = 0, and a zero
+    row for each dependent row.  So t g solves a_w' nu = g on the
+    independent rows, giving every dependent row a zero multiplier, and
+    r t is the least-norm step s with a_w s = r on those rows.
     """
-    m = a_w.shape[0]
     q, r, independent, dependent = _independent_rows(a_w)
     rank = independent.size
-    to_nu = np.linalg.inv(r[:rank, :rank]) @ q[:, :rank].T
+    t = np.zeros(a_w.shape)
+    t[independent] = np.linalg.inv(r[:rank, :rank]) @ q[:, :rank].T
+    return q[:, rank:], t, dependent
 
-    def multipliers(g: np.ndarray) -> np.ndarray:
-        nu = np.zeros(m)
-        nu[independent] = to_nu @ g
-        return nu
 
-    def restore(resid: np.ndarray) -> np.ndarray:
-        return resid[independent] @ to_nu
-
-    return q[:, rank:], multipliers, restore, dependent
+def _face(a_w: np.ndarray):
+    """(z, multipliers, restore, dependent): _null_space's z and dependent,
+    with multipliers(g) = t g and restore(r) = r t, the maps a _Face
+    applies."""
+    z, t, dependent = _null_space(a_w)
+    return z, t.__matmul__, t.__rmatmul__, dependent
 
 
 def _near(ratios, least: float):
@@ -430,9 +438,20 @@ def _ratio_test(problem: QpProblem, face: _Face, b_in: np.ndarray, x: np.ndarray
     return alpha, a_in.shape[0] + int(bounds[k]), float(side[k])
 
 
+def _floor(problem: QpProblem) -> float:
+    """The least eigenvalue of Z'QZ that the Cholesky certificate accepts."""
+    return max(1e-14, 1e-10 * problem._lam_max)
+
+
+def _newton(h_inv: np.ndarray):
+    return lambda g_red: (-(h_inv @ g_red), None)
+
+
 def _reduced_step(problem: QpProblem, h_red: np.ndarray):
-    """step(g_red) -> (p, p_flat): the steps on a face of problem with reduced
-    Hessian h_red for a reduced gradient g_red, from one factorization of it.
+    """(step, h_inv): step(g_red) -> (p, p_flat) gives the steps on a face
+    of problem with reduced Hessian h_red for a reduced gradient g_red,
+    from one factorization of it, and h_inv is h_red's inverse when the
+    Cholesky certificate holds, else None.
 
     An eigenvalue of h_red at or below dim * eps * lam_max, lam_max the
     problem's largest eigenvalue of Q on the variables whose bounds differ,
@@ -442,15 +461,15 @@ def _reduced_step(problem: QpProblem, h_red: np.ndarray):
     everywhere: p = 0 and p_flat = -g_red, with nothing to factor.  When
     the Cholesky factor L shows every eigenvalue to be above the floor
     max(1e-14, 1e-10 * lam_max), by |L^-1|_F^2 = trace(h_red^-1) < 1/floor,
-    p is the Newton step from L and no eigendecomposition is needed.
+    p is the Newton step -h_inv g_red and no eigendecomposition is needed.
     """
     if not h_red.any():
-        return lambda g_red: (np.zeros_like(g_red), -g_red)
-    floor = max(1e-14, 1e-10 * problem._lam_max)
+        return (lambda g_red: (np.zeros_like(g_red), -g_red)), None
     try:
         inv = np.linalg.inv(np.linalg.cholesky(h_red))
-        if np.sum(inv * inv) < 1.0 / floor:
-            return lambda g_red: (-(inv.T @ (inv @ g_red)), None)
+        if np.sum(inv * inv) < 1.0 / _floor(problem):
+            h_inv = inv.T @ inv
+            return _newton(h_inv), h_inv
     except np.linalg.LinAlgError:
         pass
     eigvals, eigvecs = np.linalg.eigh(h_red)
@@ -461,49 +480,182 @@ def _reduced_step(problem: QpProblem, h_red: np.ndarray):
         p = -(curved @ (curved.T @ g_red / curvature))
         return p, -(flat_vecs @ (flat_vecs.T @ g_red)) if flat_vecs.shape[1] else None
 
-    return step
+    return step, None
 
 
 class _Face(NamedTuple):
-    """A face of the path, factored once when it opens (_open_face).
+    """A face of the path: its rows, its factors and its event candidates.
 
     free indexes the free variables, a_w stacks the equality and working
-    rows and a_f is a_w on free; z, multipliers, restore and dependent are
-    _face's for a_f, zq is z'Q on free and step the _reduced_step of z'Qz
-    (None when z has no column).  For the event tests, fixed indexes the
-    fixed variables and side their bounds' sides, keys orders the working
-    rows and those bounds as _solve's candidates, and outside indexes the
-    general rows not in the working list.
+    rows and a_f is a_w on free; z, t and dependent are _null_space's for
+    a_f, and multipliers(g) = t g and restore(r) = r t apply t.  h_inv is
+    (z'Qz)^-1 where the Cholesky certificate holds (0 x 0 when z has no
+    column), else None, and step is the _reduced_step of z'Qz (None when z
+    has no column).  _open_face factors a face from scratch; _next_face
+    updates these factors by one event in O(n^2), which needs h_inv and no
+    dependent row.  For the event tests, fixed indexes the fixed variables
+    and side their bounds' sides, keys orders the working rows and those
+    bounds as _solve's candidates, and outside indexes the general rows
+    not in the working list.
     """
 
     free: np.ndarray
     a_w: np.ndarray
     a_f: np.ndarray
     z: np.ndarray
-    multipliers: Callable
-    restore: Callable
+    t: np.ndarray
     dependent: np.ndarray
-    zq: np.ndarray
+    h_inv: np.ndarray | None
     step: Callable | None
     fixed: np.ndarray
     side: np.ndarray
     keys: np.ndarray
     outside: np.ndarray
 
+    def multipliers(self, g: np.ndarray) -> np.ndarray:
+        return self.t @ g
 
-def _open_face(problem: QpProblem, working: list[int], side: np.ndarray) -> _Face:
-    """The _Face of the working rows and the bounds side fixes."""
-    rows, m_in = problem._rows, problem.a_in.shape[0]
-    free, fixed = np.flatnonzero(side == 0.0), np.flatnonzero(side)
-    a_w = np.vstack([rows.eq, rows.ineq[working]])
-    a_f = a_w[:, free]
-    z, multipliers, restore, dependent = _face(a_f)
-    zq = z.T @ problem.Q.take(free, axis=0).take(free, axis=1)
+    def restore(self, resid: np.ndarray) -> np.ndarray:
+        return resid @ self.t
+
+
+def _with_factors(problem: QpProblem, working: list[int], side: np.ndarray, free: np.ndarray,
+                  a_w: np.ndarray, z: np.ndarray, t: np.ndarray, dependent: np.ndarray, step,
+                  h_inv) -> _Face:
+    """The _Face of the working rows a_w and the bounds side fixes, with
+    free the variables it leaves free and the factors given."""
+    m_in, fixed = problem.a_in.shape[0], np.flatnonzero(side)
     outside = np.ones(m_in, dtype=bool)
     outside[working] = False
-    return _Face(free, a_w, a_f, z, multipliers, restore, dependent, zq,
-                 _reduced_step(problem, zq @ z) if z.shape[1] else None, fixed, side[fixed],
+    return _Face(free, a_w, a_w[:, free], z, t, dependent, h_inv, step, fixed, side[fixed],
                  np.concatenate([working, m_in + fixed]), np.flatnonzero(outside))
+
+
+def _open_face(problem: QpProblem, working: list[int], side: np.ndarray) -> _Face:
+    """The _Face of the working rows and the bounds side fixes, factored
+    from scratch: a QR of the rows on the free variables and a
+    factorization of z'Qz."""
+    free = np.flatnonzero(side == 0.0)
+    rows = problem._rows
+    a_w = np.vstack([rows.eq, rows.ineq[working]])
+    z, t, dependent = _null_space(a_w[:, free])
+    step, h_inv = None, np.zeros((0, 0))
+    if z.shape[1]:
+        step, h_inv = _reduced_step(
+            problem, z.T @ problem.Q.take(free, axis=0).take(free, axis=1) @ z)
+    return _with_factors(problem, working, side, free, a_w, z, t, dependent, step, h_inv)
+
+
+def _next_face(problem: QpProblem, face: _Face, key: int, working: list[int],
+               side: np.ndarray) -> _Face | None:
+    """The face after key, a row (key < m_in) or the bound of variable key -
+    m_in, entered or left face, updated from face's factors in O(n^2)
+    (Goldfarb & Idnani 1983; qpOASES); None where _open_face must factor
+    it afresh.
+
+    working and side are already the new face's.  face must hold h_inv and
+    no dependent row.  An update's rounding grows as eps / |w|^2 for an
+    entering row's or bound's pivot |w| = |z'a| (a sine: the rows have unit
+    norm and z orthonormal columns) and as eps (d / s)^2 for a leaving one's
+    Schur complement s = d - b'h_inv b, so both must exceed 1e-3 (s of d),
+    which keeps it near 1e-10; and the new h_inv must keep the Cholesky
+    certificate, trace(h_inv) < 1 / floor.
+    """
+    if face.h_inv is None or face.dependent.size:
+        return None
+    i = key - problem.a_in.shape[0]
+    free = np.flatnonzero(side == 0.0)
+    leaves = side[i] == 0.0 if i >= 0 else key not in working
+    factors = _widened(problem, face, key, i, free) if leaves else _narrowed(problem, face, key, i)
+    if factors is None or not np.trace(factors[3]) < 1.0 / _floor(problem):
+        return None
+    a_w, z, t, h_inv = factors
+    return _with_factors(problem, working, side, free, a_w, z, t, np.arange(0),
+                         _newton(h_inv) if h_inv.shape[0] else None, h_inv)
+
+
+def _widened(problem: QpProblem, face: _Face, key: int, i: int, free: np.ndarray):
+    """(a_w, z, t, h_inv) after row key (i < 0) or the bound of variable i
+    leaves face, with free the new free variables; None if s <= 1e-3 d.
+
+    The new direction z_new is orthogonal to z and meets every other row:
+    row j of t for row j, (-t'a_i, 1) for the bound, a_i its column of a_w.
+    t loses its component along z_new, and h_inv is bordered by b = z'Q
+    z_new and d = z_new'Q z_new.
+    """
+    a_w, z, t, h_inv, k = face.a_w, face.z, face.t, face.h_inv, face.z.shape[1]
+    if i < 0:
+        j = problem.a_eq.shape[0] + int(np.flatnonzero(face.keys == key)[0])
+        z_new, keep = t[j], np.arange(t.shape[0]) != j
+        a_w, t = a_w[keep], t[keep]
+        old = slice(None)
+    else:
+        old = free != i
+        z_new = np.ones(free.size)
+        z_new[old] = -(a_w[:, i] @ t)
+        t_old, t = t, np.zeros((t.shape[0], free.size))
+        t[:, old] = t_old
+    z_new = z_new / np.sqrt(z_new @ z_new)
+    t -= (t @ z_new)[:, None] * z_new
+    full = np.zeros(problem.n)
+    full[free] = z_new
+    qz = (problem.Q @ full)[free]
+    b = z.T @ qz[old]
+    hb = h_inv @ b
+    d = float(z_new @ qz)
+    s = d - float(b @ hb)
+    if not s > 1e-3 * d:
+        return None
+    z_old, z = z, np.zeros((free.size, k + 1))
+    z[old, :k], z[:, k] = z_old, z_new
+    h_old, h_inv = h_inv, np.empty((k + 1, k + 1))
+    h_inv[:k, :k] = h_old + hb[:, None] * (hb / s)
+    h_inv[:k, k] = h_inv[k, :k] = -hb / s
+    h_inv[k, k] = 1.0 / s
+    return a_w, z, t, h_inv
+
+
+def _narrowed(problem: QpProblem, face: _Face, key: int, i: int):
+    """(a_w, z, t, h_inv) after row key (i < 0) or the bound of variable i
+    enters face; None if its pivot |w| <= 1e-3.
+
+    With a the unit row on face's free variables (e_i for the bound) and
+    w = z'a, one Householder reflection splits z into zw / |w| and the
+    rest, the new z.  t gains the row (zw)' / |w|^2, the other rows lose
+    their a-component, and h_inv becomes the inverse of the compressed
+    z'Qz, W'(h_inv - h_inv w w'h_inv / w'h_inv w)W, with W the reflection's
+    other columns.  A bound's coordinate then leaves z and t, and its row
+    of t with it.
+    """
+    a_w, z, t, h_inv = face.a_w, face.z, face.t, face.h_inv
+    if i < 0:
+        a_w = np.vstack([a_w, problem._rows.ineq[key]])
+        a = a_w[-1, face.free]
+        w, t_a = z.T @ a, t @ a
+    else:
+        pos = int(np.searchsorted(face.free, i))
+        w, t_a = z[pos], t[:, pos]
+    norm = float(np.sqrt(w @ w))
+    if not norm > 1e-3:
+        return None
+    row = (z @ w) / (norm * norm)
+    t = t - t_a[:, None] * row
+    # the reflection I - beta v v' maps w onto -sign(w_0) |w| e_1: its
+    # first column lies along w and the others span w's complement
+    v = w.copy()
+    v[0] += np.copysign(norm, w[0])
+    beta = 2.0 / float(v @ v)
+    z = z[:, 1:] - (z @ v)[:, None] * (beta * v[1:])
+    hw = h_inv @ w
+    x = h_inv - hw[:, None] * (hw / float(w @ hw))
+    xv, v1 = x @ v, v[1:]
+    xv1 = xv[1:]
+    h_inv = (x[1:, 1:] - beta * (v1[:, None] * xv1 + xv1[:, None] * v1)
+             + (beta * beta * float(v @ xv)) * (v1[:, None] * v1))
+    if i < 0:
+        return a_w, z, np.vstack([t, row]), h_inv
+    keep = face.free != i
+    return a_w, z[keep], t[:, keep], h_inv
 
 
 def _start(problem: QpProblem, x0: np.ndarray):
@@ -563,11 +715,11 @@ def _finish(problem: QpProblem, x: np.ndarray, working: list[int], side: np.ndar
     """The verified optimal solution at the point x of a path, on face,
     with the path's multipliers nu of the face's rows.
 
-    A least-norm step from the face's QR first puts the working rows back
-    on their right-hand sides: the events leave them off by rounding in
-    proportion to |x|, which a large multiplier turns into a false
+    A least-norm step through the face's map t first puts the working rows
+    back on their right-hand sides: the events leave them off by rounding
+    in proportion to |x|, which a large multiplier turns into a false
     complementarity failure.  The multipliers refit nu to the gradient
-    Qx + c through the same QR, so a row the QR finds dependent keeps the
+    Qx + c through the same map, so a row the QR finds dependent keeps the
     share nu gave it, every bound dual is read off the stationarity
     residual, and the result must pass the KKT check, feasibility within
     a start's tolerance included; a non-finite x or multiplier fails it
@@ -652,8 +804,10 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
     which that point is optimal, to c; leg j >= 1 runs t from j - 1 to j,
     b_in moving by legs[j - 1].  The module docstring describes the events.
     The state is x, the working rows and side, each bound's side (1 lower,
-    -1 upper, 0 free).  Each face is factored once, when it opens
-    (_open_face); a pass on it only solves with those factors.
+    -1 upper, 0 free).  The first face is factored from scratch
+    (_open_face), and each event updates its factors to the next face's
+    (_next_face), or factors that face afresh where an update is unsafe; a
+    pass on a face only solves with its factors.
     """
     if start is not None:
         start = np.asarray(start, dtype=float).ravel()
@@ -769,7 +923,7 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
             if face.step is not None:
                 # x moves on the face so that the gradient's rate at fixed x
                 # stays in the span of the working rows
-                v, v_flat = face.step(face.z.T @ dc[free] if leg == 0 else face.zq @ dx[free])
+                v, v_flat = face.step(face.z.T @ (dc if leg == 0 else q @ dx)[free])
                 if v_flat is not None and leg == 0 and -t * np.abs(v_flat).max() <= mu_tol:
                     # over the rest of the leg that descent moves the gradient
                     # by less than the tolerance on it: dc leaves it out, so
@@ -835,14 +989,15 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                 else:
                     i = key - m_in
                     side[i], x[i] = s, problem.lb[i] if s > 0 else problem.ub[i]
-                entered, face = key, None
+                entered, face = key, _next_face(problem, face, key, working, side)
                 continue
-        entered, face, key = -1, None, int(keys[drop])
+        entered, key = -1, int(keys[drop])
         if key < m_in:
             working.pop(drop)
             nu = np.delete(nu, m_eq + drop)
         else:
             side[key - m_in] = 0.0
+        face = _next_face(problem, face, key, working, side)
     raise QpIterationLimitError(f"event cap {max_events} exceeded")
 
 

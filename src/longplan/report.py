@@ -107,49 +107,73 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
 
 
-def _parse_value(raw: str, kind, key: str, lineno: int):
-    """Typed value of one config line; floats finite, integers nonnegative."""
+def _parse_value(raw: str, kind, key: str, where: str):
+    """Typed value of one config line, where names it in errors; floats
+    finite, integers written in ASCII digits alone."""
     try:
-        value = _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
+        if kind is bool:
+            value = _BOOL_WORDS[raw.lower()]
+        elif kind is int:
+            value = int(raw) if raw.isascii() and raw.isdigit() else None
+        else:
+            value = kind(raw)
     except (ValueError, KeyError):
         value = None
-    if value is None or (kind is float and not math.isfinite(value)) \
-            or (kind is int and value < 0):
+    if value is None or (kind is float and not math.isfinite(value)):
         expected = {float: "finite float", int: "nonnegative int"}.get(
             kind, kind.__name__)
-        raise ValueError(f"line {lineno}: bad value {raw!r} for key {key!r} "
+        raise ValueError(f"{where}: bad value {raw!r} for key {key!r} "
                          f"(expected {expected})")
     return value
+
+
+def _run_config(settings: list) -> RunConfig:
+    """The RunConfig of settings, (line, key, raw, value) in file order, a
+    later line overriding an earlier one."""
+    run_kwargs: dict = {}
+    lc_kwargs: dict = {}
+    hz_kwargs: dict = {}
+    for _, key, _, value in settings:
+        kwargs = (run_kwargs if key in _RUN_KEYS else
+                  lc_kwargs if key in _LIFECYCLE_KEYS else hz_kwargs)
+        kwargs[key] = value
+    return RunConfig(lifecycle=_build_lifecycle(lc_kwargs, hz_kwargs), **run_kwargs)
 
 
 def parse_config(path: str) -> RunConfig:
     """Parse a flat key-value config file into a RunConfig.
 
     Unknown keys, malformed lines and badly-typed values (including
-    non-finite floats and negative integers) raise ValueError with the
-    offending line number and key.
+    non-finite floats and integers not written in ASCII digits) raise
+    ValueError naming the file, the line and the key.  So does a value that
+    RunConfig, LifecycleConfig or HazardModel rejects: the error names the
+    first line at which the lines read so far are rejected, with the
+    constructor's reason.
     """
-    run_kwargs: dict = {}
-    lc_kwargs: dict = {}
-    hz_kwargs: dict = {}
+    keys = {**_RUN_KEYS, **_LIFECYCLE_KEYS, **_HAZARD_KEYS}
+    settings = []
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
+            where = f"{path}: line {lineno}"
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
             if "=" not in text:
-                raise ValueError(f"line {lineno}: expected 'key = value', got {text!r}")
+                raise ValueError(f"{where}: expected 'key = value', got {text!r}")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key in _RUN_KEYS:
-                run_kwargs[key] = _parse_value(raw, _RUN_KEYS[key], key, lineno)
-            elif key in _LIFECYCLE_KEYS:
-                lc_kwargs[key] = _parse_value(raw, _LIFECYCLE_KEYS[key], key, lineno)
-            elif key in _HAZARD_KEYS:
-                hz_kwargs[key] = _parse_value(raw, _HAZARD_KEYS[key], key, lineno)
-            else:
-                raise ValueError(f"line {lineno}: unknown config key {key!r}")
-    lifecycle = _build_lifecycle(lc_kwargs, hz_kwargs)
-    return RunConfig(lifecycle=lifecycle, **run_kwargs)
+            if key not in keys:
+                raise ValueError(f"{where}: unknown config key {key!r}")
+            settings.append((lineno, key, raw, _parse_value(raw, keys[key], key, where)))
+    try:
+        return _run_config(settings)
+    except ValueError:
+        pass
+    for count in range(1, len(settings) + 1):
+        try:
+            _run_config(settings[:count])
+        except ValueError as exc:
+            lineno, key, raw, _ = settings[count - 1]
+            raise ValueError(f"{path}: line {lineno}: {key} = {raw}: {exc}") from None
 
 
 def _build_lifecycle(lc_kwargs: dict, hz_kwargs: dict) -> LifecycleConfig:

@@ -1146,21 +1146,147 @@ def test_face_finds_a_row_that_follows_a_dependent_one():
     _check_face_contract(a_w, [1, 3], np.random.default_rng(0))
 
 
+def _basis_free(face):
+    """z z', z h_inv z' and t: a face's factors, free of z's basis."""
+    return face.z @ face.z.T, face.z @ face.h_inv @ face.z.T, face.t
+
+
+def _event(problem, face, working, side, rng):
+    """Apply one random event to working and side; (key, the entering unit
+    row or bound on face's free variables, or None when one leaves)."""
+    m_in = problem.a_in.shape[0]
+    outside = [i for i in range(m_in) if i not in working]
+    kinds = [kind for kind, ok in (("row in", outside), ("row out", working),
+                                   ("bound in", (side == 0.0).any()),
+                                   ("bound out", side.any())) if ok]
+    kind = kinds[rng.integers(len(kinds))]
+    if kind == "row in":
+        key = outside[rng.integers(len(outside))]
+        working.append(key)
+        return key, problem._rows.ineq[key][face.free]
+    if kind == "row out":
+        return working.pop(rng.integers(len(working))), None
+    if kind == "bound in":
+        i = int(rng.choice(np.flatnonzero(side == 0.0)))
+        side[i] = rng.choice([-1.0, 1.0])
+        return m_in + i, (face.free == i).astype(float)
+    i = int(rng.choice(np.flatnonzero(side)))
+    side[i] = 0.0
+    return m_in + i, None
+
+
+def _schur_ratio(problem, face, fresh):
+    """s / d for the direction z_new that a leaving row or bound adds to
+    face's null space, read off fresh: d = z_new'Q z_new and s = 1 /
+    z_new'(z h_inv z')z_new, the Schur complement of the bordered z'Qz."""
+    old = np.zeros((fresh.free.size, face.z.shape[1]))
+    old[np.isin(fresh.free, face.free)] = face.z
+    z_new = np.linalg.eigh(fresh.z @ fresh.z.T - old @ old.T)[1][:, -1]
+    z_h_z = fresh.z @ fresh.h_inv @ fresh.z.T
+    q_free = problem.Q[np.ix_(fresh.free, fresh.free)]
+    return 1.0 / (z_new @ z_h_z @ z_new * (z_new @ q_free @ z_new))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["definite", "singular", "zero"]),
+       st.booleans())
+def test_updated_faces_match_fresh_factors(seed, curvature, copied):
+    # along a random chain of rows and bounds entering and leaving, each
+    # face _next_face updates equals the one _open_face factors from
+    # scratch, and _next_face declines only where an update is unsafe: a
+    # face without h_inv or with a dependent row, an entering pivot at or
+    # below 1e-3, a leaving direction's s at or below 1e-3 d, or a next face
+    # that _open_face finds dependent or without its Cholesky certificate.
+    # A row copied from two others and a singular or zero Q reach those
+    # fallbacks.  On a singular Q, z'Qz can be ill-conditioned, and the
+    # rounding of its inverse carries into the faces updated from it (up
+    # to 6e-9 relative in 1,500 chains), so z h_inv z' is compared only
+    # where Q is definite or zero
+    rng = np.random.default_rng(seed)
+    n, m_eq, m_in = int(rng.integers(2, 9)), int(rng.integers(0, 2)), int(rng.integers(1, 7))
+    g = rng.standard_normal((int(rng.integers(1, n)) if curvature == "singular" else n, n))
+    q = {"definite": g.T @ g + 0.5 * np.eye(n), "singular": g.T @ g,
+         "zero": np.zeros((n, n))}[curvature]
+    a = rng.standard_normal((m_eq + m_in, n))
+    if copied and m_in >= 3:
+        a[-1] = a[-2] - 0.5 * a[-3]
+    problem = QpProblem(Q=q, c=np.zeros(n), a_eq=a[:m_eq], b_eq=np.zeros(m_eq),
+                        a_in=a[m_eq:], b_in=np.zeros(m_in))
+    working, side = [], np.zeros(n)
+    face = qp._open_face(problem, working, side)
+    for _ in range(12):
+        key, entering = _event(problem, face, working, side, rng)
+        updated = qp._next_face(problem, face, key, working, side)
+        fresh = qp._open_face(problem, working, side)
+        regular = fresh.h_inv is not None and not fresh.dependent.size
+        if updated is None:
+            assert (face.h_inv is None or face.dependent.size or not regular
+                    or entering is not None and np.linalg.norm(face.z.T @ entering) <= 1e-3
+                    or entering is None and _schur_ratio(problem, face, fresh) <= 1.001e-3)
+        else:
+            assert regular
+            np.testing.assert_array_equal(updated.free, fresh.free)
+            np.testing.assert_array_equal(updated.keys, fresh.keys)
+            pairs = list(zip(_basis_free(updated), _basis_free(fresh)))
+            if curvature == "singular":
+                del pairs[1]
+            for mine, theirs in pairs:
+                np.testing.assert_allclose(
+                    mine, theirs, rtol=0.0, atol=1e-10 * (1.0 + np.abs(theirs).max(initial=0.0)))
+        face = fresh if updated is None else updated
+
+
+def test_next_face_declines_an_unsafe_update():
+    # a row that depends on the working rows (pivot 0), any update of a
+    # face with a dependent row or without h_inv, and a bound that leaves
+    # along a direction of zero curvature (s = 0) or of almost none beyond
+    # the face's (s <= 1e-3 d): each next face is factored afresh
+    a = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [2.0, 0.0, 0.0]])
+    definite = QpProblem(Q=np.eye(3), c=np.zeros(3), a_in=a, b_in=np.zeros(3))
+    flat = QpProblem(Q=np.diag([1.0, 1.0, 0.0]), c=np.zeros(3), a_in=a, b_in=np.zeros(3))
+    free = np.zeros(3)
+    face = qp._open_face(definite, [0, 1], free)
+    assert face.h_inv.shape == (1, 1) and not face.dependent.size
+    assert qp._next_face(definite, face, 2, [0, 1, 2], free) is None
+    face = qp._open_face(definite, [0, 1, 2], free)
+    assert face.dependent.size and face.h_inv is not None
+    assert qp._next_face(definite, face, 1, [0, 2], free) is None
+    face = qp._open_face(flat, [0], free)
+    assert face.h_inv is None
+    assert qp._next_face(flat, face, 1, [0, 1], free) is None
+    face = qp._open_face(flat, [0, 1], np.array([0.0, 0.0, 1.0]))
+    assert face.h_inv.shape == (0, 0)
+    assert qp._next_face(flat, face, 5, [0, 1], free) is None
+    # the same bound leaves the definite Q's vertex by an update
+    face = qp._open_face(definite, [0, 1], np.array([0.0, 0.0, 1.0]))
+    assert qp._next_face(definite, face, 5, [0, 1], free).h_inv.shape == (1, 1)
+    # a bound that leaves along a direction whose curvature the face
+    # nearly has already: s / d = 2e-5, though Q keeps the certificate
+    near = QpProblem(Q=np.array([[1.0, 1.0 - 1e-5], [1.0 - 1e-5, 1.0]]), c=np.zeros(2))
+    face = qp._open_face(near, [], np.array([0.0, 1.0]))
+    assert face.h_inv.shape == (1, 1)
+    assert qp._next_face(near, face, 1, [], np.zeros(2)) is None
+    assert qp._open_face(near, [], np.zeros(2)).h_inv is not None
+
+
 def _gradient_leg_dependencies(run):
-    """Run run() and return, per face that a solve_qp call factors, the
-    number of working rows that face finds dependent."""
-    counts, face = [], qp._face
+    """Run run() and return, per face that a solve_qp call opens or
+    updates, the number of working rows that face finds dependent."""
+    counts = []
 
-    def counting(a_w):
-        result = face(a_w)
-        frame = sys._getframe(1)
-        while frame.f_code.co_name not in ("solve_qp", "solve_qp_path"):
-            frame = frame.f_back
-        if frame.f_code.co_name == "solve_qp":
-            counts.append(len(result[3]))
-        return result
+    def counting(factor):
+        def counted(*args):
+            face = factor(*args)
+            frame = sys._getframe(1)
+            while frame.f_code.co_name not in ("solve_qp", "solve_qp_path"):
+                frame = frame.f_back
+            if face is not None and frame.f_code.co_name == "solve_qp":
+                counts.append(len(face.dependent))
+            return face
+        return counted
 
-    with mock.patch.object(qp, "_face", counting):
+    with mock.patch.object(qp, "_open_face", counting(qp._open_face)), \
+            mock.patch.object(qp, "_next_face", counting(qp._next_face)):
         run()
     return counts
 
@@ -1184,37 +1310,51 @@ def test_gradient_leg_faces_have_full_row_rank_on_the_sample_run():
 
 
 def test_sample_plan_factors_each_face_once():
-    # Z'QZ is factored when a face opens, and every pass on that face, a
-    # leg's end included, solves with those factors
+    # each of the plan's two solves factors its first face from scratch;
+    # every later face is updated from the one before it, with no QR,
+    # Cholesky or eigendecomposition, and every pass on a face, a leg's end
+    # included, solves with that face's factors
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
     fund = max_sharpe_long_only(stats, 0.025)
-    faces, steps, open_face, reduced_step = [], [], qp._open_face, qp._reduced_step
+    opened, updated, steps, factored = [], [], [], []
+    open_face, next_face, newton = qp._open_face, qp._next_face, qp._newton
 
     def opening(*args):
-        faces.append(open_face(*args))
-        return faces[-1]
+        opened.append(open_face(*args))
+        factored.append(qr.call_count + cholesky.call_count + eigh.call_count)
+        return opened[-1]
 
-    def factoring(problem, h_red):
-        step = reduced_step(problem, h_red)
+    def updating(*args):
+        updated.append(next_face(*args))
+        return updated[-1]
+
+    def solving(h_inv):
+        step = newton(h_inv)
 
         def counted(g_red):
-            steps.append(h_red.shape[0])
+            steps.append(h_inv.shape[0])
             return step(g_red)
         return counted
 
     with mock.patch.object(qp, "_open_face", opening), \
-            mock.patch.object(qp, "_reduced_step", factoring), \
+            mock.patch.object(qp, "_next_face", updating), \
+            mock.patch.object(qp, "_newton", solving), \
+            mock.patch("numpy.linalg.qr", wraps=np.linalg.qr) as qr, \
             mock.patch("numpy.linalg.cholesky", wraps=np.linalg.cholesky) as cholesky, \
             mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
         plan = solve_lifecycle(LifecycleConfig(), RiskyAssetSummary(fund.mean, fund.variance))
     assert plan.house_year == 6
-    with_null_space = sum(face.z.shape[1] > 0 for face in faces)
-    assert cholesky.call_count <= with_null_space and eigh.call_count <= with_null_space
+    # the starts of the no-house solve_qp and of the path, and nothing
+    # factored after the second
+    assert len(opened) == 2
+    assert qr.call_count + cholesky.call_count + eigh.call_count == factored[-1]
+    assert len(updated) > 100 and all(face is not None for face in updated)
     # the path's legs end on faces already open: the gradient leg and one
     # leg per house year before the last it solves, 16 of the 20 (the bound
     # prunes house years 1-4)
     legs = sum(objective is not None for _, objective in plan.branch_objectives[1:])
     assert legs == 16
+    with_null_space = sum(face.z.shape[1] > 0 for face in opened + updated)
     assert len(steps) >= with_null_space + legs
 
 

@@ -159,6 +159,42 @@ def test_parse_config_rejects_negative_mc_seed(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("body, line, key, reason", [
+    ("r_f = 0.02\nfrontier_points = 1\n", 2, "frontier_points", "frontier_points must be >= 2"),
+    ("# hazard\nhazard_h = -0.5\n", 2, "hazard_h", "hazard rate h must be positive"),
+    ("mc_draws = 0\n", 1, "mc_draws", "mc_draws must be >= 1"),
+    # the lines read so far are rejected first at years_M, which the
+    # default house_years (10) exceeds
+    ("r_f = 0.02\nyears_M = 5\nhouse_years = 7\n", 2, "years_M",
+     "house_years must be smaller than years_M"),
+    # the utility discount rate r is also the hazard model's
+    ("hazard_L = 3\nr = -0.1\n", 2, "r", "discount rate r must be nonnegative"),
+    # a later line overrides an earlier one, and the later one is at fault
+    ("risk_aversion_B = 2\nrisk_aversion_B = -1\n", 2, "risk_aversion_B",
+     "risk_aversion_B must be nonnegative"),
+])
+def test_parse_config_names_the_line_a_constructor_rejects(tmp_path, body, line, key, reason):
+    path = _write_config(tmp_path, body)
+    with pytest.raises(ValueError) as info:
+        parse_config(path)
+    assert str(info.value).startswith(f"{path}: line {line}: {key} = ")
+    assert reason in str(info.value)
+
+
+@pytest.mark.parametrize("raw", ["\u0663", "\u00b2", "\uff11", "+3", "3_0"])
+def test_parse_config_takes_integers_in_ascii_digits_only(tmp_path, raw):
+    path = _write_config(tmp_path, f"mc_seed = {raw}\n")
+    with pytest.raises(ValueError, match=f"{path}: line 1: bad value .*'mc_seed'"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("raw", ["\u0663", "\u00b2", "+3"])
+def test_cli_takes_a_seed_in_ascii_digits_only(raw, capsys):
+    with pytest.raises(SystemExit):
+        main(["insure", "--seed", raw])
+    assert f"--seed: expected a nonnegative integer, got {raw!r}" in capsys.readouterr().err
+
+
 def test_cli_rejects_negative_seed(capsys):
     with pytest.raises(SystemExit):
         main(["insure", "--seed", "-1"])
