@@ -102,8 +102,8 @@ def load_returns(path: str | Path, periods_per_year: int) -> ReturnMatrix:
     FileNotFoundError
         If ``path`` does not exist.
     ReturnsFormatError
-        On an empty file, ragged row, non-numeric or non-finite cell or
-        fewer than two data rows; the message carries the 1-based row (and
+        On an empty file, ragged row, non-numeric, non-ASCII or non-finite
+        cell or fewer than two data rows; the message carries the 1-based row (and
         column) position.  A repeated asset id in the header names row 1,
         the id and both of its columns.
     """
@@ -135,10 +135,13 @@ def load_returns(path: str | Path, periods_per_year: int) -> ReturnMatrix:
                 raise ReturnsFormatError(
                     f"{path}: row {lineno}: expected {n} fields, got {len(row)}"
                 )
+            # float() also reads non-ASCII digits; one test per row keeps
+            # the per-cell test off the common, all-ASCII path
+            ascii_row = "".join(row).isascii()
             parsed = []
             for col, cell in enumerate(row, start=1):
                 try:
-                    value = float(cell)
+                    value = float(cell) if ascii_row or cell.isascii() else math.nan
                 except ValueError:
                     value = math.nan
                 if not math.isfinite(value):

@@ -60,7 +60,12 @@ x, the working rows and one side per bound, lower, upper or free:
   the face's null-space basis Z, its multiplier map T and (Z'QZ)^-1 in
   O(n^2), with no QR, inverse or Cholesky factor: a row or bound that
   leaves borders them, and one that enters splits Z by a Householder
-  reflection (the updates of Goldfarb & Idnani 1983 and qpOASES).  Every
+  reflection (the updates of Goldfarb & Idnani 1983 and qpOASES).  Z and
+  T live in the coordinates of every variable and every general row,
+  with exact zeros at the fixed variables and at the rows outside the
+  working list, so an event neither gathers nor scatters: a bound that
+  leaves adds e_i to the new direction, one that enters zeroes its row
+  of Z and column of T, and a row's row of T is set or zeroed.  Every
   pass on a face, a leg's end included, solves with its factors.  A face
   is factored afresh only where an update is unsafe: the face before it
   has a dependent row or no Cholesky certificate, or the update's pivot
@@ -85,11 +90,14 @@ x, the working rows and one side per bound, lower, upper or free:
   the rates then move along the dependency so that its multiplier stays;
 * one tie rule: ties go to the least index in the order general rows,
   then bounds in variable order, which at a zero-length step is Bland's
-  rule;
+  rule.  The ratio test reads one matrix, built once per solve, of the
+  unit rows and each variable's lower and upper bound rows, e_i and -e_i,
+  with a mask of the candidates that each event flips;
 * every returned point passes a restore step, a least-norm step through
-  the face's map T back onto the working rows, and a KKT check, feasibility
-  included; its objective, violation and KKT residuals come from one
-  Qx + c and one set of row slacks.
+  the face's map T back onto the working rows and a clip to the bounds,
+  taken twice, and a KKT check, feasibility included; its objective,
+  violation and KKT residuals come from one Qx + c and one set of row
+  slacks.
 
 When the optimal face has a direction of zero curvature, the optimum is
 not unique and the solver returns the point its path reaches; ``start``
@@ -101,7 +109,6 @@ reproducible run to run.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -141,8 +148,10 @@ def _as_matrix(a, cols: int, name: str) -> np.ndarray:
 
 class _UnitRows(NamedTuple):
     """The general rows scaled to unit norm, a zero row keeping norm 1;
-    eq_norm and in_norm unscale the multipliers."""
+    eq_norm and in_norm unscale the multipliers.  a stacks the equality
+    rows over the inequality rows, and eq and ineq are its two blocks."""
 
+    a: np.ndarray
     eq: np.ndarray
     b_eq: np.ndarray
     eq_norm: np.ndarray
@@ -217,12 +226,14 @@ class QpProblem:
             norm = np.linalg.norm(a, axis=1)
             norm[norm <= 1e-300] = 1.0
             unit += [a / norm[:, None], b / norm, norm]
+        a = np.vstack([unit[0], unit[3]])
+        unit[0], unit[3] = a[:a_eq.shape[0]], a[a_eq.shape[0]:]
         for name, arr in (("Q", q), ("c", c), ("a_eq", a_eq), ("b_eq", b_eq),
                           ("a_in", a_in), ("b_in", b_in), ("lb", lb), ("ub", ub),
                           ("_finite_lb", np.isfinite(lb)), ("_finite_ub", np.isfinite(ub))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_rows", _UnitRows(*unit))
+        object.__setattr__(self, "_rows", _UnitRows(a, *unit))
         object.__setattr__(self, "_lam_max", lam_max)
 
     @property
@@ -235,10 +246,15 @@ class QpProblem:
 
     def max_violation(self, x: np.ndarray) -> float:
         """Largest absolute violation of any constraint or bound at x."""
-        return _residuals(self, np.asarray(x, dtype=float))["max_violation"]
+        return _residuals(self, self.b_in, np.asarray(x, dtype=float))["max_violation"]
 
     def rhs_scale(self) -> float:
-        return float(max(np.abs(self.b_eq).max(initial=0.0), np.abs(self.b_in).max(initial=0.0)))
+        return _rhs_scale(self, self.b_in)
+
+
+def _rhs_scale(problem: QpProblem, b_in: np.ndarray) -> float:
+    """|(b_eq, b_in)|_inf, with b_in where a path has moved it."""
+    return float(max(np.abs(problem.b_eq).max(initial=0.0), np.abs(b_in).max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -263,21 +279,22 @@ def kkt_report(problem: QpProblem, sol: QpSolution) -> dict[str, float]:
     """
     if sol.status != STATUS_OPTIMAL:
         raise QpInputError(f"kkt_report needs an optimal solution, not an {sol.status!r} one")
-    report = _residuals(problem, sol.x, (sol.eq_multipliers, sol.in_multipliers,
-                                         sol.lower_multipliers, sol.upper_multipliers))
+    report = _residuals(problem, problem.b_in, sol.x, (
+        sol.eq_multipliers, sol.in_multipliers, sol.lower_multipliers, sol.upper_multipliers))
     return {key: report[key] for key in ("stationarity", "complementarity", "dual_feasibility")}
 
 
-def _residuals(problem: QpProblem, x: np.ndarray, multipliers=None,
+def _residuals(problem: QpProblem, b_in: np.ndarray, x: np.ndarray, multipliers=None,
                grad=None) -> dict[str, float]:
-    """max_violation at x and, given the multipliers (eq, in, lower, upper),
-    the objective and kkt_report's residuals.
+    """max_violation at x, with the inequality rows' right-hand side b_in,
+    and, given the multipliers (eq, in, lower, upper), the objective and
+    kkt_report's residuals.
 
     The row slacks and Qx + c (grad, when the caller has it already) are
     computed once, and every residual is read off them.
     """
     finite_lb, finite_ub = problem._finite_lb, problem._finite_ub
-    slack = problem.a_in @ x - problem.b_in
+    slack = problem.a_in @ x - b_in
     lb_gap = x[finite_lb] - problem.lb[finite_lb]
     ub_gap = problem.ub[finite_ub] - x[finite_ub]
     report = {"max_violation": float(max(
@@ -383,59 +400,45 @@ def _null_space(a_w: np.ndarray):
     return q[:, rank:], t, dependent
 
 
-def _face(a_w: np.ndarray):
-    """(z, multipliers, restore, dependent): _null_space's z and dependent,
-    with multipliers(g) = t g and restore(r) = r t, the maps a _Face
-    applies."""
-    z, t, dependent = _null_space(a_w)
-    return z, t.__matmul__, t.__rmatmul__, dependent
-
-
 def _near(ratios, least: float):
     """Which ratios are within rounding of the least one."""
     return ratios <= least * (1.0 + 1e-9) + 1e-15
 
 
-def _ratio_test(problem: QpProblem, face: _Face, b_in: np.ndarray, x: np.ndarray,
-                p: np.ndarray, cap: float, d_in=None):
+def _ratio_test(stack: np.ndarray, eligible: np.ndarray, h: np.ndarray, x: np.ndarray,
+                p: np.ndarray, cap: float, d=None):
     """Longest step alpha <= cap from x along p, and what blocks it.
 
-    The rows are the problem's unit rows, b_in theirs where the leg puts
-    it.  On a path the inequality right-hand sides move by d_in per unit
-    step; within one QP they stay put (d_in None).  Candidates are the
-    general rows outside the face's working list, in index order, then the
-    free variables, in index order, at the finite bound that the step
-    approaches at a rate above rounding (1e-12 of the largest entry of p
-    and d_in); the first near-minimal ratio blocks.  Returns (alpha, key,
+    stack holds one row per candidate, g'x >= h: the m_in unit rows, then
+    per variable i its lower bound e_i and its upper bound -e_i, and h
+    their right-hand sides where the leg puts them (0 at an infinite
+    bound).  On a path the rows' right-hand sides move by d per unit step;
+    within one QP they stay put (d None).  A candidate blocks if eligible,
+    a row outside the working list or a finite bound of a free variable,
+    and if the step approaches it at a rate above rounding (1e-12 of the
+    largest entry of p and d); the first near-minimal ratio blocks, which
+    puts rows first, then bounds in variable order.  Returns (alpha, key,
     side): key is i for row i and m_in + i for a bound of variable i, and
     side is 1 for its lower bound and -1 for its upper one; (cap, -1, 0)
     when nothing blocks first.
     """
-    a_in = problem._rows.ineq
-    ap = a_in @ p
+    rate = stack @ p
     # a rate within rounding of zero, relative to the step, never blocks
     tol = 1e-12 * (1.0 + np.abs(p).max(initial=0.0))
-    if d_in is not None:
-        ap -= d_in
-        tol += 1e-12 * np.abs(d_in).max(initial=0.0)
-    blocking = face.outside[ap[face.outside] < -tol]
-    free = face.free
-    down = (p[free] < -tol) & problem._finite_lb[free]
-    hits = down | ((p[free] > tol) & problem._finite_ub[free])
-    bounds, side = free[hits], np.where(down[hits], 1.0, -1.0)
-    value = np.where(side > 0, problem.lb[bounds], problem.ub[bounds])
-    ratios = np.concatenate([
-        np.maximum(a_in[blocking] @ x - b_in[blocking], 0.0) / -ap[blocking],
-        np.maximum(side * (x[bounds] - value), 0.0) / (-side * p[bounds]),
-    ])
-    if not ratios.size or ratios.min() >= cap:
+    if d is not None:
+        rate -= d
+        tol += 1e-12 * np.abs(d).max(initial=0.0)
+    ratios = np.empty_like(rate)
+    ratios.fill(np.inf)
+    np.divide(np.maximum(stack @ x - h, 0.0), -rate, out=ratios, where=eligible & (rate < -tol))
+    alpha = float(ratios.min(initial=np.inf))
+    if alpha >= cap:
         return cap, -1, 0.0
-    alpha = float(ratios.min())
-    k = int(np.argmax(_near(ratios, alpha)))
-    if k < blocking.size:
-        return alpha, int(blocking[k]), 0.0
-    k -= blocking.size
-    return alpha, a_in.shape[0] + int(bounds[k]), float(side[k])
+    k = int(_near(ratios, alpha).argmax())
+    m_in = stack.shape[0] - 2 * stack.shape[1]
+    if k < m_in:
+        return alpha, k, 0.0
+    return alpha, m_in + (k - m_in) // 2, 1.0 - 2.0 * ((k - m_in) % 2)
 
 
 def _floor(problem: QpProblem) -> float:
@@ -484,66 +487,49 @@ def _reduced_step(problem: QpProblem, h_red: np.ndarray):
 
 
 class _Face(NamedTuple):
-    """A face of the path: its rows, its factors and its event candidates.
+    """A face of the path's factors, in the coordinates of every variable
+    and every general row.
 
-    free indexes the free variables, a_w stacks the equality and working
-    rows and a_f is a_w on free; z, t and dependent are _null_space's for
-    a_f, and multipliers(g) = t g and restore(r) = r t apply t.  h_inv is
+    z (n x k) is an orthonormal basis of the face's null space, the
+    directions that keep the equality and working rows and fix the fixed
+    variables; t (m_eq + m_in rows, n columns) is the multiplier map, with
+    t a' = I on the independent working rows and t z = 0.  Both hold exact
+    zeros at the fixed variables (z's rows, t's columns) and t at the rows
+    outside the working list, so t g is the working rows' multipliers for a
+    gradient g and r t the least-norm step that moves the rows by r, each
+    without a gather or a scatter.  dependent indexes the rows (of t) that
+    _null_space names dependent, whose rows of t are zero.  h_inv is
     (z'Qz)^-1 where the Cholesky certificate holds (0 x 0 when z has no
     column), else None, and step is the _reduced_step of z'Qz (None when z
     has no column).  _open_face factors a face from scratch; _next_face
     updates these factors by one event in O(n^2), which needs h_inv and no
-    dependent row.  For the event tests, fixed indexes the fixed variables
-    and side their bounds' sides, keys orders the working rows and those
-    bounds as _solve's candidates, and outside indexes the general rows
-    not in the working list.
+    dependent row.
     """
 
-    free: np.ndarray
-    a_w: np.ndarray
-    a_f: np.ndarray
     z: np.ndarray
     t: np.ndarray
     dependent: np.ndarray
     h_inv: np.ndarray | None
     step: Callable | None
-    fixed: np.ndarray
-    side: np.ndarray
-    keys: np.ndarray
-    outside: np.ndarray
-
-    def multipliers(self, g: np.ndarray) -> np.ndarray:
-        return self.t @ g
-
-    def restore(self, resid: np.ndarray) -> np.ndarray:
-        return resid @ self.t
-
-
-def _with_factors(problem: QpProblem, working: list[int], side: np.ndarray, free: np.ndarray,
-                  a_w: np.ndarray, z: np.ndarray, t: np.ndarray, dependent: np.ndarray, step,
-                  h_inv) -> _Face:
-    """The _Face of the working rows a_w and the bounds side fixes, with
-    free the variables it leaves free and the factors given."""
-    m_in, fixed = problem.a_in.shape[0], np.flatnonzero(side)
-    outside = np.ones(m_in, dtype=bool)
-    outside[working] = False
-    return _Face(free, a_w, a_w[:, free], z, t, dependent, h_inv, step, fixed, side[fixed],
-                 np.concatenate([working, m_in + fixed]), np.flatnonzero(outside))
 
 
 def _open_face(problem: QpProblem, working: list[int], side: np.ndarray) -> _Face:
     """The _Face of the working rows and the bounds side fixes, factored
-    from scratch: a QR of the rows on the free variables and a
-    factorization of z'Qz."""
+    from scratch: a QR of the equality rows and then the working rows, in
+    list order, on the free variables, and a factorization of z'Qz."""
     free = np.flatnonzero(side == 0.0)
-    rows = problem._rows
-    a_w = np.vstack([rows.eq, rows.ineq[working]])
-    z, t, dependent = _null_space(a_w[:, free])
+    rows, m_eq = problem._rows, problem.a_eq.shape[0]
+    index = np.concatenate([np.arange(m_eq), m_eq + np.asarray(working, dtype=int)])
+    z_free, t_free, dependent = _null_space(rows.a[np.ix_(index, free)])
+    z = np.zeros((problem.n, z_free.shape[1]))
+    z[free] = z_free
+    t = np.zeros((rows.a.shape[0], problem.n))
+    t[np.ix_(index, free)] = t_free
     step, h_inv = None, np.zeros((0, 0))
     if z.shape[1]:
         step, h_inv = _reduced_step(
-            problem, z.T @ problem.Q.take(free, axis=0).take(free, axis=1) @ z)
-    return _with_factors(problem, working, side, free, a_w, z, t, dependent, step, h_inv)
+            problem, z_free.T @ problem.Q.take(free, axis=0).take(free, axis=1) @ z_free)
+    return _Face(z, t, index[dependent], h_inv, step)
 
 
 def _next_face(problem: QpProblem, face: _Face, key: int, working: list[int],
@@ -564,77 +550,69 @@ def _next_face(problem: QpProblem, face: _Face, key: int, working: list[int],
     if face.h_inv is None or face.dependent.size:
         return None
     i = key - problem.a_in.shape[0]
-    free = np.flatnonzero(side == 0.0)
     leaves = side[i] == 0.0 if i >= 0 else key not in working
-    factors = _widened(problem, face, key, i, free) if leaves else _narrowed(problem, face, key, i)
-    if factors is None or not np.trace(factors[3]) < 1.0 / _floor(problem):
+    factors = _widened(problem, face, key, i) if leaves else _narrowed(problem, face, key, i)
+    if factors is None or not factors[2].trace() < 1.0 / _floor(problem):
         return None
-    a_w, z, t, h_inv = factors
-    return _with_factors(problem, working, side, free, a_w, z, t, np.arange(0),
-                         _newton(h_inv) if h_inv.shape[0] else None, h_inv)
+    z, t, h_inv = factors
+    # face.dependent is empty, and so is the updated face's
+    return _Face(z, t, face.dependent, h_inv, _newton(h_inv) if h_inv.shape[0] else None)
 
 
-def _widened(problem: QpProblem, face: _Face, key: int, i: int, free: np.ndarray):
-    """(a_w, z, t, h_inv) after row key (i < 0) or the bound of variable i
-    leaves face, with free the new free variables; None if s <= 1e-3 d.
+def _widened(problem: QpProblem, face: _Face, key: int, i: int):
+    """(z, t, h_inv) after row key (i < 0) or the bound of variable i leaves
+    face; None if s <= 1e-3 d.
 
     The new direction z_new is orthogonal to z and meets every other row:
-    row j of t for row j, (-t'a_i, 1) for the bound, a_i its column of a_w.
-    t loses its component along z_new, and h_inv is bordered by b = z'Q
-    z_new and d = z_new'Q z_new.
+    row j of t for row j, whose row of t becomes zero, and e_i - t'a_i for
+    the bound, a_i its column of the rows.  t loses its component along
+    z_new, and h_inv is bordered by b = z'Q z_new and d = z_new'Q z_new.
     """
-    a_w, z, t, h_inv, k = face.a_w, face.z, face.t, face.h_inv, face.z.shape[1]
+    z, t, h_inv, k = face.z, face.t, face.h_inv, face.z.shape[1]
     if i < 0:
-        j = problem.a_eq.shape[0] + int(np.flatnonzero(face.keys == key)[0])
-        z_new, keep = t[j], np.arange(t.shape[0]) != j
-        a_w, t = a_w[keep], t[keep]
-        old = slice(None)
+        j = problem.a_eq.shape[0] + key
+        z_new = t[j]
     else:
-        old = free != i
-        z_new = np.ones(free.size)
-        z_new[old] = -(a_w[:, i] @ t)
-        t_old, t = t, np.zeros((t.shape[0], free.size))
-        t[:, old] = t_old
+        z_new = -(problem._rows.a[:, i] @ t)
+        z_new[i] = 1.0
     z_new = z_new / np.sqrt(z_new @ z_new)
-    t -= (t @ z_new)[:, None] * z_new
-    full = np.zeros(problem.n)
-    full[free] = z_new
-    qz = (problem.Q @ full)[free]
-    b = z.T @ qz[old]
+    t = t - (t @ z_new)[:, None] * z_new
+    if i < 0:
+        t[j] = 0.0
+    qz = problem.Q @ z_new
+    b = z.T @ qz
     hb = h_inv @ b
     d = float(z_new @ qz)
     s = d - float(b @ hb)
     if not s > 1e-3 * d:
         return None
-    z_old, z = z, np.zeros((free.size, k + 1))
-    z[old, :k], z[:, k] = z_old, z_new
+    z_old, z = z, np.empty((z.shape[0], k + 1))
+    z[:, :k], z[:, k] = z_old, z_new
     h_old, h_inv = h_inv, np.empty((k + 1, k + 1))
     h_inv[:k, :k] = h_old + hb[:, None] * (hb / s)
     h_inv[:k, k] = h_inv[k, :k] = -hb / s
     h_inv[k, k] = 1.0 / s
-    return a_w, z, t, h_inv
+    return z, t, h_inv
 
 
 def _narrowed(problem: QpProblem, face: _Face, key: int, i: int):
-    """(a_w, z, t, h_inv) after row key (i < 0) or the bound of variable i
-    enters face; None if its pivot |w| <= 1e-3.
+    """(z, t, h_inv) after row key (i < 0) or the bound of variable i enters
+    face; None if its pivot |w| <= 1e-3.
 
-    With a the unit row on face's free variables (e_i for the bound) and
-    w = z'a, one Householder reflection splits z into zw / |w| and the
-    rest, the new z.  t gains the row (zw)' / |w|^2, the other rows lose
-    their a-component, and h_inv becomes the inverse of the compressed
-    z'Qz, W'(h_inv - h_inv w w'h_inv / w'h_inv w)W, with W the reflection's
-    other columns.  A bound's coordinate then leaves z and t, and its row
-    of t with it.
+    With a the unit row (e_i for the bound) and w = z'a, one Householder
+    reflection splits z into zw / |w| and the rest, the new z.  The row's
+    row of t becomes (zw)' / |w|^2, the other rows lose their a-component,
+    and h_inv becomes the inverse of the compressed z'Qz,
+    W'(h_inv - h_inv w w'h_inv / w'h_inv w)W, with W the reflection's other
+    columns.  A bound's variable is fixed: its row of z and column of t
+    become zero.
     """
-    a_w, z, t, h_inv = face.a_w, face.z, face.t, face.h_inv
+    z, t, h_inv = face.z, face.t, face.h_inv
     if i < 0:
-        a_w = np.vstack([a_w, problem._rows.ineq[key]])
-        a = a_w[-1, face.free]
+        a = problem._rows.ineq[key]
         w, t_a = z.T @ a, t @ a
     else:
-        pos = int(np.searchsorted(face.free, i))
-        w, t_a = z[pos], t[:, pos]
+        w, t_a = z[i], t[:, i]
     norm = float(np.sqrt(w @ w))
     if not norm > 1e-3:
         return None
@@ -646,16 +624,21 @@ def _narrowed(problem: QpProblem, face: _Face, key: int, i: int):
     v[0] += np.copysign(norm, w[0])
     beta = 2.0 / float(v @ v)
     z = z[:, 1:] - (z @ v)[:, None] * (beta * v[1:])
+    # with X = h_inv - c hw hw' (c = 1 / w'hw) and u = X v, W'XW is
+    # X[1:, 1:] - v1 g' - g v1' for g = beta u1 - beta^2 (v'u) v1 / 2: one
+    # product of rank 3
     hw = h_inv @ w
-    x = h_inv - hw[:, None] * (hw / float(w @ hw))
-    xv, v1 = x @ v, v[1:]
-    xv1 = xv[1:]
-    h_inv = (x[1:, 1:] - beta * (v1[:, None] * xv1 + xv1[:, None] * v1)
-             + (beta * beta * float(v @ xv)) * (v1[:, None] * v1))
+    c = 1.0 / float(w @ hw)
+    u = h_inv @ v - (c * float(hw @ v)) * hw
+    v1 = v[1:]
+    g = beta * u[1:] - (0.5 * beta * beta * float(v @ u)) * v1
+    h_inv = h_inv[1:, 1:] - np.array([c * hw[1:], v1, g]).T @ np.array([hw[1:], g, v1])
     if i < 0:
-        return a_w, z, np.vstack([t, row]), h_inv
-    keep = face.free != i
-    return a_w, z[keep], t[:, keep], h_inv
+        t[problem.a_eq.shape[0] + key] = row
+    else:
+        z[i] = 0.0
+        t[:, i] = 0.0
+    return z, t, h_inv
 
 
 def _start(problem: QpProblem, x0: np.ndarray):
@@ -710,41 +693,46 @@ def _unbounded(problem: QpProblem, x: np.ndarray, ray: np.ndarray, iterations: i
                       max_violation=problem.max_violation(x), iterations=iterations, ray=ray)
 
 
-def _finish(problem: QpProblem, x: np.ndarray, working: list[int], side: np.ndarray,
+def _finish(problem: QpProblem, b_in: np.ndarray, x: np.ndarray, side: np.ndarray,
             face: _Face, nu: np.ndarray, iterations: int) -> QpSolution:
     """The verified optimal solution at the point x of a path, on face,
-    with the path's multipliers nu of the face's rows.
+    with the path's multipliers nu of the general rows (zero outside the
+    working list) and b_in the inequality rows' right-hand side there.
 
     A least-norm step through the face's map t first puts the working rows
     back on their right-hand sides: the events leave them off by rounding
     in proportion to |x|, which a large multiplier turns into a false
-    complementarity failure.  The multipliers refit nu to the gradient
-    Qx + c through the same map, so a row the QR finds dependent keeps the
-    share nu gave it, every bound dual is read off the stationarity
-    residual, and the result must pass the KKT check, feasibility within
-    a start's tolerance included; a non-finite x or multiplier fails it
-    too, since it would slip through the comparisons.
-    The objective, the violation and the KKT residuals come from one Qx + c
-    and one set of row slacks (_residuals).
+    complementarity failure.  x is then clipped to its bounds, which moves
+    the rows off again, so the restore and the clip run twice, a fixed
+    second pass: it cut the complementarity failures of tied-means QPs
+    (seeds 0-2,999 of test_gradient_leg_keeps_a_bound_added_by_rounding's
+    construction) from 98/77/89 (cold, best vertex, least-variance vertex)
+    to 55/46/54.  The multipliers refit nu to the gradient Qx + c through
+    the same map, so a row the QR finds dependent keeps the share nu gave
+    it, every bound dual is read off the stationarity residual, and the
+    result must pass the KKT check, feasibility within a start's tolerance
+    included; a non-finite x or multiplier fails it too, since it would
+    slip through the comparisons.  The objective, the violation and the
+    KKT residuals come from one Qx + c and one set of row slacks
+    (_residuals).
     """
     rows, m_eq = problem._rows, problem.a_eq.shape[0]
-    x = x.copy()
-    x[face.free] += face.restore(np.concatenate([rows.b_eq, rows.b_in[working]]) - face.a_w @ x)
-    x = np.clip(x, problem.lb, problem.ub)
+    b = np.concatenate([rows.b_eq, b_in / rows.in_norm])
+    for _ in range(2):
+        x = np.clip(x + (b - rows.a @ x) @ face.t, problem.lb, problem.ub)
     grad = problem.Q @ x + problem.c
-    nu = nu + face.multipliers(grad[face.free] - face.a_f.T @ nu)
+    nu = nu + face.t @ (grad - rows.a.T @ nu)
     eq_mult = nu[:m_eq] / rows.eq_norm
-    in_mult = np.zeros(problem.a_in.shape[0])
-    in_mult[working] = np.maximum(nu[m_eq:] / rows.in_norm[working], 0.0)
+    in_mult = np.maximum(nu[m_eq:] / rows.in_norm, 0.0)
     resid = grad - problem.a_eq.T @ eq_mult - problem.a_in.T @ in_mult
     if not np.all(np.isfinite(resid)):     # x and every multiplier feed it
         raise QpError("internal KKT verification failed: non-finite solution or multiplier")
     bound_mult = np.maximum(side * resid, 0.0)
     lower = np.where(side > 0, bound_mult, 0.0)
     upper = np.where(side < 0, bound_mult, 0.0)
-    report = _residuals(problem, x, (eq_mult, in_mult, lower, upper), grad)
+    report = _residuals(problem, b_in, x, (eq_mult, in_mult, lower, upper), grad)
     grad_scale = 1.0 + float(np.abs(problem.c).max(initial=0.0))
-    rhs_scale = 1.0 + problem.rhs_scale()
+    rhs_scale = 1.0 + _rhs_scale(problem, b_in)
     if report["max_violation"] > FEASIBILITY_TOL * rhs_scale or \
             report["stationarity"] > STATIONARITY_TOL * grad_scale or \
             report["complementarity"] > COMPLEMENTARITY_TOL * grad_scale * rhs_scale:
@@ -778,18 +766,19 @@ def solve_qp(problem: QpProblem, *, start=None) -> QpSolution:
     return _solve(problem, start, np.zeros((0, problem.b_in.size)), np.zeros(1), 50 * problem.n)[0]
 
 
-def _multiplier_test(mults: np.ndarray, rates: np.ndarray, keys: np.ndarray, tol):
-    """(beta, k): the least beta >= 0 at which mults + beta * rates first
-    reaches zero, and the candidate k that does, the one with the least key
-    among near-ties; (inf, -1) if none falls faster than tol, a scalar or
-    one per candidate."""
-    falling = np.flatnonzero(rates < -tol)
-    if not falling.size:
+def _multiplier_test(mults: np.ndarray, rates: np.ndarray, tol):
+    """(beta, key): the least beta >= 0 at which mults + beta * rates first
+    reaches zero, and the candidate that does, the least key among
+    near-ties; (inf, -1) if none falls faster than tol, a scalar or one per
+    candidate.  The candidates are indexed by key: the m_in rows, then the
+    n bounds, each zero where it is not working."""
+    ratios = np.empty_like(rates)
+    ratios.fill(np.inf)
+    np.divide(np.maximum(mults, 0.0), -rates, out=ratios, where=rates < -tol)
+    least = float(ratios.min(initial=np.inf))
+    if least == np.inf:
         return np.inf, -1
-    ratios = np.maximum(mults[falling], 0.0) / -rates[falling]
-    least = float(ratios.min())
-    tied = falling[_near(ratios, least)]
-    return least, int(tied[np.argmin(keys[tied])])
+    return least, int(_near(ratios, least).argmax())
 
 
 def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
@@ -804,10 +793,13 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
     which that point is optimal, to c; leg j >= 1 runs t from j - 1 to j,
     b_in moving by legs[j - 1].  The module docstring describes the events.
     The state is x, the working rows and side, each bound's side (1 lower,
-    -1 upper, 0 free).  The first face is factored from scratch
+    -1 upper, 0 free), and the multipliers nu of every general row, zero
+    outside the working list.  The first face is factored from scratch
     (_open_face), and each event updates its factors to the next face's
     (_next_face), or factors that face afresh where an update is unsafe; a
-    pass on a face only solves with its factors.
+    pass on a face only solves with its factors.  The ratio test's
+    candidates are one stacked matrix, built here, and an eligibility mask
+    that each event flips.
     """
     if start is not None:
         start = np.asarray(start, dtype=float).ravel()
@@ -826,33 +818,29 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                                max_violation=t_star)]
 
     q, c, n, rows = problem.Q, problem.c, problem.n, problem._rows
-    m_eq, m_in = rows.eq.shape[0], rows.ineq.shape[0]
+    a, m_eq, m_in = rows.a, rows.eq.shape[0], rows.ineq.shape[0]
     b_starts = problem.b_in + np.cumsum(np.vstack([np.zeros(m_in), legs]), axis=0)
     d_legs = legs / rows.in_norm
-    unit_starts = b_starts / rows.in_norm
+    # the ratio test's candidates g'x >= h: the unit rows, then per variable
+    # e_i x >= lb_i and -e_i x >= -ub_i; h is 0 at an infinite bound, which
+    # is never eligible, and only the rows' h moves along a leg
+    stack = np.vstack([rows.ineq, np.kron(np.eye(n), [[1.0], [-1.0]])])
+    finite = np.column_stack([problem._finite_lb, problem._finite_ub]).ravel()
+    bound_h = np.where(finite, np.column_stack([problem.lb, -problem.ub]).ravel(), 0.0)
+    h_starts = np.hstack([b_starts / rows.in_norm, np.tile(bound_h, (b_starts.shape[0], 1))])
+    d_stack = np.hstack([d_legs, np.zeros((legs.shape[0], 2 * n))])
 
-    def unit_b_in(t: float, leg: int) -> np.ndarray:
-        """The unit rows' b_in where leg puts it at t."""
-        return rows.b_in if leg == 0 else unit_starts[leg - 1] + (t - leg + 1) * d_legs[leg - 1]
-
-    def at(t: float, leg: int) -> QpProblem:
-        """The problem with b_in and its unit rows' b_in where leg puts it at
-        t (the copy skips __post_init__: a finite b_in is all that changes)."""
-        if leg == 0:
-            return problem
-        b_in = b_starts[leg - 1] + (t - leg + 1) * legs[leg - 1]
-        b_in.setflags(write=False)
-        problem_t = copy.copy(problem)
-        object.__setattr__(problem_t, "b_in", b_in)
-        object.__setattr__(problem_t, "_rows", rows._replace(b_in=unit_b_in(t, leg)))
-        return problem_t
+    def b_in_at(t: float, leg: int) -> np.ndarray:
+        """b_in where leg puts it at t."""
+        return problem.b_in if leg == 0 else b_starts[leg - 1] + (t - leg + 1) * legs[leg - 1]
 
     x, working, side = _start(problem, x0)
+    eligible = np.concatenate([np.ones(m_in, dtype=bool), finite & np.repeat(side == 0.0, 2)])
+    eligible[working] = False
     t, leg, path, entered, face, dc = -1.0, 0, [], -1, None, None
     for passes in range(1, max_events + 2):
         if face is None:
             face = _open_face(problem, working, side)
-        free, a_w, a_f, multipliers = face.free, face.a_w, face.a_f, face.multipliers
         g_true = q @ x + c
         if dc is None:
             # x0 is optimal for c0 = a_w'nu + side * mu - Q x0, where nu and
@@ -867,23 +855,24 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
             # 84 against 60 cold) and changed a digit of the sample plan.
             ramp = (1e-6 * (1.0 + np.abs(g_true).max(initial=0.0))
                     * (1.0 + np.arange(m_in + n) / (m_in + 2 * n)))
-            nu = multipliers(g_true[free])
-            nu[m_eq:] = np.maximum(nu[m_eq:], ramp[working])
-            resid = g_true - a_w.T @ nu
+            nu = face.t @ g_true
+            nu[m_eq:] = np.where(eligible[:m_in], 0.0, np.maximum(nu[m_eq:], ramp[:m_in]))
+            resid = g_true - a.T @ nu
             dc = np.where(side != 0.0, side * np.minimum(side * resid - ramp[m_in:], 0.0), resid)
         grad = g_true + t * dc if leg == 0 else g_true
         mu_tol = 1e-9 * (1.0 + np.abs(g_true).max(initial=0.0))
-        nu = nu + multipliers(grad[free] - a_f.T @ nu)    # refit the part a_f' sees
-        resid = grad - a_w.T @ nu
-        # Candidates in order: working rows, then fixed bounds; a key orders
-        # every row and bound of the problem by index.
-        mults = np.concatenate([nu[m_eq:], face.side * resid[face.fixed]])
-        keys = face.keys
+        nu = nu + face.t @ (grad - a.T @ nu)    # refit the part the face's rows see
+        resid = grad - a.T @ nu
+        # The candidates to leave, indexed by key: the rows, then the bounds;
+        # a row outside the working list or a free variable has a zero
+        # multiplier that never falls.
+        mults = np.concatenate([nu[m_eq:], side * resid])
         for j in face.dependent:
-            # y'a_f = 0: moving nu along y keeps the free variables stationary
-            y = multipliers(a_f[j])
+            # y'a_w = 0 on the free variables: moving nu along y keeps them
+            # stationary
+            y = face.t @ a[j]
             y[j] -= 1.0
-            rates = np.concatenate([y[m_eq:], -face.side * (a_w.T @ y)[face.fixed]])
+            rates = np.concatenate([y[m_eq:], -side * (a.T @ y)])
             tol = 1e-12 * (1.0 + np.abs(y).max())
             if np.abs(rates).max(initial=0.0) > tol:
                 break
@@ -892,20 +881,20 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
         if j >= 0:
             # The working set is dependent: what entered last keeps a rising
             # multiplier and the first other one to reach zero leaves.
-            last = np.flatnonzero(keys == entered)
-            signs = (1.0, -1.0) if not last.size else (1.0 if rates[last[0]] >= 0.0 else -1.0,)
-            theta, drop, sign = min((*_multiplier_test(mults, s * rates, keys, tol), s)
+            signs = (1.0, -1.0) if entered < 0 else (1.0 if rates[entered] >= 0.0 else -1.0,)
+            theta, drop, sign = min((*_multiplier_test(mults, s * rates, tol), s)
                                     for s in signs)
             if drop < 0 and leg:
                 # nothing leaves: the rows cannot be met past t on this leg.
                 # Requested points up to its end, and the next leg, start
                 # from x while x meets their rows.
                 for tau in [*taus[len(path):][taus[len(path):] <= leg], leg]:
-                    problem_t = at(tau, leg)
-                    if problem_t.max_violation(x) > FEASIBILITY_TOL * (1.0 + problem_t.rhs_scale()):
+                    b_in = b_in_at(tau, leg)
+                    if _residuals(problem, b_in, x)["max_violation"] > \
+                            FEASIBILITY_TOL * (1.0 + _rhs_scale(problem, b_in)):
                         raise QpError(f"the rows cannot be met past tau = {t!r}")
                     if len(path) < taus.size and taus[len(path)] == tau:
-                        path.append(_finish(problem_t, x, working, side, face, nu, passes))
+                        path.append(_finish(problem, b_in, x, side, face, nu, passes))
                         if stop(path[-1]):
                             return path
                 if len(path) == taus.size:
@@ -915,42 +904,37 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
         if j >= 0 and drop >= 0:
             nu, key = nu + theta * sign * y, -1
         else:
-            d_in = d_legs[leg - 1] if leg else None
-            dx = np.zeros(n)
-            if leg:
-                dx[free] = face.restore(np.concatenate([np.zeros(m_eq), d_in[working]]))
+            dx = d_legs[leg - 1] @ face.t[m_eq:] if leg else np.zeros(n)
             v_flat = None
             if face.step is not None:
                 # x moves on the face so that the gradient's rate at fixed x
                 # stays in the span of the working rows
-                v, v_flat = face.step(face.z.T @ (dc if leg == 0 else q @ dx)[free])
+                v, v_flat = face.step(face.z.T @ (dc if leg == 0 else q @ dx))
                 if v_flat is not None and leg == 0 and -t * np.abs(v_flat).max() <= mu_tol:
                     # over the rest of the leg that descent moves the gradient
                     # by less than the tolerance on it: dc leaves it out, so
                     # that the multipliers' rates agree with x's
-                    dc[free] += face.z @ v_flat
+                    dc += face.z @ v_flat
                     v_flat = None
-                dx[free] += face.z @ v
+                dx += face.z @ v
             if v_flat is not None and leg == 0:
                 # the moving gradient descends where the face has no
                 # curvature: x moves at fixed t to the first block, or the
                 # leg ends on a ray
-                p = np.zeros(n)
-                p[free] = face.z @ v_flat
+                p = face.z @ v_flat
                 p /= np.abs(p).max()
-                alpha, key, s = _ratio_test(problem, face, rows.b_in, x, p, np.inf)
+                alpha, key, s = _ratio_test(stack, eligible, h_starts[0], x, p, np.inf)
                 if key < 0:
                     return [_unbounded(problem, x, p, passes)]
                 x = x + alpha * p
             else:
                 q_dx = q @ dx + dc if leg == 0 else q @ dx
-                d_nu = multipliers(q_dx[free])
-                d_resid = q_dx - a_w.T @ d_nu
-                d_mults = np.concatenate([d_nu[m_eq:], face.side * d_resid[face.fixed]])
-                if j >= 0 and last.size and abs(rates[last[0]]) > tol:
+                d_nu = face.t @ q_dx
+                d_mults = np.concatenate([d_nu[m_eq:], side * (q_dx - a.T @ d_nu)])
+                if j >= 0 and entered >= 0 and abs(rates[entered]) > tol:
                     # a gradient leg's dependent add is rounding: it keeps
                     # its multiplier, the rates moving along the dependency
-                    shift = d_mults[last[0]] / rates[last[0]]
+                    shift = d_mults[entered] / rates[entered]
                     d_nu, d_mults = d_nu - shift * y, d_mults - shift * rates
                 # A multiplier drops only if, over the rest of the leg, it
                 # would fall below minus the tolerance on it, at a rate above
@@ -959,17 +943,19 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                 # whose step is large, a rate at rounding level would drop a
                 # bound that the next face adds back at once, in a cycle.
                 rounding = 1e-12 * (1.0 + problem._lam_max) * (1.0 + np.abs(dx).max())
-                beta, drop = _multiplier_test(mults, d_mults, keys, np.maximum(
+                beta, drop = _multiplier_test(mults, d_mults, np.maximum(
                     (np.maximum(mults, 0.0) + mu_tol) / (leg - t), rounding))
-                alpha, key, s = _ratio_test(problem, face, unit_b_in(t, leg), x, dx, leg - t, d_in)
+                d = d_stack[leg - 1] if leg else None
+                h = h_starts[0] if leg == 0 else h_starts[leg - 1] + (t - leg + 1) * d
+                alpha, key, s = _ratio_test(stack, eligible, h, x, dx, leg - t, d)
                 # an event within rounding of the leg's end waits for the
                 # next leg, whose direction can differ
                 ends = _near(leg - t, min(alpha, beta))
                 step = leg - t if ends else min(alpha, beta)
                 while len(path) < taus.size and taus[len(path)] - t <= step:
                     tau = taus[len(path)]
-                    path.append(_finish(at(tau, leg), x + (tau - t) * dx, working, side, face,
-                                        nu + (tau - t) * d_nu, passes))
+                    path.append(_finish(problem, b_in_at(tau, leg), x + (tau - t) * dx, side,
+                                        face, nu + (tau - t) * d_nu, passes))
                     if stop(path[-1]):
                         return path
                 if len(path) == taus.size:
@@ -979,24 +965,28 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                     t, leg = float(leg), leg + 1        # the next leg, on the same face
                     continue
                 tied = drop >= 0 and _near(max(alpha, beta), step)
-                if key >= 0 and not ((key < keys[drop]) if tied else (alpha < beta)):
+                if key >= 0 and not ((key < drop) if tied else (alpha < beta)):
                     key = -1
             if key >= 0:
                 # what blocks enters; a bound puts x[i] on its value
                 if key < m_in:
                     working.append(key)
-                    nu = np.append(nu, 0.0)
+                    eligible[key] = False
                 else:
                     i = key - m_in
                     side[i], x[i] = s, problem.lb[i] if s > 0 else problem.ub[i]
+                    eligible[m_in + 2 * i:m_in + 2 * i + 2] = False
                 entered, face = key, _next_face(problem, face, key, working, side)
                 continue
-        entered, key = -1, int(keys[drop])
+        entered, key = -1, drop
         if key < m_in:
-            working.pop(drop)
-            nu = np.delete(nu, m_eq + drop)
+            working.remove(key)
+            nu[m_eq + key] = 0.0
+            eligible[key] = True
         else:
-            side[key - m_in] = 0.0
+            i = key - m_in
+            side[i] = 0.0
+            eligible[m_in + 2 * i:m_in + 2 * i + 2] = finite[2 * i:2 * i + 2]
         face = _next_face(problem, face, key, working, side)
     raise QpIterationLimitError(f"event cap {max_events} exceeded")
 

@@ -108,13 +108,15 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True,
 
 
 def _parse_value(raw: str, kind, key: str, where: str):
-    """Typed value of one config line, where names it in errors; floats
-    finite, integers written in ASCII digits alone."""
+    """Typed value of one config line, where names it in errors; numbers
+    written in ASCII alone, floats finite and integers digits alone."""
     try:
         if kind is bool:
             value = _BOOL_WORDS[raw.lower()]
         elif kind is int:
             value = int(raw) if raw.isascii() and raw.isdigit() else None
+        elif kind is float:
+            value = float(raw) if raw.isascii() else None
         else:
             value = kind(raw)
     except (ValueError, KeyError):
@@ -144,11 +146,11 @@ def parse_config(path: str) -> RunConfig:
     """Parse a flat key-value config file into a RunConfig.
 
     Unknown keys, malformed lines and badly-typed values (including
-    non-finite floats and integers not written in ASCII digits) raise
-    ValueError naming the file, the line and the key.  So does a value that
-    RunConfig, LifecycleConfig or HazardModel rejects: the error names the
-    first line at which the lines read so far are rejected, with the
-    constructor's reason.
+    non-finite floats, floats not written in ASCII and integers not written
+    in ASCII digits) raise ValueError naming the file, the line and the
+    key.  So does a value that RunConfig, LifecycleConfig or HazardModel
+    rejects: the error names the first line at which the lines read so far
+    are rejected, with the constructor's reason.
     """
     keys = {**_RUN_KEYS, **_LIFECYCLE_KEYS, **_HAZARD_KEYS}
     settings = []

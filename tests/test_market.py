@@ -66,6 +66,16 @@ def test_non_finite_cell_reports_position(tmp_path, cell):
     assert str(path) in message and "row 3, column 2" in message and cell in message
 
 
+# Arabic-Indic and fullwidth digits, which float() reads as 0.02 and 0.1
+@pytest.mark.parametrize("cell", ["\u0660.\u0660\u0662", "\uff10.\uff11"])
+def test_non_ascii_cell_reports_position(tmp_path, cell):
+    path = _write(tmp_path, f"A,B\n0.01,0.02\n0.03,{cell}\n0.05,0.06\n")
+    with pytest.raises(ReturnsFormatError) as err:
+        load_returns(path, 12)
+    message = str(err.value)
+    assert str(path) in message and "row 3, column 2" in message and cell in message
+
+
 def test_too_few_rows(tmp_path):
     path = _write(tmp_path, "A,B\n0.01,0.02\n")
     with pytest.raises(ReturnsFormatError):

@@ -188,6 +188,15 @@ def test_parse_config_takes_integers_in_ascii_digits_only(tmp_path, raw):
         parse_config(path)
 
 
+# Arabic-Indic and fullwidth digits, which float() reads as 0.02 and 0.1
+@pytest.mark.parametrize("key, raw", [("r_f", "\u0660.\u0660\u0662"),
+                                      ("hazard_h", "\uff10.\uff11")])
+def test_parse_config_takes_floats_in_ascii_only(tmp_path, key, raw):
+    path = _write_config(tmp_path, f"frontier_points = 5\n{key} = {raw}\n")
+    with pytest.raises(ValueError, match=f"{path}: line 2: bad value .*'{key}'.*finite float"):
+        parse_config(path)
+
+
 @pytest.mark.parametrize("raw", ["\u0663", "\u00b2", "+3"])
 def test_cli_takes_a_seed_in_ascii_digits_only(raw, capsys):
     with pytest.raises(SystemExit):
