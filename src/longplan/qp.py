@@ -87,7 +87,10 @@ x, the working rows and one side per bound, lower, upper or free:
   along the dependency, the added one's rising, until another reaches zero
   and leaves (qpOASES's ensureLI).  If none falls, the rows cannot be met
   past that t, except on the gradient leg, where such an add is rounding:
-  the rates then move along the dependency so that its multiplier stays;
+  the rates then move along the dependency so that its multiplier stays.
+  Where the working set comes back to one met before at the same t of the
+  gradient leg, the dependency moves have cycled, and such an add is taken
+  back and set aside until t moves;
 * one tie rule: ties go to the least index in the order general rows,
   then bounds in variable order, which at a zero-length step is Bland's
   rule.  The ratio test reads one matrix, built once per solve, of the
@@ -799,7 +802,8 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
     (_next_face), or factors that face afresh where an update is unsafe; a
     pass on a face only solves with its factors.  The ratio test's
     candidates are one stacked matrix, built here, and an eligibility mask
-    that each event flips.
+    that each event flips.  The working sets met at one t are remembered,
+    to tell a cycle of dependency moves on the gradient leg.
     """
     if start is not None:
         start = np.asarray(start, dtype=float).ravel()
@@ -834,11 +838,38 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
         """b_in where leg puts it at t."""
         return problem.b_in if leg == 0 else b_starts[leg - 1] + (t - leg + 1) * legs[leg - 1]
 
+    def leave(key: int) -> None:
+        """Take row or bound key out of the working set."""
+        if key < m_in:
+            working.remove(key)
+            nu[m_eq + key] = 0.0
+        else:
+            side[key - m_in] = 0.0
+
+    def release(key: int) -> None:
+        """Make row or bound key a ratio-test candidate again."""
+        if key < m_in:
+            eligible[key] = True
+        else:
+            i = key - m_in
+            eligible[m_in + 2 * i:m_in + 2 * i + 2] = finite[2 * i:2 * i + 2]
+
     x, working, side = _start(problem, x0)
     eligible = np.concatenate([np.ones(m_in, dtype=bool), finite & np.repeat(side == 0.0, 2)])
     eligible[working] = False
+    # the working sets met at t = t_seen, whether one came back, and the
+    # adds set aside there
+    seen, t_seen, cycling, aside = set(), None, False, []
     t, leg, path, entered, face, dc = -1.0, 0, [], -1, None, None
     for passes in range(1, max_events + 2):
+        if t != t_seen:
+            for key in aside:
+                release(key)
+            seen, t_seen, cycling, aside = set(), t, False, []
+        else:
+            state = (frozenset(working), side.tobytes())
+            cycling = cycling or state in seen
+            seen.add(state)
         if face is None:
             face = _open_face(problem, working, side)
         g_true = q @ x + c
@@ -901,6 +932,15 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                     return path
                 t, leg, entered = float(leg), leg + 1, -1
                 continue
+        if j >= 0 and drop >= 0 and leg == 0 and entered >= 0 and cycling:
+            # b stays put on the gradient leg, so an add that makes the
+            # working set dependent came from a rate at rounding level.  Once
+            # a working set comes back at one t, such an add is taken back
+            # and set aside until t moves: the dependency moves had cycled
+            leave(entered)
+            aside.append(entered)
+            entered, face = -1, None
+            continue
         if j >= 0 and drop >= 0:
             nu, key = nu + theta * sign * y, -1
         else:
@@ -979,14 +1019,8 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                 entered, face = key, _next_face(problem, face, key, working, side)
                 continue
         entered, key = -1, drop
-        if key < m_in:
-            working.remove(key)
-            nu[m_eq + key] = 0.0
-            eligible[key] = True
-        else:
-            i = key - m_in
-            side[i] = 0.0
-            eligible[m_in + 2 * i:m_in + 2 * i + 2] = finite[2 * i:2 * i + 2]
+        leave(key)
+        release(key)
         face = _next_face(problem, face, key, working, side)
     raise QpIterationLimitError(f"event cap {max_events} exceeded")
 

@@ -531,6 +531,11 @@ def test_chained_branches_match_cold_solves(seed):
          0.10442561424184534, 0.059730307787942825)
 @example(112.72808269114954, 5863.1440691147745, 811.9484445764165, 5.023056051486887,
          0.08759855085693985, 0.017780510580161713)
+# On this draw a cold solve of house year 7 cycled at one t of its gradient
+# leg until the event cap: a bound blocked at a rate at rounding level, its
+# add made the working set dependent, and the dependency move dropped
+# another bound, which blocked next in the same way.
+@example(237.0, 4553.0, 100.0, 1.0, 0.03166872165577226, 0.03125)
 def test_thirty_year_branches_match_cold_solves(income_high, house_utility, initial_saving,
                                                 risk_aversion_B, r_stock, var_stock):
     # the default M = 30 over wide income, house and risk-aversion draws
