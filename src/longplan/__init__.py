@@ -10,9 +10,9 @@ The package has three layers:
   exponential hazard (:mod:`~longplan.insurance`);
 * a multi-year plan over stock, borrowing, saving, a house purchase and
   the insurance position, solved by branch and bound over the
-  house-purchase year: one QP without a house, then one right-hand-side
-  path through the house years that stops once a multiplier bound rules
-  out every year not yet solved (:mod:`~longplan.lifecycle`).
+  house-purchase year: one right-hand-side path from the no-house plan
+  through the house years that stops once a multiplier bound rules out
+  every year not yet solved (:mod:`~longplan.lifecycle`).
 
 :mod:`~longplan.report` and :mod:`~longplan.cli` wire the layers into a
 file-producing pipeline.

@@ -24,12 +24,13 @@ side of the floor rows and its utility to the objective, and the house cap
 holds trivially.  So the branches share Q, c and A on the 3M + 1 other
 columns and differ only in b.
 
-That makes the branches one chain of right-hand-side legs.  The no-house
-branch is one QP from the zero plan, which meets its rows whenever income
-covers the floor.  One qp.solve_qp_path call from its optimum then runs a
-leg per house year, from the last to the first, along b_prev + tau
-(b_year - b_prev), so each leg passes only the breakpoints where the two
-optimal working sets differ and no branch is solved again from scratch.
+That makes the branches one chain of right-hand-side legs, and one
+qp.solve_qp_path call solves them all.  It starts from the zero plan, which
+meets the no-house rows whenever income covers the floor; the no-house
+branch is its point at tau = 0.  It then runs a leg per house year, from
+the last to the first, along b_prev + tau (b_year - b_prev), so each leg
+passes only the breakpoints where the two optimal working sets differ and
+no branch is solved again from scratch.
 Borrowing has no upper bound, so the rows can be met all along the path.
 
 The optimal value V(b) of the minimization is convex in b, and a solved
@@ -54,7 +55,7 @@ from .insurance import (
     spread_variance_coefficient,
     strike_time_estimates,
 )
-from .qp import QpError, QpProblem, STATUS_OPTIMAL, solve_qp, solve_qp_path
+from .qp import QpError, QpProblem, solve_qp_path
 
 # Reported plan values below this are solver dust and are clamped to zero.
 VALUE_CLAMP = 1e-9
@@ -391,8 +392,8 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
         (income does not cover d_floor).  Unbounded borrowing then makes
         every house branch feasible.
     LifecycleBranchError
-        If the no-house QP or the path through the house years fails; the
-        message names the branches.
+        If the path through the branches fails; the message names the
+        branch whose point or leg failed.
     """
     hazard = config.hazard
     v_discount = None
@@ -456,26 +457,19 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
         return bool(np.all(cap[solved:] < best - 1e-6 * (1.0 + abs(best))))
 
     # Maximize c'x + 0.5 x'qx as the minimization of its negation, from the
-    # zero plan, which meets the no-house rows (checked above).
+    # zero plan, which meets the no-house rows (checked above).  The no-house
+    # branch is the path's point at tau = 0, and leg j moves b from the
+    # branch before it to its own; house year 1 is always admissible
+    # (house_years < years_M), so there is one.  The path runs only while
+    # some house year can still win, and points come in chain order, so the
+    # branch of a failed leg is the next one unsolved.
     problem = QpProblem(Q=-q_rest, c=-c_rest, a_in=a_rest, b_in=b_chain[0],
                         lb=np.zeros(3 * m + 1))
     try:
-        sol = solve_qp(problem, start=np.zeros(3 * m + 1))
+        solve_qp_path(problem, np.diff(b_chain, axis=0), np.arange(0.0, len(chain)),
+                      start=np.zeros(3 * m + 1), stop=settled)
     except QpError as exc:
-        raise LifecycleBranchError(f"branch {_branch_label(None)}: {exc}") from exc
-    if sol.status != STATUS_OPTIMAL:
-        raise LifecycleBranchError(
-            f"branch {_branch_label(None)}: solver status {sol.status!r}")
-    # Leg j of the path moves b from the branch before it to its own; house
-    # year 1 is always admissible (house_years < years_M), so there is one.
-    # The path runs only while some house year can still win.
-    if not settled(sol):
-        try:
-            solve_qp_path(problem, np.diff(b_chain, axis=0), np.arange(1.0, len(chain)),
-                          start=sol.x, stop=settled)
-        except QpError as exc:
-            raise LifecycleBranchError(
-                f"branches {', '.join(map(_branch_label, chain[1:]))}: {exc}") from exc
+        raise LifecycleBranchError(f"branch {_branch_label(chain[len(sols)])}: {exc}") from exc
     objectives = {year: float(utility[j] - branch.objective)
                   for j, (year, branch) in enumerate(zip(chain, sols))}
 

@@ -47,8 +47,10 @@ class ReturnMatrix:
             raise ValueError("asset ids must be unique")
         if not np.all(np.isfinite(data)):
             raise ValueError("returns must be finite")
-        if self.periods_per_year < 1:
-            raise ValueError("periods_per_year must be a positive integer")
+        ppy = self.periods_per_year
+        if not (math.isfinite(ppy) and int(ppy) == ppy and ppy >= 1):
+            raise ValueError(f"periods_per_year must be a positive integer, got {ppy!r}")
+        object.__setattr__(self, "periods_per_year", int(ppy))
         data.setflags(write=False)
 
     @property
@@ -106,6 +108,8 @@ def load_returns(path: str | Path, periods_per_year: int) -> ReturnMatrix:
         cell or fewer than two data rows; the message carries the 1-based row (and
         column) position.  A repeated asset id in the header names row 1,
         the id and both of its columns.
+    ValueError
+        If ``periods_per_year`` is not a positive integer.
     """
     path = Path(path)
     if not path.exists():
@@ -159,7 +163,7 @@ def load_returns(path: str | Path, periods_per_year: int) -> ReturnMatrix:
     return ReturnMatrix(
         asset_ids=tuple(asset_ids),
         data=np.array(rows, dtype=float),
-        periods_per_year=int(periods_per_year),
+        periods_per_year=periods_per_year,
     )
 
 

@@ -77,16 +77,16 @@ class RunConfig:
             raise ValueError("returns_path must be non-empty")
         if not self.output_dir:
             raise ValueError("output_dir must be non-empty")
-        if self.frontier_points < 2:
-            raise ValueError("frontier_points must be >= 2")
-        if self.mc_draws < 1:
-            raise ValueError("mc_draws must be >= 1")
-        if self.periods_per_year < 1:
-            raise ValueError("periods_per_year must be >= 1")
+        for name, least in (("periods_per_year", 1), ("frontier_points", 2),
+                            ("mc_draws", 1), ("mc_seed", 0)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and int(value) == value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
+            object.__setattr__(self, name, int(value))
         if not math.isfinite(self.r_f):
             raise ValueError("r_f must be finite")
-        if self.mc_seed < 0:
-            raise ValueError("mc_seed must be >= 0")
 
 
 def _config_keys(cls, prefix: str = "", skip: tuple[str, ...] = ()) -> dict:

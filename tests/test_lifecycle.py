@@ -16,6 +16,7 @@ from longplan.insurance import HazardModel, estimate_discount_factor, \
     spread_variance_coefficient, strike_time_estimates
 from longplan.lifecycle import (
     DecisionVector,
+    LifecycleBranchError,
     LifecycleConfig,
     LifecycleInfeasibleError,
     RiskyAssetSummary,
@@ -406,9 +407,8 @@ def test_warm_started_branches_match_cold_solves():
 
 
 def test_sample_plan_solves_no_lp():
-    # the no-house QP starts from the zero plan, which meets its rows, and
-    # every later branch is a leg of one path from that optimum, so phase 1
-    # never runs
+    # the one path starts from the zero plan, which meets the no-house rows,
+    # and every house year is a leg of it, so phase 1 never runs
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
     fund = max_sharpe_long_only(stats, 0.025)
     with mock.patch("longplan.qp._phase1", wraps=qp._phase1) as phase1:
@@ -418,9 +418,23 @@ def test_sample_plan_solves_no_lp():
     assert phase1.call_count == 0
 
 
+def test_a_failed_branch_is_named_alone():
+    # risk-neutral, the sample fund's stock outearns borrowing, so the
+    # no-house branch, the path's point at tau = 0, is unbounded and the
+    # error names it and no house year
+    stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
+    fund = max_sharpe_long_only(stats, 0.025)
+    with pytest.raises(LifecycleBranchError) as info:
+        solve_lifecycle(LifecycleConfig(risk_aversion_B=0),
+                        RiskyAssetSummary(r_stock=fund.mean, var_stock=fund.variance))
+    message = str(info.value)
+    assert "branch none" in message and "unbounded" in message
+    assert "house-year" not in message
+
+
 def test_one_convexity_check_per_plan():
-    # the no-house QP and its path share one QpProblem, whose constructor
-    # checks Q once; the solves repeat no eigvalsh
+    # every branch is a point of one path on one QpProblem, whose
+    # constructor checks Q once; the path repeats no eigvalsh
     with mock.patch("numpy.linalg.eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
         solve_lifecycle(LifecycleConfig(), RiskyAssetSummary(0.08, 0.012))
     assert eigvalsh.call_count == 1
@@ -435,44 +449,41 @@ def test_every_branch_starts_from_a_feasible_point(seed):
                               var_stock=rng.uniform(0.005, 0.05))
     calls = []
 
-    def recording_solve_qp(problem, *, start=None):
-        calls.append(("solve_qp", problem, start, np.zeros((0, problem.b_in.shape[0]))))
-        return solve_qp(problem, start=start)
-
     def recording_solve_qp_path(problem, db_in, taus, *, start, stop):
-        calls.append(("solve_qp_path", problem, start, db_in))
-        return qp.solve_qp_path(problem, db_in, taus, start=start, stop=stop)
+        path = qp.solve_qp_path(problem, db_in, taus, start=start, stop=stop)
+        calls.append((problem, start, db_in, path))
+        return path
 
-    with mock.patch.object(lifecycle, "solve_qp", recording_solve_qp), \
-            mock.patch.object(lifecycle, "solve_qp_path", recording_solve_qp_path):
+    with mock.patch.object(lifecycle, "solve_qp_path", recording_solve_qp_path):
         plan = solve_lifecycle(config, asset)
-    # one QP for the no-house branch, then one path with a leg per house
-    # year, unless the no-house optimum alone prunes every house year
+    # one path from the zero plan: the no-house branch at tau = 0, then a
+    # leg per house year
     legs = len(plan.branch_objectives) - 1
     assert [label for label, _ in plan.branch_objectives[1:]] == \
         [f"house-year-{year}" for year in range(1, legs + 1)]
-    assert [name for name, *_ in calls] in (["solve_qp"], ["solve_qp", "solve_qp_path"])
+    assert len(calls) == 1
+    (problem, start, db_in, path), = calls
     m = config.years_M
-    for _, problem, start, _ in calls:
-        # the house column is a constant of the branch, not a pinned variable
-        assert problem.n == 3 * m + 1 and problem.a_in.shape[0] == m
-        assert not np.any(problem.lb == problem.ub)
-        assert np.all(problem.lb <= start) and np.all(start <= problem.ub)
-        feas_tol = qp.FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
-        assert problem.max_violation(start) <= feas_tol
-    if len(calls) == 1:
-        assert all(objective is None for _, objective in plan.branch_objectives[1:])
-        return
-    # the path starts where the QP ended, and its legs run through the
-    # branches' right-hand sides from the last house year to the first
-    (_, first, _, _), (_, problem, start, db_in) = calls
+    np.testing.assert_array_equal(start, np.zeros(3 * m + 1))
+    # the house column is a constant of the branch, not a pinned variable
+    assert problem.n == 3 * m + 1 and problem.a_in.shape[0] == m
+    assert not np.any(problem.lb == problem.ub)
+    assert np.all(problem.lb <= start) and np.all(start <= problem.ub)
+    feas_tol = qp.FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
+    assert problem.max_violation(start) <= feas_tol
+    # the path starts at the no-house right-hand side, and its legs run
+    # through the house years' from the last to the first
     assert db_in.shape == (legs, problem.b_in.shape[0])
-    np.testing.assert_array_equal(problem.b_in, first.b_in)
     a, b = assemble_constraints(config, asset, max(1, min(math.ceil(1.0 / config.hazard.h), m + 1)))
+    np.testing.assert_array_equal(problem.b_in, b[:m])
     years = range(legs, 0, -1)
     np.testing.assert_allclose(problem.b_in + np.cumsum(db_in, axis=0),
                                [b[:m] - a[:m, 3 * m + year - 1] for year in years], rtol=0,
                                atol=1e-12 * (1.0 + problem.rhs_scale()))
+    # a branch is solved where the path returned its point
+    assert sum(objective is not None for _, objective in plan.branch_objectives) == len(path)
+    if len(path) == 1:
+        assert all(objective is None for _, objective in plan.branch_objectives[1:])
 
 
 def _assert_branches_match_cold_solves(config, asset):

@@ -1302,17 +1302,18 @@ def test_next_face_declines_an_unsafe_update():
 
 
 def _gradient_leg_dependencies(run):
-    """Run run() and return, per face that a solve_qp call opens or
-    updates, the number of working rows that face finds dependent."""
+    """Run run() and return, per face that a solve opens or updates on its
+    gradient leg (leg 0), the number of working rows that face finds
+    dependent."""
     counts = []
 
     def counting(factor):
         def counted(*args):
             face = factor(*args)
             frame = sys._getframe(1)
-            while frame.f_code.co_name not in ("solve_qp", "solve_qp_path"):
+            while frame.f_code.co_name != "_solve":
                 frame = frame.f_back
-            if face is not None and frame.f_code.co_name == "solve_qp":
+            if face is not None and frame.f_locals["leg"] == 0:
                 counts.append(len(face.dependent))
             return face
         return counted
@@ -1342,10 +1343,10 @@ def test_gradient_leg_faces_have_full_row_rank_on_the_sample_run():
 
 
 def test_sample_plan_factors_each_face_once():
-    # each of the plan's two solves factors its first face from scratch;
-    # every later face is updated from the one before it, with no QR,
-    # Cholesky or eigendecomposition, and every pass on a face, a leg's end
-    # included, solves with that face's factors
+    # the plan's one path factors its first face from scratch; every later
+    # face is updated from the one before it, with no QR, Cholesky or
+    # eigendecomposition, and every pass on a face, a leg's end included,
+    # solves with that face's factors
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
     fund = max_sharpe_long_only(stats, 0.025)
     opened, updated, steps, factored = [], [], [], []
@@ -1376,9 +1377,8 @@ def test_sample_plan_factors_each_face_once():
             mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
         plan = solve_lifecycle(LifecycleConfig(), RiskyAssetSummary(fund.mean, fund.variance))
     assert plan.house_year == 6
-    # the starts of the no-house solve_qp and of the path, and nothing
-    # factored after the second
-    assert len(opened) == 2
+    # the path's start, and nothing factored after it
+    assert len(opened) == 1
     assert qr.call_count + cholesky.call_count + eigh.call_count == factored[-1]
     assert len(updated) > 100 and all(face is not None for face in updated)
     # the path's legs end on faces already open: the gradient leg and one

@@ -19,7 +19,7 @@ from longplan.lifecycle import DecisionVector, RiskyAssetSummary, \
     implied_consumption
 from longplan.long_only import max_sharpe_long_only, trace_frontier
 from longplan.closed_form import frontier_constants
-from longplan.market import estimate_stats, load_returns
+from longplan.market import ReturnMatrix, estimate_stats, load_returns
 from longplan.report import (
     ALL_STEPS,
     SAMPLE_RETURNS,
@@ -231,6 +231,29 @@ def test_run_config_validation():
         RunConfig(returns_path="")
     with pytest.raises(ValueError):
         RunConfig(output_dir="")
+
+
+@pytest.mark.parametrize("name, make", [
+    ("periods_per_year", lambda: load_returns(SAMPLE_RETURNS, 12.5)),
+    ("periods_per_year", lambda: ReturnMatrix(["A"], np.zeros((2, 1)), 12.5)),
+    ("periods_per_year", lambda: RunConfig(periods_per_year=12.5)),
+    ("frontier_points", lambda: RunConfig(frontier_points=2.5)),
+    ("mc_draws", lambda: RunConfig(mc_draws=10.5)),
+    ("mc_draws", lambda: RunConfig(mc_draws=float("nan"))),
+    ("mc_seed", lambda: RunConfig(mc_seed=1.5)),
+], ids=["load_returns", "ReturnMatrix", "periods_per_year", "frontier_points",
+        "mc_draws", "mc_draws_nan", "mc_seed"])
+def test_counts_must_be_integers(name, make):
+    # a fractional count would be truncated, or fail deep in numpy
+    with pytest.raises(ValueError, match=name):
+        make()
+
+
+def test_whole_float_counts_become_ints():
+    config = RunConfig(periods_per_year=12.0, frontier_points=5.0, mc_draws=10.0, mc_seed=3.0)
+    assert [type(value) for value in (config.periods_per_year, config.frontier_points,
+                                      config.mc_draws, config.mc_seed)] == [int] * 4
+    assert type(ReturnMatrix(["A"], np.zeros((2, 1)), 12.0).periods_per_year) is int
 
 
 # ---------------------------------------------------------------------------
