@@ -274,6 +274,15 @@ class QpSolution:
     ray: np.ndarray | None = None
 
 
+class QpPath(list):
+    """solve_qp_path's points in tau order, each a QpSolution."""
+
+    @property
+    def iterations(self) -> int:
+        """The events from the start to the last point."""
+        return self[-1].iterations
+
+
 def kkt_report(problem: QpProblem, sol: QpSolution) -> dict[str, float]:
     """Stationarity / complementarity / dual-feasibility residuals at sol.
 
@@ -1026,7 +1035,7 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
 
 
 def solve_qp_path(problem: QpProblem, db_in, taus, *, start,
-                  stop: Callable[[QpSolution], bool] | None = None) -> list[QpSolution]:
+                  stop: Callable[[QpSolution], bool] | None = None) -> QpPath:
     """Optima of the problem with b_in moved along legs, one per tau.
 
     db_in is one leg, a vector of length m_in, or k consecutive legs, an
@@ -1043,7 +1052,8 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start,
     other raises QpError.  Nothing is retried.
 
     Every returned point passes the restore step and KKT check at its own
-    tau, and its iterations count the events from start to it.  Where Q
+    tau, and its iterations count the events from start to it, so the
+    returned QpPath's iterations are those of its last point.  Where Q
     leaves a face of optima, the path returns the points it reaches.
 
     stop, when given, is called on each point in tau order as soon as it
@@ -1070,4 +1080,4 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start,
     path = _solve(problem, start, legs, taus, 50 * problem.n * (k + 1), stop)
     if path[0].status != STATUS_OPTIMAL:
         raise QpError(f"the path needs an optimum at tau = 0, where the QP is {path[0].status}")
-    return path
+    return QpPath(path)

@@ -432,6 +432,26 @@ def test_a_failed_branch_is_named_alone():
     assert "house-year" not in message
 
 
+def test_a_failed_house_year_leg_is_named_alone():
+    # points come in chain order (none, then the house years from the last),
+    # so when the third point fails, the error names the chain's third
+    # branch, the second-last house year, and no other
+    finish, calls = qp._finish, []
+
+    def third_fails(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise qp.QpError("boom")
+        return finish(*args)
+
+    config = LifecycleConfig()
+    last = config.years_M - config.house_years
+    with mock.patch("longplan.qp._finish", side_effect=third_fails), \
+            pytest.raises(LifecycleBranchError) as info:
+        solve_lifecycle(config, RiskyAssetSummary(0.08, 0.012))
+    assert str(info.value) == f"branch house-year-{last - 1}: boom"
+
+
 def test_one_convexity_check_per_plan():
     # every branch is a point of one path on one QpProblem, whose
     # constructor checks Q once; the path repeats no eigvalsh

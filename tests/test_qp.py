@@ -960,6 +960,8 @@ def test_path_start_is_checked_as_solve_qp_checks_it():
     # the tau = 0 point is solve_qp's, bit for bit
     np.testing.assert_array_equal(path[0].x, cold.x)
     assert path[0].iterations == cold.iterations
+    # the path's own count is its last point's: every event from the start
+    assert path.iterations == path[-1].iterations >= path[0].iterations
     with pytest.raises(QpInputError, match="start"):
         solve_qp_path(problem, db_in, taus, start=np.zeros(3))
     # no optimum at tau = 0: the path cannot start
