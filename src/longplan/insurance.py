@@ -106,10 +106,17 @@ def strike_time_estimates(model: HazardModel, n_draws: int,
     since 1 - Phi(Phi^-1(u)) = 1 - u.  The first result averages
     exp(-r T), whose analytic value is h / (h + r); the second is the
     ceiling of the sample mean of T, whose large-n value is ceil(1/h).
-    Callers needing both draw the stream once.
+    Callers needing both draw the stream once.  n_draws (>= 1) and seed
+    (>= 0) must be integers; an integer-valued float is taken as its int.
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be positive")
+    for name, value, least in (("n_draws", n_draws, 1), ("seed", seed, 0)):
+        try:
+            whole = int(value) == value and value >= least
+        except (TypeError, ValueError, OverflowError):     # None, nan, inf
+            whole = False
+        if not whole:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    n_draws, seed = int(n_draws), int(seed)
     rng = np.random.default_rng(seed)
     times = -np.log1p(-rng.random(n_draws)) / model.h
     values = np.exp(-model.r * times)

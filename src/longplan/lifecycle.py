@@ -25,12 +25,17 @@ holds trivially.  So the branches share Q, c and A on the 3M + 1 other
 columns and differ only in b.
 
 That makes the branches one chain of right-hand-side legs, and one
-qp.solve_qp_path call solves them all.  It starts from the zero plan, which
-meets the no-house rows whenever income covers the floor; the no-house
-branch is its point at tau = 0.  It then runs a leg per house year, from
-the last to the first, along b_prev + tau (b_year - b_prev), so each leg
-passes only the breakpoints where the two optimal working sets differ and
-no branch is solved again from scratch.
+qp.solve_qp_path call solves them all.  The no-house branch is its point
+at tau = 0.  Q is diagonal, so the no-house utility is separable and its
+maximizer over the bounds alone is max(0, c_i / -q_ii) on each column with
+curvature and 0 elsewhere; the path starts at that point scaled back
+towards the zero plan, which meets the no-house rows whenever income
+covers the floor, until it meets them too.  Where the rows are slack there
+(lambda = 1), that point is the no-house optimum and the gradient leg to
+it is one pass.  The path then runs a leg per house year, from the last to
+the first, along b_prev + tau (b_year - b_prev), so each leg passes only
+the breakpoints where the two optimal working sets differ and no branch is
+solved again from scratch.
 Borrowing has no upper bound, so the rows can be met all along the path.
 
 The optimal value V(b) of the minimization is convex in b, and a solved
@@ -456,10 +461,21 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
         best = float(np.max(utility[:solved] - [done.objective for done in sols]))
         return bool(np.all(cap[solved:] < best - 1e-6 * (1.0 + abs(best))))
 
-    # Maximize c'x + 0.5 x'qx as the minimization of its negation, from the
-    # zero plan, which meets the no-house rows (checked above).  The no-house
-    # branch is the path's point at tau = 0, and leg j moves b from the
-    # branch before it to its own; house year 1 is always admissible
+    # The start is lambda * x_box: x_box maximizes the no-house utility over
+    # the bounds alone, 0 where a column has no curvature, and lambda is the
+    # largest value in [0, 1] at which the no-house rows still hold.  The zero
+    # plan meets them (checked above, within 1e-9, hence the clamp at 0), so
+    # every such point is feasible, whatever Q is.
+    curvature = -np.diag(q_rest)
+    x_box = np.divide(np.maximum(c_rest, 0.0), curvature,
+                      out=np.zeros(3 * m + 1), where=curvature > 0.0)
+    rise = a_rest @ x_box
+    falls = rise < 0.0
+    lam = max(float(np.min(b_chain[0][falls] / rise[falls], initial=1.0)), 0.0)
+
+    # Maximize c'x + 0.5 x'qx as the minimization of its negation.  The
+    # no-house branch is the path's point at tau = 0, and leg j moves b from
+    # the branch before it to its own; house year 1 is always admissible
     # (house_years < years_M), so there is one.  The path runs only while
     # some house year can still win, and points come in chain order, so the
     # branch of a failed leg is the next one unsolved.
@@ -467,7 +483,7 @@ def solve_lifecycle(config: LifecycleConfig, asset: RiskyAssetSummary,
                         lb=np.zeros(3 * m + 1))
     try:
         solve_qp_path(problem, np.diff(b_chain, axis=0), np.arange(0.0, len(chain)),
-                      start=np.zeros(3 * m + 1), stop=settled)
+                      start=lam * x_box, stop=settled)
     except QpError as exc:
         raise LifecycleBranchError(f"branch {_branch_label(chain[len(sols)])}: {exc}") from exc
     objectives = {year: float(utility[j] - branch.objective)

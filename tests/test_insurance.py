@@ -17,6 +17,7 @@ from longplan.insurance import (
     strike_time_from_latent,
     survival_prob,
 )
+from longplan.lifecycle import LifecycleConfig, RiskyAssetSummary, solve_lifecycle
 
 BASE = HazardModel(h=0.06, r=0.03, L=30.0, s=0.5, horizon_M=30)
 
@@ -85,6 +86,35 @@ def test_estimate_deterministic_given_seed():
     c = estimate_discount_factor(BASE, n_draws=2_000, seed=124)
     assert a.value == b.value and a.std_error == b.std_error
     assert a.value != c.value
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n_draws", lambda: estimate_discount_factor(BASE, 10.5, 0)),
+    ("n_draws", lambda: estimate_discount_factor(BASE, float("nan"), 0)),
+    ("n_draws", lambda: estimate_discount_factor(BASE, 0, 0)),
+    ("n_draws", lambda: estimate_discount_factor(BASE, "100", 0)),
+    ("seed", lambda: expected_strike_year(BASE, 100, float("inf"))),
+    ("seed", lambda: expected_strike_year(BASE, 100, None)),
+    ("seed", lambda: expected_strike_year(BASE, 100, 1.5)),
+    ("seed", lambda: expected_strike_year(BASE, 100, -1)),
+    ("n_draws", lambda: solve_lifecycle(LifecycleConfig(), RiskyAssetSummary(0.08, 0.012),
+                                        mc_kstart=True, mc_draws=100.5)),
+], ids=["fractional_draws", "nan_draws", "no_draws", "text_draws", "infinite_seed", "no_seed",
+        "fractional_seed", "negative_seed", "solve_lifecycle"])
+def test_draw_counts_and_seeds_must_be_integers(name, call):
+    # a fractional or negative value fails at the boundary, naming the
+    # argument, not deep in numpy
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_whole_draw_counts_and_seeds_become_ints():
+    est = estimate_discount_factor(BASE, 100.0, np.int64(5))
+    assert type(est.n_draws) is int and type(est.seed) is int
+    assert est == estimate_discount_factor(BASE, np.int64(100), 5.0)
+    assert est == estimate_discount_factor(BASE, 100, 5)
+    # numpy takes a seed of any size
+    assert estimate_discount_factor(BASE, 100, 2**80).seed == 2**80
 
 
 def test_estimate_coverage_over_many_seeds():

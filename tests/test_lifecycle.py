@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from unittest import mock
 
@@ -407,8 +409,8 @@ def test_warm_started_branches_match_cold_solves():
 
 
 def test_sample_plan_solves_no_lp():
-    # the one path starts from the zero plan, which meets the no-house rows,
-    # and every house year is a leg of it, so phase 1 never runs
+    # the one path starts from lambda * x_box, which meets the no-house
+    # rows, and every house year is a leg of it, so phase 1 never runs
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
     fund = max_sharpe_long_only(stats, 0.025)
     with mock.patch("longplan.qp._phase1", wraps=qp._phase1) as phase1:
@@ -421,12 +423,16 @@ def test_sample_plan_solves_no_lp():
 def test_a_failed_branch_is_named_alone():
     # risk-neutral, the sample fund's stock outearns borrowing, so the
     # no-house branch, the path's point at tau = 0, is unbounded and the
-    # error names it and no house year
+    # error names it and no house year; no column has curvature, so the
+    # path starts at the zero plan
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
     fund = max_sharpe_long_only(stats, 0.025)
-    with pytest.raises(LifecycleBranchError) as info:
+    with _recording_paths() as calls, pytest.raises(LifecycleBranchError) as info:
         solve_lifecycle(LifecycleConfig(risk_aversion_B=0),
                         RiskyAssetSummary(r_stock=fund.mean, var_stock=fund.variance))
+    (problem, start, _, path), = calls
+    np.testing.assert_array_equal(start, np.zeros(problem.n))
+    assert path is None
     message = str(info.value)
     assert "branch none" in message and "unbounded" in message
     assert "house-year" not in message
@@ -460,6 +466,37 @@ def test_one_convexity_check_per_plan():
     assert eigvalsh.call_count == 1
 
 
+@contextlib.contextmanager
+def _recording_paths():
+    """Record each solve_qp_path call of solve_lifecycle as a list
+    [problem, start, db_in, path], path None where the call raised."""
+    calls = []
+
+    def recording(problem, db_in, taus, *, start, stop):
+        calls.append([problem, start, db_in, None])
+        calls[-1][3] = qp.solve_qp_path(problem, db_in, taus, start=start, stop=stop)
+        return calls[-1][3]
+
+    with mock.patch.object(lifecycle, "solve_qp_path", recording):
+        yield calls
+
+
+def _no_house_start(config, asset):
+    """(lambda, x_box) of the path's start lambda * x_box, from the assembly:
+    x_box maximizes the no-house utility over the bounds alone, column by
+    column, and lambda in [0, 1] scales it back until the no-house rows
+    hold."""
+    m = config.years_M
+    rest = np.r_[0:3 * m, 4 * m]
+    c = assemble_linear_coefficients(config, asset)[rest]
+    q = np.diag(assemble_quadratic(config, asset))[rest]
+    a, b = assemble_constraints(config, asset, max(1, min(math.ceil(1.0 / config.hazard.h), m + 1)))
+    x_box = np.array([max(0.0, c_i / -q_i) if q_i < 0.0 else 0.0 for c_i, q_i in zip(c, q)])
+    rise = a[:m, rest] @ x_box
+    lam = min([1.0, *(b[:m][rise < 0.0] / rise[rise < 0.0])])
+    return max(lam, 0.0), x_box
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_every_branch_starts_from_a_feasible_point(seed):
@@ -467,16 +504,9 @@ def test_every_branch_starts_from_a_feasible_point(seed):
     config = _random_margin_config(rng)
     asset = RiskyAssetSummary(r_stock=rng.uniform(0.04, 0.14),
                               var_stock=rng.uniform(0.005, 0.05))
-    calls = []
-
-    def recording_solve_qp_path(problem, db_in, taus, *, start, stop):
-        path = qp.solve_qp_path(problem, db_in, taus, start=start, stop=stop)
-        calls.append((problem, start, db_in, path))
-        return path
-
-    with mock.patch.object(lifecycle, "solve_qp_path", recording_solve_qp_path):
+    with _recording_paths() as calls:
         plan = solve_lifecycle(config, asset)
-    # one path from the zero plan: the no-house branch at tau = 0, then a
+    # one path from lambda * x_box: the no-house branch at tau = 0, then a
     # leg per house year
     legs = len(plan.branch_objectives) - 1
     assert [label for label, _ in plan.branch_objectives[1:]] == \
@@ -484,7 +514,8 @@ def test_every_branch_starts_from_a_feasible_point(seed):
     assert len(calls) == 1
     (problem, start, db_in, path), = calls
     m = config.years_M
-    np.testing.assert_array_equal(start, np.zeros(3 * m + 1))
+    lam, x_box = _no_house_start(config, asset)
+    np.testing.assert_array_equal(start, lam * x_box)
     # the house column is a constant of the branch, not a pinned variable
     assert problem.n == 3 * m + 1 and problem.a_in.shape[0] == m
     assert not np.any(problem.lb == problem.ub)
@@ -504,6 +535,42 @@ def test_every_branch_starts_from_a_feasible_point(seed):
     assert sum(objective is not None for _, objective in plan.branch_objectives) == len(path)
     if len(path) == 1:
         assert all(objective is None for _, objective in plan.branch_objectives[1:])
+
+
+def test_path_starts_at_the_no_house_optimum():
+    # on the sample fund and the six funds of acceptance criterion 9 the
+    # no-house rows are slack at x_box, so lambda = 1, the start is the
+    # no-house optimum and the tau = 0 point takes one pass
+    stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
+    fund = max_sharpe_long_only(stats, 0.025)
+    funds = [(fund.mean, fund.variance), *itertools.product((0.05, 0.09, 0.15), (0.01, 0.04))]
+    with _recording_paths() as calls:
+        for r_stock, var_stock in funds:
+            solve_lifecycle(LifecycleConfig(), RiskyAssetSummary(r_stock, var_stock))
+    for (r_stock, var_stock), (_, start, _, path) in zip(funds, calls, strict=True):
+        lam, x_box = _no_house_start(LifecycleConfig(), RiskyAssetSummary(r_stock, var_stock))
+        assert lam == 1.0
+        np.testing.assert_array_equal(start, x_box)
+        assert path[0].iterations == 1
+    assert calls[0][3].iterations == 155
+
+
+def test_a_scaled_start_keeps_the_no_house_rows():
+    # with income 10.5 the no-house rows break at x_box, so the start is
+    # scaled back to lambda < 1; it still meets the rows and bounds (no
+    # phase 1), and every branch matches its cold solve
+    config, asset = LifecycleConfig(income_high=10.5), RiskyAssetSummary(0.08, 0.012)
+    lam, x_box = _no_house_start(config, asset)
+    assert 0.0 < lam < 1.0
+    with _recording_paths() as calls, \
+            mock.patch("longplan.qp._phase1", wraps=qp._phase1) as phase1:
+        solve_lifecycle(config, asset)
+    (problem, start, _, _), = calls
+    np.testing.assert_array_equal(start, lam * x_box)
+    assert np.all(start >= 0.0) and np.any(start > 0.0)
+    assert problem.max_violation(start) <= qp.FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
+    assert phase1.call_count == 0
+    _assert_branches_match_cold_solves(config, asset)
 
 
 def _assert_branches_match_cold_solves(config, asset):

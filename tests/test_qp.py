@@ -1330,14 +1330,24 @@ def test_gradient_leg_faces_have_full_row_rank_on_the_sample_run():
     # the start keeps only independent rows and bounds, and what blocks a
     # step is independent of the working set, so no face is deficient
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
+    problems = []
+
+    def recording(problem, *args, **kwargs):
+        problems.append(problem)
+        return solve_qp_path(problem, *args, **kwargs)
 
     def run():
         fund = max_sharpe_long_only(stats, 0.025)
         trace_frontier(stats, 30)
-        solve_lifecycle(LifecycleConfig(), RiskyAssetSummary(fund.mean, fund.variance))
-        # the six funds of acceptance criterion 9
-        for r_stock, var_stock in itertools.product((0.05, 0.09, 0.15), (0.01, 0.04)):
-            solve_lifecycle(LifecycleConfig(), RiskyAssetSummary(r_stock, var_stock))
+        # the sample fund and the six funds of acceptance criterion 9
+        funds = [(fund.mean, fund.variance), *itertools.product((0.05, 0.09, 0.15), (0.01, 0.04))]
+        with mock.patch.object(lifecycle, "solve_qp_path", recording):
+            for r_stock, var_stock in funds:
+                solve_lifecycle(LifecycleConfig(), RiskyAssetSummary(r_stock, var_stock))
+        # a plan's path starts at its no-house optimum, so its gradient leg
+        # is one face; the legs from the zero plan of each no-house QP
+        for problem in problems:
+            solve_qp(problem, start=np.zeros(problem.n))
 
     counts = _gradient_leg_dependencies(run)
     assert len(counts) > 50
