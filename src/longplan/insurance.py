@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._counts import whole
+
 
 @dataclass(frozen=True)
 class HazardModel:
@@ -109,14 +111,7 @@ def strike_time_estimates(model: HazardModel, n_draws: int,
     Callers needing both draw the stream once.  n_draws (>= 1) and seed
     (>= 0) must be integers; an integer-valued float is taken as its int.
     """
-    for name, value, least in (("n_draws", n_draws, 1), ("seed", seed, 0)):
-        try:
-            whole = int(value) == value and value >= least
-        except (TypeError, ValueError, OverflowError):     # None, nan, inf
-            whole = False
-        if not whole:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    n_draws, seed = int(n_draws), int(seed)
+    n_draws, seed = whole("n_draws", n_draws, 1), whole("seed", seed, 0)
     rng = np.random.default_rng(seed)
     times = -np.log1p(-rng.random(n_draws)) / model.h
     values = np.exp(-model.r * times)

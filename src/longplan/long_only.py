@@ -140,9 +140,11 @@ def _budget_min_variance(stats: AssetStats, a: np.ndarray, a_in=None, b_in=None)
 
 
 def _clamp_and_renormalize(w: np.ndarray) -> np.ndarray:
+    """w with its entries below WEIGHT_CLAMP set to zero, rescaled to sum
+    to 1; each row on its own for a stack of weight vectors."""
     w = np.where(w < WEIGHT_CLAMP, 0.0, w)
-    total = float(w.sum())
-    if total <= 0.0:
+    total = w.sum(axis=-1, keepdims=True)
+    if not (total > 0.0).all():
         raise QpError("all weights clamped to zero; solution is degenerate")
     return w / total
 
@@ -224,19 +226,24 @@ def min_variance_at_return(stats: AssetStats, mu_target: float) -> FrontierPoint
         )
     x = _budget_min_variance(stats, np.ones_like(stats.mu), a_in=stats.mu[None, :],
                              b_in=np.array([mu_target]))
-    return _frontier_point(stats, mu_target, x)
+    return _frontier_points(stats, np.array([mu_target]), x[None])[0]
 
 
-def _frontier_point(stats: AssetStats, mu_target: float, x: np.ndarray) -> FrontierPoint:
-    """The frontier point of the QP optimum x at mu_target, clamped."""
-    w = _clamp_and_renormalize(x)
-    variance = float(w @ stats.sigma @ w)
-    achieved = float(stats.mu @ w)
-    if achieved < mu_target - 1e-9:
+def _frontier_points(stats: AssetStats, targets: np.ndarray,
+                     xs: np.ndarray) -> list[FrontierPoint]:
+    """The frontier points of the QP optima xs, one per row, at targets,
+    clamped, all priced in one pass."""
+    ws = _clamp_and_renormalize(xs)
+    variances = np.einsum("ij,ij->i", ws @ stats.sigma, ws)
+    achieved = ws @ stats.mu
+    short = np.flatnonzero(achieved < targets - 1e-9)
+    if short.size:
+        j = short[0]
         raise QpError(
-            f"achieved mean {achieved:.9g} fell below target {mu_target:.9g}"
+            f"achieved mean {achieved[j]:.9g} fell below target {targets[j]:.9g}"
         )
-    return FrontierPoint(mu_target=mu_target, variance=variance, weights=w)
+    return [FrontierPoint(mu_target=t, variance=v, weights=w)
+            for t, v, w in zip(targets, variances, ws)]
 
 
 def long_only_gmv(stats: AssetStats) -> FrontierPoint:
@@ -275,6 +282,5 @@ def trace_frontier(stats: AssetStats, n_points: int) -> ConstrainedFrontier:
                               np.array([gmv.mu_target]))
     path = solve_qp_path(problem, np.array([max_e - gmv.mu_target]),
                          np.linspace(0.0, 1.0, n_points)[1:], start=gmv.weights)
-    share = _copy_sharing(problem)
-    points = (gmv, *(_frontier_point(stats, t, share @ sol.x) for t, sol in zip(targets, path)))
-    return ConstrainedFrontier(points=points, gmv_point=gmv)
+    xs = np.stack([sol.x for sol in path]) @ _copy_sharing(problem).T
+    return ConstrainedFrontier(points=(gmv, *_frontier_points(stats, targets, xs)), gmv_point=gmv)

@@ -9,11 +9,14 @@ the mean vector and the covariance matrix by the number of periods per year.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ._counts import whole
 
 
 class ReturnsFormatError(ValueError):
@@ -47,10 +50,8 @@ class ReturnMatrix:
             raise ValueError("asset ids must be unique")
         if not np.all(np.isfinite(data)):
             raise ValueError("returns must be finite")
-        ppy = self.periods_per_year
-        if not (math.isfinite(ppy) and int(ppy) == ppy and ppy >= 1):
-            raise ValueError(f"periods_per_year must be a positive integer, got {ppy!r}")
-        object.__setattr__(self, "periods_per_year", int(ppy))
+        object.__setattr__(self, "periods_per_year",
+                           whole("periods_per_year", self.periods_per_year, 1))
         data.setflags(write=False)
 
     @property
@@ -116,55 +117,74 @@ def load_returns(path: str | Path, periods_per_year: int) -> ReturnMatrix:
         raise FileNotFoundError(f"returns file not found: {path}")
 
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ReturnsFormatError(f"{path}: file is empty") from None
+    asset_ids = [name.strip() for name in header]
+    if any(not name for name in asset_ids):
+        raise ReturnsFormatError(f"{path}: row 1: empty asset id in header")
+    for col, name in enumerate(asset_ids, start=1):
+        first = asset_ids.index(name) + 1
+        if first < col:
+            raise ReturnsFormatError(
+                f"{path}: row 1: asset id {name!r} repeated in columns {first} and {col}")
+    n = len(asset_ids)
+
+    rows: list[list[str]] = []
+    linenos: list[int] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # ignore blank lines
+        if len(row) != n:
+            _scan_cells(path, rows, linenos)    # a bad cell above is named first
+            raise ReturnsFormatError(
+                f"{path}: row {lineno}: expected {n} fields, got {len(row)}"
+            )
+        rows.append(row)
+        linenos.append(lineno)
+
+    # all cells at once; float() also reads non-ASCII digits, so only an
+    # all-ASCII file takes this path, and any failure is named cell by cell
+    data = None
+    if text.isascii():
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ReturnsFormatError(f"{path}: file is empty") from None
-        asset_ids = [name.strip() for name in header]
-        if any(not name for name in asset_ids):
-            raise ReturnsFormatError(f"{path}: row 1: empty asset id in header")
-        for col, name in enumerate(asset_ids, start=1):
-            first = asset_ids.index(name) + 1
-            if first < col:
-                raise ReturnsFormatError(
-                    f"{path}: row 1: asset id {name!r} repeated in columns {first} and {col}")
-        n = len(asset_ids)
-
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # ignore blank lines
-            if len(row) != n:
-                raise ReturnsFormatError(
-                    f"{path}: row {lineno}: expected {n} fields, got {len(row)}"
-                )
-            # float() also reads non-ASCII digits; one test per row keeps
-            # the per-cell test off the common, all-ASCII path
-            ascii_row = "".join(row).isascii()
-            parsed = []
-            for col, cell in enumerate(row, start=1):
-                try:
-                    value = float(cell) if ascii_row or cell.isascii() else math.nan
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ReturnsFormatError(
-                        f"{path}: row {lineno}, column {col}: "
-                        f"not a finite number: {cell.strip()!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-
+            data = np.array(rows, dtype=float).reshape(len(rows), n)
+        except ValueError:
+            pass
+    if data is None or not np.isfinite(data).all():
+        data = _scan_cells(path, rows, linenos).reshape(len(rows), n)
     if len(rows) < 2:
         raise ReturnsFormatError(
             f"{path}: need at least 2 data rows, got {len(rows)}"
         )
     return ReturnMatrix(
         asset_ids=tuple(asset_ids),
-        data=np.array(rows, dtype=float),
+        data=data,
         periods_per_year=periods_per_year,
     )
+
+
+def _scan_cells(path: Path, rows: list[list[str]], linenos: list[int]) -> np.ndarray:
+    """The cells of rows as floats, read one by one; raises
+    ReturnsFormatError at the first non-numeric, non-ASCII or non-finite
+    cell, naming its row (linenos, 1-based) and column."""
+    data = []
+    for lineno, row in zip(linenos, rows):
+        for col, cell in enumerate(row, start=1):
+            try:
+                value = float(cell) if cell.isascii() else math.nan
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ReturnsFormatError(
+                    f"{path}: row {lineno}, column {col}: "
+                    f"not a finite number: {cell.strip()!r}"
+                )
+            data.append(value)
+    return np.array(data, dtype=float)
 
 
 def estimate_stats(returns: ReturnMatrix) -> AssetStats:

@@ -96,11 +96,14 @@ x, the working rows and one side per bound, lower, upper or free:
   rule.  The ratio test reads one matrix, built once per solve, of the
   unit rows and each variable's lower and upper bound rows, e_i and -e_i,
   with a mask of the candidates that each event flips;
-* every returned point passes a restore step, a least-norm step through
-  the face's map T back onto the working rows and a clip to the bounds,
-  taken twice, and a KKT check, feasibility included; its objective,
-  violation and KKT residuals come from one Qx + c and one set of row
-  slacks.
+* the requested points that fall on one face, before the next event or
+  the leg's end, are verified together, as one stack of points.  Each
+  still passes a restore step, a least-norm step through the face's map T
+  back onto the working rows and a clip to the bounds, taken twice, and a
+  KKT check, feasibility included; its objective, violation and KKT
+  residuals come from one Qx + c and one set of row slacks.  Every product
+  on the stack is taken row by row (_by_rows), so a point's bits do not
+  depend on the other points verified with it.
 
 When the optimal face has a direction of zero curvature, the optimum is
 not unique and the solver returns the point its path reaches; ``start``
@@ -113,7 +116,7 @@ reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -182,6 +185,7 @@ class QpProblem:
     ub: np.ndarray | None = None
     _finite_lb: np.ndarray = field(init=False, repr=False, compare=False)
     _finite_ub: np.ndarray = field(init=False, repr=False, compare=False)
+    _a: np.ndarray = field(init=False, repr=False, compare=False)
     _rows: _UnitRows = field(init=False, repr=False, compare=False)
     _lam_max: float = field(init=False, repr=False, compare=False)
 
@@ -233,6 +237,7 @@ class QpProblem:
         unit[0], unit[3] = a[:a_eq.shape[0]], a[a_eq.shape[0]:]
         for name, arr in (("Q", q), ("c", c), ("a_eq", a_eq), ("b_eq", b_eq),
                           ("a_in", a_in), ("b_in", b_in), ("lb", lb), ("ub", ub),
+                          ("_a", np.vstack([a_eq, a_in])),
                           ("_finite_lb", np.isfinite(lb)), ("_finite_ub", np.isfinite(ub))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -249,15 +254,18 @@ class QpProblem:
 
     def max_violation(self, x: np.ndarray) -> float:
         """Largest absolute violation of any constraint or bound at x."""
-        return _residuals(self, self.b_in, np.asarray(x, dtype=float))["max_violation"]
+        x = np.asarray(x, dtype=float)
+        return float(_residuals(self, self.b_in[None], x[None])["max_violation"][0])
 
     def rhs_scale(self) -> float:
-        return _rhs_scale(self, self.b_in)
+        return float(_rhs_scale(self, self.b_in))
 
 
-def _rhs_scale(problem: QpProblem, b_in: np.ndarray) -> float:
-    """|(b_eq, b_in)|_inf, with b_in where a path has moved it."""
-    return float(max(np.abs(problem.b_eq).max(initial=0.0), np.abs(b_in).max(initial=0.0)))
+def _rhs_scale(problem: QpProblem, b_in: np.ndarray):
+    """|(b_eq, b_in)|_inf, with b_in where a path has moved it; one per row
+    of a stack b_in."""
+    return np.maximum(np.abs(problem.b_eq).max(initial=0.0),
+                      np.abs(b_in).max(axis=-1, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -291,41 +299,57 @@ def kkt_report(problem: QpProblem, sol: QpSolution) -> dict[str, float]:
     """
     if sol.status != STATUS_OPTIMAL:
         raise QpInputError(f"kkt_report needs an optimal solution, not an {sol.status!r} one")
-    report = _residuals(problem, problem.b_in, sol.x, (
-        sol.eq_multipliers, sol.in_multipliers, sol.lower_multipliers, sol.upper_multipliers))
-    return {key: report[key] for key in ("stationarity", "complementarity", "dual_feasibility")}
+    mults = np.concatenate([sol.eq_multipliers, sol.in_multipliers])
+    report = _residuals(problem, problem.b_in[None], sol.x[None], (
+        mults[None], sol.lower_multipliers[None], sol.upper_multipliers[None]))
+    return {key: float(report[key][0])
+            for key in ("stationarity", "complementarity", "dual_feasibility")}
 
 
-def _residuals(problem: QpProblem, b_in: np.ndarray, x: np.ndarray, multipliers=None,
-               grad=None) -> dict[str, float]:
-    """max_violation at x, with the inequality rows' right-hand side b_in,
-    and, given the multipliers (eq, in, lower, upper), the objective and
-    kkt_report's residuals.
+def _by_rows(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """xs @ a for a stack xs of vectors, one per row, each row rounded as
+    it would be alone.  A BLAS matrix product xs @ a rounds a row
+    differently with the number of rows around it; np.matmul over a stack
+    of 1 x n matrices runs the same vector-matrix product on each, chosen
+    by the shapes and strides of one row, so xs is made C-ordered."""
+    return np.matmul(np.ascontiguousarray(xs)[:, None, :], a)[:, 0]
 
-    The row slacks and Qx + c (grad, when the caller has it already) are
-    computed once, and every residual is read off them.
+
+def _residuals(problem: QpProblem, b_in: np.ndarray, xs: np.ndarray, multipliers=None,
+               grad=None) -> dict[str, np.ndarray]:
+    """max_violation at each point of the stack xs, one per row, with the
+    inequality rows' right-hand side b_in there (a row each), and, given
+    the multipliers (general rows, equality rows first, lower and upper
+    bounds), a row each too, the objective and kkt_report's residuals: one
+    entry per point.
+
+    The row values and Qx + c (grad, when the caller has it already) are
+    computed once, and every residual is read off them.  Each product runs
+    row by row (_by_rows), so a point's residuals do not depend on the
+    other points in the stack.
     """
-    finite_lb, finite_ub = problem._finite_lb, problem._finite_ub
-    slack = problem.a_in @ x - b_in
-    lb_gap = x[finite_lb] - problem.lb[finite_lb]
-    ub_gap = problem.ub[finite_ub] - x[finite_ub]
-    report = {"max_violation": float(max(
-        0.0, np.abs(problem.a_eq @ x - problem.b_eq).max(initial=0.0),
-        -slack.min(initial=0.0), -lb_gap.min(initial=0.0), -ub_gap.min(initial=0.0)))}
+    m_eq = problem.a_eq.shape[0]
+    values = _by_rows(xs, problem._a.T)
+    # the slacks of the rows, then of the finite bounds, 0 at an infinite one
+    slack = np.concatenate([values[:, m_eq:] - b_in,
+                            np.where(problem._finite_lb, xs - problem.lb, 0.0),
+                            np.where(problem._finite_ub, problem.ub - xs, 0.0)], axis=1)
+    # 0.0 - the least slack, not its negation: no violation reads 0.0, not -0.0
+    report = {"max_violation": np.maximum(
+        np.abs(values[:, :m_eq] - problem.b_eq).max(axis=1, initial=0.0),
+        0.0 - slack.min(axis=1, initial=0.0))}
     if multipliers is None:
         return report
-    eq_mult, in_mult, lower, upper = multipliers
+    mults, lower, upper = multipliers
     if grad is None:
-        grad = problem.Q @ x + problem.c
-    stationarity = grad - problem.a_eq.T @ eq_mult - problem.a_in.T @ in_mult - lower + upper
+        grad = _by_rows(xs, problem.Q) + problem.c
+    duals = np.concatenate([mults[:, m_eq:], lower, upper], axis=1)
     report.update(
-        objective=float(0.5 * x @ (grad + problem.c)),
-        stationarity=float(np.abs(stationarity).max(initial=0.0)),
-        complementarity=float(max(0.0, np.abs(in_mult * slack).max(initial=0.0),
-                                  np.abs(lower[finite_lb] * lb_gap).max(initial=0.0),
-                                  np.abs(upper[finite_ub] * ub_gap).max(initial=0.0))),
-        dual_feasibility=float(min(0.0, in_mult.min(initial=0.0), lower.min(initial=0.0),
-                                   upper.min(initial=0.0))),
+        objective=0.5 * np.einsum("ij,ij->i", xs, grad + problem.c),
+        stationarity=np.abs(grad - _by_rows(mults, problem._a) - lower + upper
+                            ).max(axis=1, initial=0.0),
+        complementarity=np.abs(duals * slack).max(axis=1, initial=0.0),
+        dual_feasibility=duals.min(axis=1, initial=0.0),
     )
     return report
 
@@ -440,13 +464,14 @@ def _ratio_test(stack: np.ndarray, eligible: np.ndarray, h: np.ndarray, x: np.nd
     if d is not None:
         rate -= d
         tol += 1e-12 * np.abs(d).max(initial=0.0)
-    ratios = np.empty_like(rate)
-    ratios.fill(np.inf)
-    np.divide(np.maximum(stack @ x - h, 0.0), -rate, out=ratios, where=eligible & (rate < -tol))
+    # only the candidates that block are read; each slack is taken from the
+    # full product, which a product of the gathered rows may round otherwise
+    blocks = (eligible & (rate < -tol)).nonzero()[0]
+    ratios = np.maximum((stack @ x)[blocks] - h[blocks], 0.0) / -rate[blocks]
     alpha = float(ratios.min(initial=np.inf))
     if alpha >= cap:
         return cap, -1, 0.0
-    k = int(_near(ratios, alpha).argmax())
+    k = int(blocks[_near(ratios, alpha).argmax()])
     m_in = stack.shape[0] - 2 * stack.shape[1]
     if k < m_in:
         return alpha, k, 0.0
@@ -705,11 +730,17 @@ def _unbounded(problem: QpProblem, x: np.ndarray, ray: np.ndarray, iterations: i
                       max_violation=problem.max_violation(x), iterations=iterations, ray=ray)
 
 
-def _finish(problem: QpProblem, b_in: np.ndarray, x: np.ndarray, side: np.ndarray,
-            face: _Face, nu: np.ndarray, iterations: int) -> QpSolution:
-    """The verified optimal solution at the point x of a path, on face,
-    with the path's multipliers nu of the general rows (zero outside the
-    working list) and b_in the inequality rows' right-hand side there.
+def _finish(problem: QpProblem, b_in: np.ndarray, xs: np.ndarray, side: np.ndarray,
+            face: _Face, nus: np.ndarray, iterations: int) -> Iterator[QpSolution]:
+    """The verified optimal solutions at a stack of points xs of a path,
+    one per row, on one face, with the path's multipliers nus of the
+    general rows (a row each, zero outside the working list) and b_in the
+    inequality rows' right-hand side at each point (a row each).
+
+    The points are verified together, every product row by row (_by_rows),
+    so each point's solution is bit for bit the one it gets alone.  This
+    generator yields them in order and raises QpError at the first that
+    fails its check, so a caller that stops earlier never sees that error.
 
     A least-norm step through the face's map t first puts the working rows
     back on their right-hand sides: the events leave them off by rounding
@@ -729,32 +760,38 @@ def _finish(problem: QpProblem, b_in: np.ndarray, x: np.ndarray, side: np.ndarra
     (_residuals).
     """
     rows, m_eq = problem._rows, problem.a_eq.shape[0]
-    b = np.concatenate([rows.b_eq, b_in / rows.in_norm])
+    b = np.empty((xs.shape[0], rows.a.shape[0]))
+    b[:, :m_eq] = rows.b_eq
+    np.divide(b_in, rows.in_norm, out=b[:, m_eq:])
     for _ in range(2):
-        x = np.clip(x + (b - rows.a @ x) @ face.t, problem.lb, problem.ub)
-    grad = problem.Q @ x + problem.c
-    nu = nu + face.t @ (grad - rows.a.T @ nu)
-    eq_mult = nu[:m_eq] / rows.eq_norm
-    in_mult = np.maximum(nu[m_eq:] / rows.in_norm, 0.0)
-    resid = grad - problem.a_eq.T @ eq_mult - problem.a_in.T @ in_mult
-    if not np.all(np.isfinite(resid)):     # x and every multiplier feed it
-        raise QpError("internal KKT verification failed: non-finite solution or multiplier")
+        xs = np.clip(xs + _by_rows(b - _by_rows(xs, rows.a.T), face.t), problem.lb, problem.ub)
+    grad = _by_rows(xs, problem.Q) + problem.c
+    nus = nus + _by_rows(grad - _by_rows(nus, rows.a), face.t.T)
+    mults = nus / np.concatenate([rows.eq_norm, rows.in_norm])
+    mults[:, m_eq:] = np.maximum(mults[:, m_eq:], 0.0)
+    resid = grad - _by_rows(mults, problem._a)
+    finite = np.isfinite(resid).all(axis=1)     # x and every multiplier feed it
     bound_mult = np.maximum(side * resid, 0.0)
     lower = np.where(side > 0, bound_mult, 0.0)
     upper = np.where(side < 0, bound_mult, 0.0)
-    report = _residuals(problem, b_in, x, (eq_mult, in_mult, lower, upper), grad)
+    report = _residuals(problem, b_in, xs, (mults, lower, upper), grad)
     grad_scale = 1.0 + float(np.abs(problem.c).max(initial=0.0))
     rhs_scale = 1.0 + _rhs_scale(problem, b_in)
-    if report["max_violation"] > FEASIBILITY_TOL * rhs_scale or \
-            report["stationarity"] > STATIONARITY_TOL * grad_scale or \
-            report["complementarity"] > COMPLEMENTARITY_TOL * grad_scale * rhs_scale:
-        raise QpError("internal KKT verification failed: " + ", ".join(
-            f"{key}={report[key]:.3e}"
-            for key in ("max_violation", "stationarity", "complementarity")))
-    return QpSolution(x=x, objective=report["objective"], status=STATUS_OPTIMAL,
-                      max_violation=report["max_violation"], eq_multipliers=eq_mult,
-                      in_multipliers=in_mult, lower_multipliers=lower,
-                      upper_multipliers=upper, iterations=iterations)
+    failed = ((report["max_violation"] > FEASIBILITY_TOL * rhs_scale)
+              | (report["stationarity"] > STATIONARITY_TOL * grad_scale)
+              | (report["complementarity"] > COMPLEMENTARITY_TOL * grad_scale * rhs_scale))
+    for j in range(xs.shape[0]):
+        if not finite[j]:
+            raise QpError("internal KKT verification failed: non-finite solution or multiplier")
+        if failed[j]:
+            raise QpError("internal KKT verification failed: " + ", ".join(
+                f"{key}={report[key][j]:.3e}"
+                for key in ("max_violation", "stationarity", "complementarity")))
+        yield QpSolution(x=xs[j], objective=float(report["objective"][j]), status=STATUS_OPTIMAL,
+                         max_violation=float(report["max_violation"][j]),
+                         eq_multipliers=mults[j, :m_eq], in_multipliers=mults[j, m_eq:],
+                         lower_multipliers=lower[j], upper_multipliers=upper[j],
+                         iterations=iterations)
 
 
 def solve_qp(problem: QpProblem, *, start=None) -> QpSolution:
@@ -784,13 +821,12 @@ def _multiplier_test(mults: np.ndarray, rates: np.ndarray, tol):
     near-ties; (inf, -1) if none falls faster than tol, a scalar or one per
     candidate.  The candidates are indexed by key: the m_in rows, then the
     n bounds, each zero where it is not working."""
-    ratios = np.empty_like(rates)
-    ratios.fill(np.inf)
-    np.divide(np.maximum(mults, 0.0), -rates, out=ratios, where=rates < -tol)
+    falls = (rates < -tol).nonzero()[0]
+    ratios = np.maximum(mults[falls], 0.0) / -rates[falls]
     least = float(ratios.min(initial=np.inf))
     if least == np.inf:
         return np.inf, -1
-    return least, int(_near(ratios, least).argmax())
+    return least, int(falls[_near(ratios, least).argmax()])
 
 
 def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
@@ -843,9 +879,20 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
     h_starts = np.hstack([b_starts / rows.in_norm, np.tile(bound_h, (b_starts.shape[0], 1))])
     d_stack = np.hstack([d_legs, np.zeros((legs.shape[0], 2 * n))])
 
-    def b_in_at(t: float, leg: int) -> np.ndarray:
-        """b_in where leg puts it at t."""
-        return problem.b_in if leg == 0 else b_starts[leg - 1] + (t - leg + 1) * legs[leg - 1]
+    def b_in_at(ts: np.ndarray, leg: int) -> np.ndarray:
+        """b_in where leg puts it at each t of ts, a row each."""
+        if leg == 0:
+            return np.tile(problem.b_in, (ts.size, 1))
+        return b_starts[leg - 1] + (ts - leg + 1)[:, None] * legs[leg - 1]
+
+    def record(points) -> bool:
+        """Append the verified points in tau order; True once stop ends the
+        path at one."""
+        for point in points:
+            path.append(point)
+            if stop(point):
+                return True
+        return False
 
     def leave(key: int) -> None:
         """Take row or bound key out of the working set."""
@@ -928,15 +975,17 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                 # nothing leaves: the rows cannot be met past t on this leg.
                 # Requested points up to its end, and the next leg, start
                 # from x while x meets their rows.
-                for tau in [*taus[len(path):][taus[len(path):] <= leg], leg]:
-                    b_in = b_in_at(tau, leg)
-                    if _residuals(problem, b_in, x)["max_violation"] > \
-                            FEASIBILITY_TOL * (1.0 + _rhs_scale(problem, b_in)):
-                        raise QpError(f"the rows cannot be met past tau = {t!r}")
-                    if len(path) < taus.size and taus[len(path)] == tau:
-                        path.append(_finish(problem, b_in, x, side, face, nu, passes))
-                        if stop(path[-1]):
-                            return path
+                rest = taus[len(path):]
+                ends = np.append(rest[rest <= leg], leg)
+                b_ends, xs = b_in_at(ends, leg), np.tile(x, (ends.size, 1))
+                met = _residuals(problem, b_ends, xs)["max_violation"] \
+                    <= FEASIBILITY_TOL * (1.0 + _rhs_scale(problem, b_ends))
+                k = ends.size - 1 if met.all() else int(np.argmin(met))
+                if k and record(_finish(problem, b_ends[:k], xs[:k], side, face,
+                                        np.tile(nu, (k, 1)), passes)):
+                    return path
+                if not met.all():
+                    raise QpError(f"the rows cannot be met past tau = {t!r}")
                 if len(path) == taus.size:
                     return path
                 t, leg, entered = float(leg), leg + 1, -1
@@ -1001,11 +1050,13 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                 # next leg, whose direction can differ
                 ends = _near(leg - t, min(alpha, beta))
                 step = leg - t if ends else min(alpha, beta)
-                while len(path) < taus.size and taus[len(path)] - t <= step:
-                    tau = taus[len(path)]
-                    path.append(_finish(problem, b_in_at(tau, leg), x + (tau - t) * dx, side,
-                                        face, nu + (tau - t) * d_nu, passes))
-                    if stop(path[-1]):
+                if len(path) < taus.size and taus[len(path)] - t <= step:
+                    # the requested points on this face, verified together
+                    rest = taus[len(path):]
+                    segment = rest[rest - t <= step]
+                    if record(_finish(problem, b_in_at(segment, leg),
+                                      x + (segment - t)[:, None] * dx, side, face,
+                                      nu + (segment - t)[:, None] * d_nu, passes)):
                         return path
                 if len(path) == taus.size:
                     return path
@@ -1051,15 +1102,19 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start,
     rounding, ends at such a vertex), and the next leg starts from it; any
     other raises QpError.  Nothing is retried.
 
-    Every returned point passes the restore step and KKT check at its own
-    tau, and its iterations count the events from start to it, so the
-    returned QpPath's iterations are those of its last point.  Where Q
-    leaves a face of optima, the path returns the points it reaches.
+    The taus that fall on one face, before the next event or the leg's
+    end, are verified together, each still by the restore step and KKT
+    check at its own tau and bit for bit as it is when requested alone, so
+    a point does not depend on the other taus.  Its iterations count the
+    events from start to it, so the returned QpPath's iterations are those
+    of its last point.  Where Q leaves a face of optima, the path returns
+    the points it reaches.
 
-    stop, when given, is called on each point in tau order as soon as it
-    is verified; once it returns True the path ends there and returns the
+    stop, when given, is called on each point in tau order once it is
+    verified; once it returns True the path ends there and returns the
     points so far, the last one included, each bit for bit the point the
-    full path returns.
+    full path returns.  A point that fails its check raises QpError only
+    if stop has not ended the path at an earlier one.
 
     Raises QpInputError for a malformed db_in, taus or start (QpProblem's
     constructor rejects a Q that is not positive semidefinite), QpError if

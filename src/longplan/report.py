@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from ._counts import whole
 from .closed_form import (
     FrontierConstants,
     frontier_constants,
@@ -79,12 +80,7 @@ class RunConfig:
             raise ValueError("output_dir must be non-empty")
         for name, least in (("periods_per_year", 1), ("frontier_points", 2),
                             ("mc_draws", 1), ("mc_seed", 0)):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and int(value) == value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, whole(name, getattr(self, name), least))
         if not math.isfinite(self.r_f):
             raise ValueError("r_f must be finite")
 

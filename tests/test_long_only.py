@@ -192,6 +192,23 @@ def test_sample_fund_and_frontier_solve_no_lp():
     assert solve_qp_path.call_count == 1
 
 
+def test_sample_frontier_verifies_each_segment_in_one_batch():
+    # the path's weights are affine in the target between turning points,
+    # so the targets on one segment are verified in one _finish call
+    stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
+    batches, finish = [], qp._finish
+
+    def recording(problem, b_in, xs, *args):
+        batches.append(xs.shape[0])
+        return finish(problem, b_in, xs, *args)
+
+    with mock.patch("longplan.qp._finish", recording):
+        trace_frontier(stats, 30)
+    # the GMV's solve_qp is a batch of one, and the path's 29 points follow
+    assert batches[0] == 1 and sum(batches[1:]) == 29
+    assert len(batches[1:]) < 29
+
+
 def _uniform_start_gmv(stats):
     """The GMV's QP solved from uniform weights, its weight shared among
     exact copies as long_only_gmv shares it."""

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longplan.market import (
     AssetStats,
@@ -74,6 +79,51 @@ def test_non_ascii_cell_reports_position(tmp_path, cell):
         load_returns(path, 12)
     message = str(err.value)
     assert str(path) in message and "row 3, column 2" in message and cell in message
+
+
+@st.composite
+def finite_matrices(draw):
+    """A T x N list of finite floats, T 2-6 and N 1-4, any magnitude and
+    sign, subnormals and -0.0 included."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=2, max_size=6))
+
+
+def _load_cells(cells):
+    """load_returns of a file of the cells, under a header A0, A1, ..."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "returns.csv"
+        header = ",".join(f"A{j}" for j in range(len(cells[0])))
+        path.write_text("\n".join([header, *(",".join(row) for row in cells)]) + "\n",
+                        encoding="utf-8")
+        return path, load_returns(path, 12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_matrices())
+def test_a_matrix_written_with_repr_reads_back_exactly(matrix):
+    _, returns = _load_cells([[repr(value) for value in row] for row in matrix])
+    np.testing.assert_array_equal(returns.data, matrix)
+    np.testing.assert_array_equal(np.signbit(returns.data), np.signbit(matrix))
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_matrices(), st.data(),
+       st.sampled_from(["nan", "-inf", "1e999", "oops", "1__0", "0x10", " ", "\u0660.5"]))
+def test_a_bad_cell_anywhere_is_named_by_row_and_column(matrix, data, bad):
+    # every cell is converted at once, and a failure is then named cell by
+    # cell: the first bad cell in reading order, whether the file is ASCII
+    # or not
+    cells = [[repr(value) for value in row] for row in matrix]
+    i = data.draw(st.integers(0, len(cells) - 1))
+    j = data.draw(st.integers(0, len(cells[0]) - 1) if bad.strip() or len(cells[0]) > 1
+                  else st.nothing())
+    cells[i][j] = bad
+    with pytest.raises(ReturnsFormatError) as err:
+        _load_cells(cells)
+    assert str(err.value).endswith(
+        f"returns.csv: row {i + 2}, column {j + 1}: not a finite number: {bad.strip()!r}")
 
 
 def test_too_few_rows(tmp_path):

@@ -114,7 +114,8 @@ def test_finish_rejects_a_non_finite_point():
     face = qp._open_face(problem, [], side)
     for x in ([np.nan, 0.0], [np.inf, 0.0]):
         with pytest.raises(QpError, match="non-finite"), np.errstate(invalid="ignore"):
-            qp._finish(problem, problem.b_in, np.array(x), side, face, np.zeros(0), 1)
+            list(qp._finish(problem, problem.b_in[None], np.array([x]), side, face,
+                            np.zeros((1, 0)), 1))
 
 
 def test_finish_rejects_a_point_that_breaks_a_row():
@@ -125,7 +126,24 @@ def test_finish_rejects_a_point_that_breaks_a_row():
     side = np.zeros(2)
     face = qp._open_face(problem, [], side)
     with pytest.raises(QpError, match="max_violation=6.000e-01"):
-        qp._finish(problem, problem.b_in, x, side, face, np.zeros(1), 1)
+        list(qp._finish(problem, problem.b_in[None], x[None], side, face, np.zeros((1, 1)), 1))
+
+
+def test_finish_yields_each_point_before_a_later_one_fails():
+    # a stack on one face: with the row x + y >= b working, the point at
+    # b = 1 is optimal and the one at b = 0.2 needs a negative multiplier.
+    # The first comes out before the second raises, so a path whose stop
+    # ends at the first never sees that error
+    problem = QpProblem(Q=np.eye(2), c=np.full(2, -0.2), a_in=np.ones((1, 2)), b_in=[1.0])
+    side = np.zeros(2)
+    face = qp._open_face(problem, [0], side)
+    points = qp._finish(problem, np.array([[1.0], [0.2]]), np.array([[0.5, 0.5], [0.1, 0.1]]),
+                        side, face, np.zeros((2, 1)), 1)
+    first = next(points)
+    np.testing.assert_allclose(first.x, [0.5, 0.5], rtol=0, atol=1e-15)
+    assert first.in_multipliers[0] == pytest.approx(0.3)
+    with pytest.raises(QpError, match="stationarity"):
+        next(points)
 
 
 def test_asymmetric_q_rejected():
@@ -1056,6 +1074,24 @@ def test_path_through_degenerate_vertices_matches_cold_solves(case, grid):
         assert report["complementarity"] <= \
             1e-12 * (1.0 + at_tau.rhs_scale()) * (1.0 + np.abs(duals).max())
         assert report["dual_feasibility"] >= -1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(qps_on_a_feasible_path().map(lambda case: case[1:]), qps_on_a_degenerate_path()),
+       st.lists(st.integers(0, 16), min_size=1, max_size=8))
+def test_path_points_do_not_depend_on_the_other_taus(case, grid):
+    # the points on one face are verified together; each comes out bit for
+    # bit as it does when its tau is the only one requested
+    problem, db_in, start = case
+    taus = np.sort(grid) / 16.0
+    path = solve_qp_path(problem, db_in, taus, start=start)
+    for tau, sol in zip(taus, path):
+        alone, = solve_qp_path(problem, db_in, [tau], start=start)
+        for field in ("x", "eq_multipliers", "in_multipliers", "lower_multipliers",
+                      "upper_multipliers"):
+            np.testing.assert_array_equal(getattr(sol, field), getattr(alone, field))
+        assert (sol.objective, sol.max_violation, sol.iterations) == \
+            (alone.objective, alone.max_violation, alone.iterations)
 
 
 # Four M=30 lifecycle plans: the default config with these changes, the

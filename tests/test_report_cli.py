@@ -249,6 +249,31 @@ def test_counts_must_be_integers(name, make):
         make()
 
 
+@pytest.mark.parametrize("name, make", [
+    ("mc_draws", lambda: RunConfig(mc_draws="100")),
+    ("mc_seed", lambda: RunConfig(mc_seed=None)),
+    ("frontier_points", lambda: RunConfig(frontier_points="30")),
+    ("periods_per_year", lambda: ReturnMatrix(["A"], np.zeros((2, 1)), "12")),
+    ("periods_per_year", lambda: load_returns(SAMPLE_RETURNS, None)),
+], ids=["text_draws", "no_seed", "text_points", "ReturnMatrix", "load_returns"])
+def test_counts_that_are_not_numbers_name_the_field(name, make):
+    # one check for every count: a ValueError naming the field, not a
+    # TypeError from deep inside it
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        make()
+
+
+@pytest.mark.parametrize("make, read", [
+    (lambda: RunConfig(mc_seed=10**400), lambda made: made.mc_seed),
+    (lambda: RunConfig(mc_draws=10**400), lambda made: made.mc_draws),
+    (lambda: ReturnMatrix(["A"], np.zeros((2, 1)), 10**400), lambda made: made.periods_per_year),
+], ids=["mc_seed", "mc_draws", "periods_per_year"])
+def test_counts_past_the_float_range_are_whole(make, read):
+    # an integer of any size is a whole number; the check does not convert
+    # it to a float, which overflows
+    assert read(make()) == 10**400
+
+
 def test_whole_float_counts_become_ints():
     config = RunConfig(periods_per_year=12.0, frontier_points=5.0, mc_draws=10.0, mc_seed=3.0)
     assert [type(value) for value in (config.periods_per_year, config.frontier_points,
