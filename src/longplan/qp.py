@@ -93,9 +93,10 @@ x, the working rows and one side per bound, lower, upper or free:
   back and set aside until t moves;
 * one tie rule: ties go to the least index in the order general rows,
   then bounds in variable order, which at a zero-length step is Bland's
-  rule.  The ratio test reads one matrix, built once per solve, of the
-  unit rows and each variable's lower and upper bound rows, e_i and -e_i,
-  with a mask of the candidates that each event flips;
+  rule.  The ratio test's candidates are the unit rows and each
+  variable's lower and upper bound rows, e_i and -e_i, whose values are
+  read off x and the step without a product, with a mask of the
+  candidates that each event flips; only those that block are compared;
 * the requested points that fall on one face, before the next event or
   the leg's end, are verified together, as one stack of points.  Each
   still passes a restore step, a least-norm step through the face's map T
@@ -441,13 +442,25 @@ def _near(ratios, least: float):
     return ratios <= least * (1.0 + 1e-9) + 1e-15
 
 
-def _ratio_test(stack: np.ndarray, eligible: np.ndarray, h: np.ndarray, x: np.ndarray,
+def _candidates(ineq: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """g'v for each ratio-test candidate g: the unit rows ineq, then per
+    variable i its lower bound row e_i and its upper bound row -e_i, whose
+    products are v_i and -v_i exactly."""
+    m_in = ineq.shape[0]
+    out = np.empty(m_in + 2 * v.size)
+    np.matmul(ineq, v, out=out[:m_in])
+    out[m_in::2] = v
+    np.negative(v, out=out[m_in + 1::2])
+    return out
+
+
+def _ratio_test(ineq: np.ndarray, eligible: np.ndarray, h: np.ndarray, x: np.ndarray,
                 p: np.ndarray, cap: float, d=None):
     """Longest step alpha <= cap from x along p, and what blocks it.
 
-    stack holds one row per candidate, g'x >= h: the m_in unit rows, then
-    per variable i its lower bound e_i and its upper bound -e_i, and h
-    their right-hand sides where the leg puts them (0 at an infinite
+    The candidates, g'x >= h, are the m_in unit rows ineq, then per
+    variable i its lower bound e_i and its upper bound -e_i (_candidates),
+    and h their right-hand sides where the leg puts them (0 at an infinite
     bound).  On a path the rows' right-hand sides move by d per unit step;
     within one QP they stay put (d None).  A candidate blocks if eligible,
     a row outside the working list or a finite bound of a free variable,
@@ -458,21 +471,22 @@ def _ratio_test(stack: np.ndarray, eligible: np.ndarray, h: np.ndarray, x: np.nd
     side is 1 for its lower bound and -1 for its upper one; (cap, -1, 0)
     when nothing blocks first.
     """
-    rate = stack @ p
+    rate = _candidates(ineq, p)
     # a rate within rounding of zero, relative to the step, never blocks
     tol = 1e-12 * (1.0 + np.abs(p).max(initial=0.0))
     if d is not None:
         rate -= d
         tol += 1e-12 * np.abs(d).max(initial=0.0)
-    # only the candidates that block are read; each slack is taken from the
-    # full product, which a product of the gathered rows may round otherwise
+    # only the candidates that block are read; each row's slack is taken
+    # from the full product ineq @ x, which a product of the gathered rows
+    # may round otherwise
     blocks = (eligible & (rate < -tol)).nonzero()[0]
-    ratios = np.maximum((stack @ x)[blocks] - h[blocks], 0.0) / -rate[blocks]
+    ratios = np.maximum(_candidates(ineq, x)[blocks] - h[blocks], 0.0) / -rate[blocks]
     alpha = float(ratios.min(initial=np.inf))
     if alpha >= cap:
         return cap, -1, 0.0
     k = int(blocks[_near(ratios, alpha).argmax()])
-    m_in = stack.shape[0] - 2 * stack.shape[1]
+    m_in = ineq.shape[0]
     if k < m_in:
         return alpha, k, 0.0
     return alpha, m_in + (k - m_in) // 2, 1.0 - 2.0 * ((k - m_in) % 2)
@@ -846,7 +860,7 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
     (_open_face), and each event updates its factors to the next face's
     (_next_face), or factors that face afresh where an update is unsafe; a
     pass on a face only solves with its factors.  The ratio test's
-    candidates are one stacked matrix, built here, and an eligibility mask
+    candidates have right-hand sides built here and an eligibility mask
     that each event flips.  The working sets met at one t are remembered,
     to tell a cycle of dependency moves on the gradient leg.
     """
@@ -873,7 +887,6 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
     # the ratio test's candidates g'x >= h: the unit rows, then per variable
     # e_i x >= lb_i and -e_i x >= -ub_i; h is 0 at an infinite bound, which
     # is never eligible, and only the rows' h moves along a leg
-    stack = np.vstack([rows.ineq, np.kron(np.eye(n), [[1.0], [-1.0]])])
     finite = np.column_stack([problem._finite_lb, problem._finite_ub]).ravel()
     bound_h = np.where(finite, np.column_stack([problem.lb, -problem.ub]).ravel(), 0.0)
     h_starts = np.hstack([b_starts / rows.in_norm, np.tile(bound_h, (b_starts.shape[0], 1))])
@@ -1021,7 +1034,7 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                 # leg ends on a ray
                 p = face.z @ v_flat
                 p /= np.abs(p).max()
-                alpha, key, s = _ratio_test(stack, eligible, h_starts[0], x, p, np.inf)
+                alpha, key, s = _ratio_test(rows.ineq, eligible, h_starts[0], x, p, np.inf)
                 if key < 0:
                     return [_unbounded(problem, x, p, passes)]
                 x = x + alpha * p
@@ -1045,7 +1058,7 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                     (np.maximum(mults, 0.0) + mu_tol) / (leg - t), rounding))
                 d = d_stack[leg - 1] if leg else None
                 h = h_starts[0] if leg == 0 else h_starts[leg - 1] + (t - leg + 1) * d
-                alpha, key, s = _ratio_test(stack, eligible, h, x, dx, leg - t, d)
+                alpha, key, s = _ratio_test(rows.ineq, eligible, h, x, dx, leg - t, d)
                 # an event within rounding of the leg's end waits for the
                 # next leg, whose direction can differ
                 ends = _near(leg - t, min(alpha, beta))
