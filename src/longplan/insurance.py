@@ -56,9 +56,7 @@ class HazardModel:
             raise ValueError("discount rate r must be nonnegative")
         if self.L < 0 or self.s < 0:
             raise ValueError("payments L and s must be nonnegative")
-        if int(self.horizon_M) != self.horizon_M or self.horizon_M < 1:
-            raise ValueError("horizon_M must be an integer >= 1")
-        object.__setattr__(self, "horizon_M", int(self.horizon_M))
+        object.__setattr__(self, "horizon_M", whole("horizon_M", self.horizon_M, 1))
 
 
 @dataclass(frozen=True)

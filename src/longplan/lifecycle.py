@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._counts import whole
 from .insurance import (
     HazardModel,
     spread_linear_coefficient,
@@ -102,15 +103,8 @@ class LifecycleConfig:
     hazard: HazardModel | None = None
 
     def __post_init__(self):
-        for name in ("years_M", "house_years"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if int(self.years_M) != self.years_M or self.years_M < 2:
-            raise ValueError("years_M must be an integer >= 2")
-        object.__setattr__(self, "years_M", int(self.years_M))
-        if int(self.house_years) != self.house_years or self.house_years < 0:
-            raise ValueError("house_years must be a nonnegative integer")
-        object.__setattr__(self, "house_years", int(self.house_years))
+        for name, least in (("years_M", 2), ("house_years", 0)):
+            object.__setattr__(self, name, whole(name, getattr(self, name), least))
         if self.house_years >= self.years_M:
             raise ValueError("house_years must be smaller than years_M")
         for name in ("r", "r_borrow", "r_save", "income_high", "income_low",

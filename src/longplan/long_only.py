@@ -1,27 +1,27 @@
 """Sharpe maximization and efficient frontiers under a no-short-sale rule.
 
-Both portfolios are one solve of the budget QP
+Each portfolio is one solve of a budget QP of one of two shapes:
 
-    minimize y' Sigma y   subject to  a'y = 1,  y >= 0
+    fund:    minimize y' Sigma y  subject to  a'y = 1,  y >= 0
+    target:  minimize w' Sigma w  subject to  1'w = 1,  e'w >= b,  w >= 0
 
-The global-minimum-variance (GMV) portfolio has a = 1.  By the standard
-homogenization of the quasiconcave Sharpe ratio, whenever some asset beats
-r_f the optimum with a = e - r_f 1, normalized by its sum, is the global
-Sharpe maximizer over the simplex {w : 1'w = 1, w >= 0}.  Every budget QP
-starts from the vertex y = e_k / a_k (a_k > 0) of least variance
-Sigma_kk / a_k^2 that meets its other rows, the least k on a tie: a
-long-only optimum holds few assets, so few events lead there.  Where the
-optimum is not unique the point returned is the one reached from that
-start, its weight shared equally among exact copies of one asset, the
-assets the QP cannot tell apart: equal rows of Sigma for the GMV, and
-equal means too for the fund and the frontier.
+By the standard homogenization of the quasiconcave Sharpe ratio, whenever
+some asset beats r_f the fund's optimum with a = e - r_f 1, normalized by
+its sum, is the global Sharpe maximizer over the simplex.  The target
+row's ">=" makes the frontier flat below the global-minimum-variance (GMV)
+mean instead of bending back; at b = min(e) the row is slack on the whole
+simplex, so that QP's optimum is the GMV.  Every QP starts from the vertex
+y = e_k / a_k (a_k > 0) of least variance Sigma_kk / a_k^2 that meets its
+target row, the least k on a tie: a long-only optimum holds few assets, so
+few events lead there.  Where the optimum is not unique the point returned
+is the one reached from that start, its weight shared equally among exact
+copies of one asset, the assets the QP cannot tell apart: equal columns of
+Sigma for the GMV, whose target row does not bind, else of [Sigma; e].
 
-Frontier points add the row e'w >= mu_target to a = 1, whose ">=" makes
-the curve flat below the GMV mean instead of bending back.  trace_frontier
-solves it for every target in one critical-line pass: from the GMV, the
-target's right-hand side runs up to max(e) (qp.solve_qp_path), and between
-turning points, where an asset enters or leaves the support, the weights
-are affine in the target.  min_variance_at_return solves one target alone.
+trace_frontier solves the target QP for every target in one critical-line
+pass (Markowitz 1956): from the GMV, b runs from min(e) up to max(e)
+(qp.solve_qp_path), and between turning points, where an asset enters or
+leaves the support, the weights are affine in the target.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._counts import whole
 from .closed_form import PortfolioWeights
 from .market import AssetStats
 from .qp import QpProblem, STATUS_OPTIMAL, QpError, solve_qp, solve_qp_path
@@ -94,27 +95,25 @@ class ConstrainedFrontier:
         object.__setattr__(self, "points", points)
 
 
-def _budget_problem(stats: AssetStats, a: np.ndarray, a_in=None, b_in=None) -> QpProblem:
-    """Minimize y'Sigma y subject to a'y = 1, y >= 0 and any rows a_in y >= b_in."""
+def _budget_problem(stats: AssetStats, a: np.ndarray, b_in=None) -> QpProblem:
+    """Minimize y'Sigma y subject to a'y = 1, y >= 0 and any target row e'y >= b_in."""
     n = stats.mu.shape[0]
     return QpProblem(
         Q=2.0 * stats.sigma,
         c=np.zeros(n),
         a_eq=a[None, :],
         b_eq=np.array([1.0]),
-        a_in=a_in,
-        b_in=b_in,
+        a_in=None if b_in is None else stats.mu[None, :],
+        b_in=None if b_in is None else np.array([b_in]),
         lb=np.zeros(n),
     )
 
 
-def _copy_sharing(problem: QpProblem) -> np.ndarray:
-    """The matrix that shares weight equally among the exact copies of one
-    asset, the variables with equal columns of [Q; a_eq; a_in]: a budget QP
-    (c = 0, y >= 0) cannot tell them apart, so sharing moves neither its
-    objective nor any of its rows."""
-    columns = np.vstack([problem.Q, problem.a_eq, problem.a_in]).T
-    copies = (columns[:, None, :] == columns[None, :, :]).all(axis=2)
+def _copy_sharing(columns: np.ndarray) -> np.ndarray:
+    """The matrix that shares weight equally among the assets with equal
+    columns of `columns`, those a budget QP cannot tell apart, so sharing
+    moves neither its objective nor any row that binds."""
+    copies = (columns.T[:, None, :] == columns.T[None, :, :]).all(axis=2)
     return copies / copies.sum(axis=1, keepdims=True)
 
 
@@ -129,14 +128,13 @@ def _vertex_start(problem: QpProblem) -> np.ndarray:
     return np.eye(a.shape[0])[k] * inverse[k]
 
 
-def _budget_min_variance(stats: AssetStats, a: np.ndarray, a_in=None, b_in=None) -> np.ndarray:
+def _budget_min_variance(problem: QpProblem, columns: np.ndarray) -> np.ndarray:
     """The budget QP's optimum from its least-variance vertex, its weight
-    shared equally among exact copies of one asset."""
-    problem = _budget_problem(stats, a, a_in, b_in)
+    shared equally among the assets with equal columns of columns."""
     sol = solve_qp(problem, start=_vertex_start(problem))
     if sol.status != STATUS_OPTIMAL:
         raise QpError(f"minimum-variance QP returned status {sol.status!r}")
-    return _copy_sharing(problem) @ sol.x
+    return _copy_sharing(columns) @ sol.x
 
 
 def _clamp_and_renormalize(w: np.ndarray) -> np.ndarray:
@@ -187,7 +185,8 @@ def max_sharpe_long_only(stats: AssetStats, r_f: float) -> PortfolioWeights:
     excess = stats.mu - r_f
     if float(excess.max()) <= 0.0:
         raise NoExcessReturnError("no asset beats the riskless rate")
-    w = _clamp_and_renormalize(_budget_min_variance(stats, excess))
+    w = _clamp_and_renormalize(_budget_min_variance(_budget_problem(stats, excess),
+                                                    np.vstack([stats.sigma, stats.mu])))
     mean = float(stats.mu @ w)
     variance = float(w @ stats.sigma @ w)
     if variance <= 1e-14 * max(1.0, float(np.abs(stats.sigma).max())):
@@ -224,8 +223,8 @@ def min_variance_at_return(stats: AssetStats, mu_target: float) -> FrontierPoint
             f"target mean {mu_target:.6g} exceeds the best asset mean "
             f"{max_e:.6g}; no long-only portfolio attains it"
         )
-    x = _budget_min_variance(stats, np.ones_like(stats.mu), a_in=stats.mu[None, :],
-                             b_in=np.array([mu_target]))
+    x = _budget_min_variance(_budget_problem(stats, np.ones_like(stats.mu), mu_target),
+                             np.vstack([stats.sigma, stats.mu]))
     return _frontier_points(stats, np.array([mu_target]), x[None])[0]
 
 
@@ -249,10 +248,17 @@ def _frontier_points(stats: AssetStats, targets: np.ndarray,
 def long_only_gmv(stats: AssetStats) -> FrontierPoint:
     """Global minimum-variance point of the simplex-constrained frontier.
 
-    The budget QP with a = 1, from the fund's start rule: the single asset
-    of least variance.
+    The target QP at mu_target = min(e), where the target row is slack on
+    the whole simplex, from its least-variance vertex.  Its weight is
+    shared equally among assets with equal columns of Sigma, whatever
+    their means: that row does not bind, so the QP cannot tell them apart.
     """
-    w = _clamp_and_renormalize(_budget_min_variance(stats, np.ones_like(stats.mu)))
+    return _gmv_point(stats, _budget_problem(stats, np.ones_like(stats.mu), stats.mu.min()))
+
+
+def _gmv_point(stats: AssetStats, problem: QpProblem) -> FrontierPoint:
+    """The GMV point: the optimum of problem, the target QP at min(e)."""
+    w = _clamp_and_renormalize(_budget_min_variance(problem, stats.sigma))
     return FrontierPoint(mu_target=float(stats.mu @ w),
                          variance=float(w @ stats.sigma @ w), weights=w)
 
@@ -260,27 +266,25 @@ def long_only_gmv(stats: AssetStats) -> FrontierPoint:
 def trace_frontier(stats: AssetStats, n_points: int) -> ConstrainedFrontier:
     """Trace the long-only frontier on an even mean grid in one pass.
 
-    Targets are evenly spaced on [long-only GMV mean, max(e)].  The first
-    point is the GMV itself, and one critical-line pass from it gives the
-    others: the target row's right-hand side runs from the GMV mean to
-    max(e) (solve_qp_path), and between turning points the weights are
-    affine in the target.  Each point is the optimum min_variance_at_return
-    finds for its target; where Sigma is singular on the optimal face, it
-    is the point the pass reaches from the GMV, its weight shared equally
-    among exact copies of one asset.  When the two endpoints coincide
-    (single asset, or all means equal) the frontier degenerates to the
-    single GMV point.
+    Targets are evenly spaced on [long-only GMV mean, max(e)].  One target
+    QP gives every point: its optimum at b_in = min(e) is the GMV, the
+    first point, and one critical-line pass (solve_qp_path) moves b_in from
+    there up to max(e), the row binding from the GMV mean on.  Each point
+    is the optimum min_variance_at_return finds for its target; where Sigma
+    is singular on the optimal face, it is the point the pass reaches from
+    the GMV, its weight shared equally among exact copies of one asset.
+    When the two endpoints coincide (single asset, or all means equal) the
+    frontier degenerates to the single GMV point.  n_points is a whole
+    number >= 2.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    gmv = long_only_gmv(stats)
-    max_e = float(stats.mu.max())
+    n_points = whole("n_points", n_points, 2)
+    min_e, max_e = float(stats.mu.min()), float(stats.mu.max())
+    problem = _budget_problem(stats, np.ones_like(stats.mu), min_e)
+    gmv = _gmv_point(stats, problem)
     if max_e - gmv.mu_target <= 1e-12 * max(1.0, abs(max_e)):
         return ConstrainedFrontier(points=(gmv,), gmv_point=gmv)
     targets = np.linspace(gmv.mu_target, max_e, n_points)[1:]
-    problem = _budget_problem(stats, np.ones_like(stats.mu), stats.mu[None, :],
-                              np.array([gmv.mu_target]))
-    path = solve_qp_path(problem, np.array([max_e - gmv.mu_target]),
-                         np.linspace(0.0, 1.0, n_points)[1:], start=gmv.weights)
-    xs = np.stack([sol.x for sol in path]) @ _copy_sharing(problem).T
+    path = solve_qp_path(problem, np.array([max_e - min_e]),
+                         (targets - min_e) / (max_e - min_e), start=gmv.weights)
+    xs = np.stack([sol.x for sol in path]) @ _copy_sharing(np.vstack([stats.sigma, stats.mu])).T
     return ConstrainedFrontier(points=(gmv, *_frontier_points(stats, targets, xs)), gmv_point=gmv)

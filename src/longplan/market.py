@@ -80,6 +80,9 @@ class AssetStats:
         n = mu.shape[0]
         if mu.ndim != 1 or sigma.shape != (n, n) or len(self.asset_ids) != n:
             raise ValueError("inconsistent dimensions between ids, mu and sigma")
+        for name, value in (("mu", mu), ("sigma", sigma)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         scale = max(1.0, float(np.abs(sigma).max())) if n else 1.0
         if np.abs(sigma - sigma.T).max(initial=0.0) > 1e-12 * scale:
             raise ValueError("sigma must be symmetric")

@@ -78,6 +78,13 @@ def test_tangency_undefined_when_rf_at_gmv_mean():
         tangency_portfolio(DIAG, gmv_mean + 0.01)
 
 
+def test_tangency_undefined_when_every_asset_earns_r_f():
+    # H = 0 with r_f one ulp below A/C, so the A/C test lets it through
+    stats = _stats([0.1], [[1.0]])
+    with pytest.raises(TangencyUndefinedError, match="^H = 0: all assets earn exactly r_f$"):
+        tangency_portfolio(stats, np.nextafter(0.1, 0.0))
+
+
 def test_singular_sigma_rejected():
     sigma = np.array([[0.04, 0.04], [0.04, 0.04]])
     with pytest.raises(SingularCovarianceError):

@@ -9,6 +9,7 @@ import pytest
 
 from longplan.insurance import (
     HazardModel,
+    McEstimate,
     analytic_discount_factor,
     estimate_discount_factor,
     expected_strike_year,
@@ -224,3 +225,15 @@ def test_model_rejects_a_non_finite_field(field, value):
     terms[field] = value
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         HazardModel(**terms)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: McEstimate(value=0.5, std_error=-0.1, n_draws=10, seed=0),
+     "std_error must be nonnegative"),
+    (lambda: McEstimate(value=0.5, std_error=0.1, n_draws=0, seed=0), "n_draws must be positive"),
+    (lambda: strike_time_from_latent(0.0, 0.0), "hazard rate h must be positive"),
+    (lambda: strike_time_from_latent(0.0, -0.06), "hazard rate h must be positive"),
+])
+def test_boundary_errors_name_their_cause(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

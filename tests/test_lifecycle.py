@@ -29,8 +29,8 @@ from longplan.lifecycle import (
     implied_consumption,
     solve_lifecycle,
 )
-from longplan.long_only import max_sharpe_long_only
-from longplan.market import estimate_stats, load_returns
+from longplan.long_only import max_sharpe_long_only, trace_frontier
+from longplan.market import AssetStats, estimate_stats, load_returns
 from longplan.qp import QpProblem, solve_qp
 from longplan.report import SAMPLE_RETURNS
 from oracles import lifecycle_brute_force
@@ -252,13 +252,51 @@ def test_config_rejects_negative_risk_aversion():
     assert _mini_config(risk_aversion_B=0.0).risk_aversion_B == 0.0
 
 
-@pytest.mark.parametrize("name", ["years_M", "house_years"])
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["years_M", "house_years", "horizon_M", "n_points"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "30", None, 2.5])
 def test_config_rejects_non_finite_horizons(name, value):
-    # int() of an infinity or a NaN raised OverflowError or an unnamed
-    # ValueError before the field was checked
-    with pytest.raises(ValueError, match=name):
-        _mini_config(**{name: value})
+    # every count goes through one check: int() of an infinity or a NaN
+    # raised OverflowError or an unnamed ValueError before the field was
+    # checked, and text or None a TypeError
+    build = {
+        "horizon_M": lambda: HazardModel(h=0.5, r=0.03, L=30.0, s=0.5, horizon_M=value),
+        "n_points": lambda: trace_frontier(
+            AssetStats(["A", "B"], [0.10, 0.05], np.diag([0.04, 0.09])), value),
+    }.get(name, lambda: _mini_config(**{name: value}))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build()
+
+
+def test_a_huge_whole_horizon_constructs():
+    # int(value) == value is exact for any int, where a float conversion
+    # overflowed; the config is not solved, which would allocate that many
+    # years
+    config = LifecycleConfig(years_M=10**400)
+    assert config.years_M == config.hazard.horizon_M == 10**400
+
+
+def _plan_blocks(**overrides):
+    blocks = dict(stock=np.zeros(3), borrow=np.zeros(3), save=np.zeros(3), house=np.zeros(3),
+                  insurance=0.0)
+    return DecisionVector(**{**blocks, **overrides})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _plan_blocks(stock=np.zeros((3, 1))), "stock must be a vector"),
+    (lambda: _plan_blocks(save=np.zeros(2)), "all blocks must have the same length M"),
+    (lambda: DecisionVector(*[np.zeros(0)] * 4, insurance=0.0), "blocks must be nonempty"),
+    (lambda: _plan_blocks(insurance=-0.1), "insurance quantity must be nonnegative"),
+    (lambda: DecisionVector.from_vector(np.zeros(12), 3),
+     "decision vector must have length 13, got 12"),
+    (lambda: assemble_constraints(_mini_config(), ASSET, 0), r"kstart must lie in 1\.\.years_M\+1"),
+    (lambda: assemble_constraints(_mini_config(), ASSET, 6), r"kstart must lie in 1\.\.years_M\+1"),
+    (lambda: _mini_config(hazard=HazardModel(h=0.5, r=0.03, L=30.0, s=0.5, horizon_M=5)),
+     "hazard.horizon_M must equal years_M"),
+    (lambda: RiskyAssetSummary(r_stock=0.09, var_stock=-0.01), "var_stock must be nonnegative"),
+])
+def test_boundary_errors_name_their_cause(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 @pytest.mark.parametrize("name", ["r_stock", "var_stock"])

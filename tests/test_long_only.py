@@ -14,6 +14,9 @@ from longplan import long_only, qp
 from longplan.report import SAMPLE_RETURNS
 from longplan.closed_form import frontier_constants, tangency_portfolio
 from longplan.long_only import (
+    ConstrainedFrontier,
+    DegenerateSupportError,
+    FrontierPoint,
     InfeasibleTargetError,
     NoExcessReturnError,
     long_only_gmv,
@@ -192,6 +195,29 @@ def test_sample_fund_and_frontier_solve_no_lp():
     assert solve_qp_path.call_count == 1
 
 
+def test_one_convexity_check_per_frontier():
+    # the GMV is the target QP's optimum at min(e), and the path moves that
+    # same problem's target, so one QpProblem checks Q once
+    stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
+    with mock.patch("numpy.linalg.eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        trace_frontier(stats, 30)
+    assert eigvalsh.call_count == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_gmv_is_the_target_qp_at_the_least_mean(n, seed):
+    # on a positive-definite Sigma no two assets are copies, so the GMV and
+    # the target QP at min(e) are one solve of one problem from one start
+    rng = np.random.default_rng(seed)
+    g = rng.normal(1.0, 0.3, (3, n)) * 0.05
+    stats = _stats(rng.uniform(0.02, 0.12, n), g.T @ g + np.diag(rng.uniform(0.0005, 0.004, n)))
+    gmv = long_only_gmv(stats)
+    point = min_variance_at_return(stats, float(stats.mu.min()))
+    np.testing.assert_array_equal(gmv.weights, point.weights)
+    assert gmv.variance == pytest.approx(point.variance, rel=1e-12, abs=0)
+
+
 def test_sample_frontier_verifies_each_segment_in_one_batch():
     # the path's weights are affine in the target between turning points,
     # so the targets on one segment are verified in one _finish call
@@ -215,7 +241,7 @@ def _uniform_start_gmv(stats):
     n = stats.mu.shape[0]
     problem = long_only._budget_problem(stats, np.ones(n))
     x = qp.solve_qp(problem, start=np.full(n, 1.0 / n)).x
-    return long_only._clamp_and_renormalize(long_only._copy_sharing(problem) @ x)
+    return long_only._clamp_and_renormalize(long_only._copy_sharing(stats.sigma) @ x)
 
 
 @st.composite
@@ -466,3 +492,29 @@ def test_frontier_matches_per_target_solves(stats, n_points):
         block = stats.sigma[np.ix_(support, support)]
         if np.linalg.eigvalsh(block).min() > 1e-6 * lam_max:
             np.testing.assert_allclose(point.weights, ref.weights, rtol=0, atol=1e-7)
+
+
+def _gmv_of_diag():
+    return FrontierPoint(mu_target=0.084615, variance=0.027692, weights=[0.7, 0.3])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: FrontierPoint(0.1, 0.04, [[1.0]]), ValueError, "weights must be a vector"),
+    (lambda: FrontierPoint(0.1, 0.04, [1.1, -0.1]), ValueError,
+     r"weights must be nonnegative \(within 1e-9\)"),
+    (lambda: FrontierPoint(0.1, 0.04, [0.5, 0.4]), ValueError, "weights must sum to 1 within 1e-9"),
+    (lambda: FrontierPoint(0.1, -1e-9, [1.0, 0.0]), ValueError, "variance must be nonnegative"),
+    (lambda: ConstrainedFrontier(points=(), gmv_point=_gmv_of_diag()), ValueError,
+     "frontier must contain at least one point"),
+    (lambda: ConstrainedFrontier(points=(_gmv_of_diag(), _gmv_of_diag()), gmv_point=_gmv_of_diag()),
+     ValueError, "mu_targets must be strictly ascending"),
+    (lambda: ConstrainedFrontier(points=(FrontierPoint(0.09, 0.02, [0.8, 0.2]),),
+                                 gmv_point=_gmv_of_diag()),
+     ValueError, "no frontier point may beat the GMV variance"),
+    # a riskless asset that beats r_f makes the Sharpe ratio unbounded
+    (lambda: max_sharpe_long_only(_stats([0.10, 0.05], np.diag([0.0, 0.04])), 0.02),
+     DegenerateSupportError, "covariance is singular on the optimal support"),
+])
+def test_boundary_errors_name_their_cause(build, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        build()

@@ -209,3 +209,32 @@ def test_asset_stats_dimension_check():
     with pytest.raises(ValueError):
         AssetStats(asset_ids=["A", "B"], mu=np.array([0.1]),
                    sigma=np.eye(2))
+
+
+@pytest.mark.parametrize("name, mu, sigma", [
+    ("mu", [0.1, np.nan], np.eye(2)),
+    ("mu", [np.inf, 0.1], np.eye(2)),
+    ("sigma", [0.1, 0.1], [[np.nan, 0.0], [0.0, 1.0]]),
+    ("sigma", [0.1, 0.1], [[1.0, np.inf], [np.inf, 1.0]]),
+])
+def test_asset_stats_rejects_non_finite_moments(name, mu, sigma):
+    # a NaN sigma passed the symmetry check, and a NaN mu reached the
+    # solver, which rejected it only as "constraint data"
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        AssetStats(asset_ids=["A", "B"], mu=np.array(mu), sigma=np.array(sigma))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ReturnMatrix(["A"], np.zeros(3), 12), r"data must be a 2-D array of shape \(T, N\)"),
+    (lambda: ReturnMatrix([], np.zeros((3, 0)), 12), "need at least one asset column"),
+    (lambda: ReturnMatrix(["A"], np.zeros((3, 2)), 12), "1 asset ids for 2 data columns"),
+    (lambda: ReturnMatrix(["A", "A"], np.zeros((3, 2)), 12), "asset ids must be unique"),
+    (lambda: ReturnMatrix(["A"], [[0.1], [np.nan]], 12), "returns must be finite"),
+    (lambda: AssetStats(["A", "B"], np.zeros(2), [[1.0, 0.5], [0.4, 1.0]]),
+     "sigma must be symmetric"),
+    (lambda: AssetStats(["A", "B"], np.zeros(2), [[1.0, 2.0], [2.0, 1.0]]),
+     r"sigma is not positive semidefinite \(min eigenvalue -1\)"),
+])
+def test_boundary_errors_name_their_cause(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

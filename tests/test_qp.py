@@ -1458,3 +1458,23 @@ def test_start_at_a_vertex_with_more_active_rows_than_free_variables():
         assert report["stationarity"] <= 1e-9
         assert report["complementarity"] <= 1e-9
         assert report["dual_feasibility"] >= -1e-9
+
+
+@pytest.mark.parametrize("data, message", [
+    (dict(Q=[[np.nan, 0.0], [0.0, 1.0]], c=np.zeros(2)), "Q and c must be finite"),
+    (dict(Q=np.eye(2), c=[0.0, np.inf]), "Q and c must be finite"),
+    (dict(Q=np.eye(2), c=np.zeros(2), a_eq=np.ones((1, 3)), b_eq=[1.0]),
+     r"a_eq has shape \(1, 3\), expected \(\*, 2\)"),
+    (dict(Q=np.eye(2), c=np.zeros(2), a_eq=np.ones((1, 2)), b_eq=[1.0, 2.0]),
+     "a_eq and b_eq row counts differ"),
+    (dict(Q=np.eye(2), c=np.zeros(2), a_in=np.ones((2, 2)), b_in=[1.0]),
+     "a_in and b_in row counts differ"),
+    (dict(Q=np.eye(2), c=np.zeros(2), a_in=np.ones((1, 2)), b_in=[np.nan]),
+     "constraint data must be finite"),
+    (dict(Q=np.eye(2), c=np.zeros(2), lb=np.zeros(3)), r"lb/ub length must equal len\(c\)"),
+    (dict(Q=np.eye(2), c=np.zeros(2), ub=[1.0, np.nan]), "bounds must not be NaN"),
+])
+def test_boundary_errors_name_their_cause(data, message):
+    # the input errors no other test raises
+    with pytest.raises(QpInputError, match=f"^{message}$"):
+        QpProblem(**data)
