@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,6 +104,16 @@ class AssetStats:
 def load_returns(path: str | Path, periods_per_year: int) -> ReturnMatrix:
     """Parse a returns CSV (header of asset ids, then one row per period).
 
+    The header is read by the csv module.  An ASCII text with no quote (and
+    none of the separators \\x1c-\\x1f) has its body parsed in one C-level
+    pass (np.loadtxt), kept if it gives at least two rows of one finite
+    number per asset id.  Any other text, or a body that pass does not
+    take (whitespace-only lines, a cell such as 1_000 that float() reads
+    and np.loadtxt does not, faulty cells, ragged rows, too few rows), is
+    read row by row by the csv module, its cells converted all at once and
+    a fault named cell by cell.  Both give each cell as float() reads it,
+    bit for bit, and a blank or whitespace-only line is skipped.
+
     Raises
     ------
     FileNotFoundError
@@ -121,7 +132,12 @@ def load_returns(path: str | Path, periods_per_year: int) -> ReturnMatrix:
 
     with path.open(newline="", encoding="utf-8-sig") as fh:
         text = fh.read()
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # float() also reads non-ASCII digits, so only an ASCII text is parsed
+    # in one pass; with no quote, its header is its first line
+    plain = text.isascii() and not any(char in text for char in _NOT_PLAIN)
+    line_end = _LINE_END.search(text) if plain else None
+    lines = io.StringIO(text if line_end is None else text[:line_end.end()], newline="")
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -136,38 +152,65 @@ def load_returns(path: str | Path, periods_per_year: int) -> ReturnMatrix:
                 f"{path}: row 1: asset id {name!r} repeated in columns {first} and {col}")
     n = len(asset_ids)
 
-    rows: list[list[str]] = []
-    linenos: list[int] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # ignore blank lines
-        if len(row) != n:
-            _scan_cells(path, rows, linenos)    # a bad cell above is named first
+    data = _parse_body(text[lines.tell():], n) if plain else None
+    if data is None:
+        if line_end is not None:    # lines holds the header line alone
+            reader = csv.reader(io.StringIO(text[lines.tell():], newline=""))
+        rows: list[list[str]] = []
+        linenos: list[int] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # ignore blank lines
+            if len(row) != n:
+                _scan_cells(path, rows, linenos)    # a bad cell above is named first
+                raise ReturnsFormatError(
+                    f"{path}: row {lineno}: expected {n} fields, got {len(row)}"
+                )
+            rows.append(row)
+            linenos.append(lineno)
+        # all cells at once; float() also reads non-ASCII digits, so only an
+        # ASCII text takes this path, and any failure is named cell by cell
+        if text.isascii():
+            try:
+                data = np.array(rows, dtype=float).reshape(len(rows), n)
+            except ValueError:
+                pass
+        if data is None or not np.isfinite(data).all():
+            data = _scan_cells(path, rows, linenos).reshape(len(rows), n)
+        if len(rows) < 2:
             raise ReturnsFormatError(
-                f"{path}: row {lineno}: expected {n} fields, got {len(row)}"
+                f"{path}: need at least 2 data rows, got {len(rows)}"
             )
-        rows.append(row)
-        linenos.append(lineno)
-
-    # all cells at once; float() also reads non-ASCII digits, so only an
-    # all-ASCII file takes this path, and any failure is named cell by cell
-    data = None
-    if text.isascii():
-        try:
-            data = np.array(rows, dtype=float).reshape(len(rows), n)
-        except ValueError:
-            pass
-    if data is None or not np.isfinite(data).all():
-        data = _scan_cells(path, rows, linenos).reshape(len(rows), n)
-    if len(rows) < 2:
-        raise ReturnsFormatError(
-            f"{path}: need at least 2 data rows, got {len(rows)}"
-        )
     return ReturnMatrix(
         asset_ids=tuple(asset_ids),
         data=data,
         periods_per_year=periods_per_year,
     )
+
+
+# The one-pass parser takes only a text with none of these: a quote, which
+# starts a quoted cell, or a separator \x1c-\x1f, which np.loadtxt strips
+# from a cell as whitespace and float() does not
+_NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+# the end of a line, as the csv module reads lines
+_LINE_END = re.compile(r"\r\n?|\n")
+
+
+def _parse_body(body: str, n: int) -> np.ndarray | None:
+    """The rows of an ASCII body with no _NOT_PLAIN character, in one
+    C-level pass: an array of at least two rows of n finite numbers, each
+    cell as float() reads it, or None, for the cell-by-cell reader to take
+    and name the first fault.  A body with no data is not parsed:
+    np.loadtxt warns on it."""
+    if not body.strip():
+        return None
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape[0] < 2 or data.shape[1] != n or not np.isfinite(data).all():
+        return None
+    return data
 
 
 def _scan_cells(path: Path, rows: list[list[str]], linenos: list[int]) -> np.ndarray:

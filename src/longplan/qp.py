@@ -97,14 +97,20 @@ x, the working rows and one side per bound, lower, upper or free:
   variable's lower and upper bound rows, e_i and -e_i, whose values are
   read off x and the step without a product, with a mask of the
   candidates that each event flips; only those that block are compared;
-* the requested points that fall on one face, before the next event or
-  the leg's end, are verified together, as one stack of points.  Each
-  still passes a restore step, a least-norm step through the face's map T
-  back onto the working rows and a clip to the bounds, taken twice, and a
-  KKT check, feasibility included; its objective, violation and KKT
-  residuals come from one Qx + c and one set of row slacks.  Every product
-  on the stack is taken row by row (_by_rows), so a point's bits do not
-  depend on the other points verified with it.
+* a path with no stop keeps its requested points until it exits, at its
+  end, where the rows cannot be met or at the event cap, and verifies
+  them all together, as one stack of points; each waits as x, its
+  multipliers, b_in, its face's bound sides and a reference to its face's
+  map T, which no event writes in place: O(points * (n + m)) floats and
+  one T per face that holds points.  A path with stop verifies the points
+  of each face, those before the next event or the leg's end, as it
+  reaches them.  Each point still passes a restore step, a least-norm
+  step through its face's map T back onto the working rows and a clip to
+  the bounds, taken twice, and a KKT check, feasibility included; its
+  objective, violation and KKT residuals come from one Qx + c and one set
+  of row slacks.  Every product on the stack is taken row by row
+  (_by_rows), those through T once per face that holds points, so a
+  point's bits do not depend on the other points verified with it.
 
 When the optimal face has a direction of zero curvature, the optimum is
 not unique and the solver returns the point its path reaches; ``start``
@@ -155,8 +161,9 @@ def _as_matrix(a, cols: int, name: str) -> np.ndarray:
 
 class _UnitRows(NamedTuple):
     """The general rows scaled to unit norm, a zero row keeping norm 1;
-    eq_norm and in_norm unscale the multipliers.  a stacks the equality
-    rows over the inequality rows, and eq and ineq are its two blocks."""
+    norm, eq_norm over in_norm, unscales the multipliers.  a stacks the
+    equality rows over the inequality rows, and eq and ineq are its two
+    blocks."""
 
     a: np.ndarray
     eq: np.ndarray
@@ -165,6 +172,7 @@ class _UnitRows(NamedTuple):
     ineq: np.ndarray
     b_in: np.ndarray
     in_norm: np.ndarray
+    norm: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -189,6 +197,8 @@ class QpProblem:
     _a: np.ndarray = field(init=False, repr=False, compare=False)
     _rows: _UnitRows = field(init=False, repr=False, compare=False)
     _lam_max: float = field(init=False, repr=False, compare=False)
+    _grad_scale: float = field(init=False, repr=False, compare=False)
+    _b_eq_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = np.asarray(self.Q, dtype=float)
@@ -242,8 +252,11 @@ class QpProblem:
                           ("_finite_lb", np.isfinite(lb)), ("_finite_ub", np.isfinite(ub))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_rows", _UnitRows(a, *unit))
+        object.__setattr__(self, "_rows", _UnitRows(a, *unit, np.concatenate(unit[2::3])))
         object.__setattr__(self, "_lam_max", lam_max)
+        # the KKT check's scale of the gradient, 1 + |c|_inf, and |b_eq|_inf
+        object.__setattr__(self, "_grad_scale", 1.0 + float(np.abs(c).max(initial=0.0)))
+        object.__setattr__(self, "_b_eq_scale", float(np.abs(b_eq).max(initial=0.0)))
 
     @property
     def n(self) -> int:
@@ -265,8 +278,7 @@ class QpProblem:
 def _rhs_scale(problem: QpProblem, b_in: np.ndarray):
     """|(b_eq, b_in)|_inf, with b_in where a path has moved it; one per row
     of a stack b_in."""
-    return np.maximum(np.abs(problem.b_eq).max(initial=0.0),
-                      np.abs(b_in).max(axis=-1, initial=0.0))
+    return np.abs(b_in).max(axis=-1, initial=problem._b_eq_scale)
 
 
 @dataclass(frozen=True)
@@ -312,22 +324,26 @@ def _by_rows(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
     it would be alone.  A BLAS matrix product xs @ a rounds a row
     differently with the number of rows around it; np.matmul over a stack
     of 1 x n matrices runs the same vector-matrix product on each, chosen
-    by the shapes and strides of one row, so xs is made C-ordered."""
-    return np.matmul(np.ascontiguousarray(xs)[:, None, :], a)[:, 0]
+    by the shapes and strides of one row, so xs is made C-ordered.  That is
+    the product xs @ a runs for a single C-ordered row, which skips the
+    stack's indexing."""
+    xs = np.ascontiguousarray(xs)
+    return xs @ a if xs.shape[0] == 1 else np.matmul(xs[:, None, :], a)[:, 0]
 
 
 def _residuals(problem: QpProblem, b_in: np.ndarray, xs: np.ndarray, multipliers=None,
-               grad=None) -> dict[str, np.ndarray]:
+               fit=None) -> dict[str, np.ndarray]:
     """max_violation at each point of the stack xs, one per row, with the
     inequality rows' right-hand side b_in there (a row each), and, given
     the multipliers (general rows, equality rows first, lower and upper
     bounds), a row each too, the objective and kkt_report's residuals: one
     entry per point.
 
-    The row values and Qx + c (grad, when the caller has it already) are
-    computed once, and every residual is read off them.  Each product runs
-    row by row (_by_rows), so a point's residuals do not depend on the
-    other points in the stack.
+    The row values, Qx + c and its residual Qx + c - a'mults (fit, the
+    pair, when the caller has them already) are computed once, and every
+    residual is read off them.  Each product runs row by row (_by_rows),
+    so a point's residuals do not depend on the other points in the
+    stack.
     """
     m_eq = problem.a_eq.shape[0]
     values = _by_rows(xs, problem._a.T)
@@ -342,13 +358,14 @@ def _residuals(problem: QpProblem, b_in: np.ndarray, xs: np.ndarray, multipliers
     if multipliers is None:
         return report
     mults, lower, upper = multipliers
-    if grad is None:
+    if fit is None:
         grad = _by_rows(xs, problem.Q) + problem.c
+        fit = grad, grad - _by_rows(mults, problem._a)
+    grad, resid = fit
     duals = np.concatenate([mults[:, m_eq:], lower, upper], axis=1)
     report.update(
         objective=0.5 * np.einsum("ij,ij->i", xs, grad + problem.c),
-        stationarity=np.abs(grad - _by_rows(mults, problem._a) - lower + upper
-                            ).max(axis=1, initial=0.0),
+        stationarity=np.abs(resid - lower + upper).max(axis=1, initial=0.0),
         complementarity=np.abs(duals * slack).max(axis=1, initial=0.0),
         dual_feasibility=duals.min(axis=1, initial=0.0),
     )
@@ -455,34 +472,38 @@ def _candidates(ineq: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _ratio_test(ineq: np.ndarray, eligible: np.ndarray, h: np.ndarray, x: np.ndarray,
-                p: np.ndarray, cap: float, d=None):
+                p: np.ndarray, cap: float, d=None, moved: float = 0.0, d_tol: float = 0.0):
     """Longest step alpha <= cap from x along p, and what blocks it.
 
     The candidates, g'x >= h, are the m_in unit rows ineq, then per
     variable i its lower bound e_i and its upper bound -e_i (_candidates),
-    and h their right-hand sides where the leg puts them (0 at an infinite
-    bound).  On a path the rows' right-hand sides move by d per unit step;
-    within one QP they stay put (d None).  A candidate blocks if eligible,
-    a row outside the working list or a finite bound of a free variable,
-    and if the step approaches it at a rate above rounding (1e-12 of the
-    largest entry of p and d); the first near-minimal ratio blocks, which
-    puts rows first, then bounds in variable order.  Returns (alpha, key,
-    side): key is i for row i and m_in + i for a bound of variable i, and
-    side is 1 for its lower bound and -1 for its upper one; (cap, -1, 0)
-    when nothing blocks first.
+    and h their right-hand sides at the leg's start (0 at an infinite
+    bound).  On a path the rows' right-hand sides move by d per unit step,
+    and have moved by moved * d since the leg's start, and d_tol is 1e-12
+    of d's largest entry; within one QP they stay put (d None).  A
+    candidate blocks if eligible, a row outside the working list or a
+    finite bound of a free variable, and if the step approaches it at a
+    rate above rounding (1e-12 of the largest entry of p, plus d_tol); the
+    first near-minimal ratio blocks, which puts rows first, then bounds in
+    variable order.  Returns (alpha, key, side): key is i for row i and
+    m_in + i for a bound of variable i, and side is 1 for its lower bound
+    and -1 for its upper one; (cap, -1, 0) when nothing blocks first.
     """
     rate = _candidates(ineq, p)
     # a rate within rounding of zero, relative to the step, never blocks
     tol = 1e-12 * (1.0 + np.abs(p).max(initial=0.0))
     if d is not None:
         rate -= d
-        tol += 1e-12 * np.abs(d).max(initial=0.0)
+        tol += d_tol
+    blocks = (eligible & (rate < -tol)).nonzero()[0]
+    if not blocks.size:
+        return cap, -1, 0.0
     # only the candidates that block are read; each row's slack is taken
     # from the full product ineq @ x, which a product of the gathered rows
     # may round otherwise
-    blocks = (eligible & (rate < -tol)).nonzero()[0]
-    ratios = np.maximum(_candidates(ineq, x)[blocks] - h[blocks], 0.0) / -rate[blocks]
-    alpha = float(ratios.min(initial=np.inf))
+    h = h[blocks] if d is None else h[blocks] + moved * d[blocks]
+    ratios = np.maximum(_candidates(ineq, x)[blocks] - h, 0.0) / -rate[blocks]
+    alpha = float(ratios.min())
     if alpha >= cap:
         return cap, -1, 0.0
     k = int(blocks[_near(ratios, alpha).argmax()])
@@ -554,7 +575,8 @@ class _Face(NamedTuple):
     column), else None, and step is the _reduced_step of z'Qz (None when z
     has no column).  _open_face factors a face from scratch; _next_face
     updates these factors by one event in O(n^2), which needs h_inv and no
-    dependent row.
+    dependent row, into new arrays: t is read-only, since a path's pending
+    points hold it.
     """
 
     z: np.ndarray
@@ -580,6 +602,7 @@ def _open_face(problem: QpProblem, working: list[int], side: np.ndarray) -> _Fac
     if z.shape[1]:
         step, h_inv = _reduced_step(
             problem, z_free.T @ problem.Q.take(free, axis=0).take(free, axis=1) @ z_free)
+    t.setflags(write=False)     # a pending point holds it (_Points)
     return _Face(z, t, index[dependent], h_inv, step)
 
 
@@ -606,6 +629,7 @@ def _next_face(problem: QpProblem, face: _Face, key: int, working: list[int],
     if factors is None or not factors[2].trace() < 1.0 / _floor(problem):
         return None
     z, t, h_inv = factors
+    t.setflags(write=False)     # a pending point holds it (_Points)
     # face.dependent is empty, and so is the updated face's
     return _Face(z, t, face.dependent, h_inv, _newton(h_inv) if h_inv.shape[0] else None)
 
@@ -744,17 +768,30 @@ def _unbounded(problem: QpProblem, x: np.ndarray, ray: np.ndarray, iterations: i
                       max_violation=problem.max_violation(x), iterations=iterations, ray=ray)
 
 
-def _finish(problem: QpProblem, b_in: np.ndarray, xs: np.ndarray, side: np.ndarray,
-            face: _Face, nus: np.ndarray, iterations: int) -> Iterator[QpSolution]:
-    """The verified optimal solutions at a stack of points xs of a path,
-    one per row, on one face, with the path's multipliers nus of the
-    general rows (a row each, zero outside the working list) and b_in the
-    inequality rows' right-hand side at each point (a row each).
+class _Points(NamedTuple):
+    """Requested points of a path on one face, a row each, waiting for
+    _finish: x there, the path's multipliers nu of the general rows (zero
+    outside the working list) and the inequality rows' right-hand side
+    b_in, with the face's bound sides, its multiplier map t and the events
+    from the start."""
 
-    The points are verified together, every product row by row (_by_rows),
-    so each point's solution is bit for bit the one it gets alone.  This
-    generator yields them in order and raises QpError at the first that
-    fails its check, so a caller that stops earlier never sees that error.
+    b_in: np.ndarray
+    xs: np.ndarray
+    nus: np.ndarray
+    side: np.ndarray
+    t: np.ndarray
+    iterations: int
+
+
+def _finish(problem: QpProblem, points: list[_Points]) -> Iterator[QpSolution]:
+    """The verified optimal solutions at the points of a path, on one face
+    or on several.
+
+    The points are verified together, every product row by row (_by_rows)
+    and each product through t on its own face's map, so each point's
+    solution is bit for bit the one it gets alone.  This generator yields
+    them in order and raises QpError at the first that fails its check,
+    so a caller that stops earlier never sees that error.
 
     A least-norm step through the face's map t first puts the working rows
     back on their right-hand sides: the events leave them off by rounding
@@ -774,27 +811,47 @@ def _finish(problem: QpProblem, b_in: np.ndarray, xs: np.ndarray, side: np.ndarr
     (_residuals).
     """
     rows, m_eq = problem._rows, problem.a_eq.shape[0]
-    b = np.empty((xs.shape[0], rows.a.shape[0]))
+    if len(points) == 1:
+        b_in, xs, nus, side = points[0][:4]     # side broadcasts over the points
+    else:
+        b_in, xs, nus = (np.concatenate([group[i] for group in points]) for i in range(3))
+        side = np.repeat([group.side for group in points],
+                         [group.xs.shape[0] for group in points], axis=0)
+    # each group's face map t and its rows of the stack, and each point's
+    # event count
+    faces, iterations = [], []
+    for group in points:
+        faces.append((group.t, slice(len(iterations), len(iterations) + group.xs.shape[0])))
+        iterations += [group.iterations] * group.xs.shape[0]
+
+    def through_t(vs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """vs @ t row by row, with each point's own face's t (t' with
+        transpose)."""
+        out = [_by_rows(vs[at], t.T if transpose else t) for t, at in faces]
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+    b = np.empty((len(iterations), rows.a.shape[0]))
     b[:, :m_eq] = rows.b_eq
     np.divide(b_in, rows.in_norm, out=b[:, m_eq:])
     for _ in range(2):
-        xs = np.clip(xs + _by_rows(b - _by_rows(xs, rows.a.T), face.t), problem.lb, problem.ub)
+        xs = np.minimum(np.maximum(xs + through_t(b - _by_rows(xs, rows.a.T)), problem.lb),
+                        problem.ub)
     grad = _by_rows(xs, problem.Q) + problem.c
-    nus = nus + _by_rows(grad - _by_rows(nus, rows.a), face.t.T)
-    mults = nus / np.concatenate([rows.eq_norm, rows.in_norm])
+    nus = nus + through_t(grad - _by_rows(nus, rows.a), transpose=True)
+    mults = nus / rows.norm
     mults[:, m_eq:] = np.maximum(mults[:, m_eq:], 0.0)
     resid = grad - _by_rows(mults, problem._a)
     finite = np.isfinite(resid).all(axis=1)     # x and every multiplier feed it
     bound_mult = np.maximum(side * resid, 0.0)
     lower = np.where(side > 0, bound_mult, 0.0)
     upper = np.where(side < 0, bound_mult, 0.0)
-    report = _residuals(problem, b_in, xs, (mults, lower, upper), grad)
-    grad_scale = 1.0 + float(np.abs(problem.c).max(initial=0.0))
+    report = _residuals(problem, b_in, xs, (mults, lower, upper), (grad, resid))
     rhs_scale = 1.0 + _rhs_scale(problem, b_in)
     failed = ((report["max_violation"] > FEASIBILITY_TOL * rhs_scale)
-              | (report["stationarity"] > STATIONARITY_TOL * grad_scale)
-              | (report["complementarity"] > COMPLEMENTARITY_TOL * grad_scale * rhs_scale))
-    for j in range(xs.shape[0]):
+              | (report["stationarity"] > STATIONARITY_TOL * problem._grad_scale)
+              | (report["complementarity"]
+                 > COMPLEMENTARITY_TOL * problem._grad_scale * rhs_scale))
+    for j in range(len(iterations)):
         if not finite[j]:
             raise QpError("internal KKT verification failed: non-finite solution or multiplier")
         if failed[j]:
@@ -805,7 +862,7 @@ def _finish(problem: QpProblem, b_in: np.ndarray, xs: np.ndarray, side: np.ndarr
                          max_violation=float(report["max_violation"][j]),
                          eq_multipliers=mults[j, :m_eq], in_multipliers=mults[j, m_eq:],
                          lower_multipliers=lower[j], upper_multipliers=upper[j],
-                         iterations=iterations)
+                         iterations=iterations[j])
 
 
 def solve_qp(problem: QpProblem, *, start=None) -> QpSolution:
@@ -829,13 +886,18 @@ def solve_qp(problem: QpProblem, *, start=None) -> QpSolution:
     return _solve(problem, start, np.zeros((0, problem.b_in.size)), np.zeros(1), 50 * problem.n)[0]
 
 
-def _multiplier_test(mults: np.ndarray, rates: np.ndarray, tol):
+def _multiplier_test(mults: np.ndarray, rates: np.ndarray, tol: float, rest=None):
     """(beta, key): the least beta >= 0 at which mults + beta * rates first
     reaches zero, and the candidate that does, the least key among
-    near-ties; (inf, -1) if none falls faster than tol, a scalar or one per
-    candidate.  The candidates are indexed by key: the m_in rows, then the
-    n bounds, each zero where it is not working."""
+    near-ties; (inf, -1) if none falls faster than tol.  With rest, a pair
+    (span, mu_tol), one falls only if it also would fall below -mu_tol over
+    span: faster than (max(mult, 0) + mu_tol) / span.  The candidates are
+    indexed by key: the m_in rows, then the n bounds, each zero where it is
+    not working."""
     falls = (rates < -tol).nonzero()[0]
+    if rest is not None and falls.size:
+        span, mu_tol = rest
+        falls = falls[rates[falls] < -((np.maximum(mults[falls], 0.0) + mu_tol) / span)]
     ratios = np.maximum(mults[falls], 0.0) / -rates[falls]
     least = float(ratios.min(initial=np.inf))
     if least == np.inf:
@@ -848,7 +910,9 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
            ) -> list[QpSolution]:
     """The verified optima at taus along the legs, or a one-element list
     holding the infeasible or unbounded verdict; the optima up to the first
-    for which stop, when given, returns True.
+    for which stop, when given, returns True.  With stop the points of each
+    face are verified as the path reaches them; without it they wait in
+    pending and are verified in one batch at the path's exit.
 
     The path starts at start if it is feasible, else at phase 1's point.
     Leg 0 runs t from -1 to 0, the gradient c + t dc moving from c0, for
@@ -869,7 +933,6 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
         if start.shape[0] != problem.n or not np.all(np.isfinite(start)):
             raise QpInputError(
                 f"start must be a finite vector of length {problem.n}")
-    stop = stop or (lambda point: False)
     feas_tol = FEASIBILITY_TOL * (1.0 + problem.rhs_scale())
     if start is not None and np.all((problem.lb <= start) & (start <= problem.ub)) \
             and problem.max_violation(start) <= feas_tol:
@@ -891,6 +954,7 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
     bound_h = np.where(finite, np.column_stack([problem.lb, -problem.ub]).ravel(), 0.0)
     h_starts = np.hstack([b_starts / rows.in_norm, np.tile(bound_h, (b_starts.shape[0], 1))])
     d_stack = np.hstack([d_legs, np.zeros((legs.shape[0], 2 * n))])
+    d_tols = 1e-12 * np.abs(d_stack).max(axis=1, initial=0.0)
 
     def b_in_at(ts: np.ndarray, leg: int) -> np.ndarray:
         """b_in where leg puts it at each t of ts, a row each."""
@@ -898,12 +962,22 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
             return np.tile(problem.b_in, (ts.size, 1))
         return b_starts[leg - 1] + (ts - leg + 1)[:, None] * legs[leg - 1]
 
-    def record(points) -> bool:
-        """Append the verified points in tau order; True once stop ends the
-        path at one."""
-        for point in points:
+    def reach(points: _Points) -> bool:
+        """Take the requested points on a face.  With stop they are verified
+        at once, and True is returned once stop ends the path at one;
+        without it they wait, to be verified in one batch at the path's
+        exit."""
+        pending.append(points)
+        return stop is not None and settle()
+
+    def settle() -> bool:
+        """Verify the pending points and append them in tau order; True once
+        stop ends the path at one."""
+        batch = pending[:]
+        pending.clear()
+        for point in _finish(problem, batch) if batch else ():
             path.append(point)
-            if stop(point):
+            if stop is not None and stop(point):
                 return True
         return False
 
@@ -929,7 +1003,7 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
     # the working sets met at t = t_seen, whether one came back, and the
     # adds set aside there
     seen, t_seen, cycling, aside = set(), None, False, []
-    t, leg, path, entered, face, dc = -1.0, 0, [], -1, None, None
+    t, leg, path, pending, done, entered, face, dc = -1.0, 0, [], [], 0, -1, None, None
     for passes in range(1, max_events + 2):
         if t != t_seen:
             for key in aside:
@@ -988,19 +1062,21 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                 # nothing leaves: the rows cannot be met past t on this leg.
                 # Requested points up to its end, and the next leg, start
                 # from x while x meets their rows.
-                rest = taus[len(path):]
+                rest = taus[done:]
                 ends = np.append(rest[rest <= leg], leg)
                 b_ends, xs = b_in_at(ends, leg), np.tile(x, (ends.size, 1))
                 met = _residuals(problem, b_ends, xs)["max_violation"] \
                     <= FEASIBILITY_TOL * (1.0 + _rhs_scale(problem, b_ends))
                 k = ends.size - 1 if met.all() else int(np.argmin(met))
-                if k and record(_finish(problem, b_ends[:k], xs[:k], side, face,
-                                        np.tile(nu, (k, 1)), passes)):
+                done += k
+                if k and reach(_Points(b_ends[:k], xs[:k], np.tile(nu, (k, 1)), side.copy(),
+                                       face.t, passes)):
                     return path
                 if not met.all():
+                    settle()    # a point before this one that fails its check fails first
                     raise QpError(f"the rows cannot be met past tau = {t!r}")
-                if len(path) == taus.size:
-                    return path
+                if done == taus.size:
+                    break
                 t, leg, entered = float(leg), leg + 1, -1
                 continue
         if j >= 0 and drop >= 0 and leg == 0 and entered >= 0 and cycling:
@@ -1054,25 +1130,25 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
                 # whose step is large, a rate at rounding level would drop a
                 # bound that the next face adds back at once, in a cycle.
                 rounding = 1e-12 * (1.0 + problem._lam_max) * (1.0 + np.abs(dx).max())
-                beta, drop = _multiplier_test(mults, d_mults, np.maximum(
-                    (np.maximum(mults, 0.0) + mu_tol) / (leg - t), rounding))
-                d = d_stack[leg - 1] if leg else None
-                h = h_starts[0] if leg == 0 else h_starts[leg - 1] + (t - leg + 1) * d
-                alpha, key, s = _ratio_test(rows.ineq, eligible, h, x, dx, leg - t, d)
+                beta, drop = _multiplier_test(mults, d_mults, rounding, (leg - t, mu_tol))
+                moving = (d_stack[leg - 1], t - leg + 1, d_tols[leg - 1]) if leg else ()
+                alpha, key, s = _ratio_test(rows.ineq, eligible, h_starts[max(leg - 1, 0)], x, dx,
+                                            leg - t, *moving)
                 # an event within rounding of the leg's end waits for the
                 # next leg, whose direction can differ
                 ends = _near(leg - t, min(alpha, beta))
                 step = leg - t if ends else min(alpha, beta)
-                if len(path) < taus.size and taus[len(path)] - t <= step:
-                    # the requested points on this face, verified together
-                    rest = taus[len(path):]
+                if done < taus.size and taus[done] - t <= step:
+                    # the requested points on this face
+                    rest = taus[done:]
                     segment = rest[rest - t <= step]
-                    if record(_finish(problem, b_in_at(segment, leg),
-                                      x + (segment - t)[:, None] * dx, side, face,
-                                      nu + (segment - t)[:, None] * d_nu, passes)):
+                    done += segment.size
+                    if reach(_Points(b_in_at(segment, leg), x + (segment - t)[:, None] * dx,
+                                     nu + (segment - t)[:, None] * d_nu, side.copy(), face.t,
+                                     passes)):
                         return path
-                if len(path) == taus.size:
-                    return path
+                if done == taus.size:
+                    break
                 x, t, nu = x + step * dx, t + step, nu + step * d_nu
                 if ends:
                     t, leg = float(leg), leg + 1        # the next leg, on the same face
@@ -1095,7 +1171,11 @@ def _solve(problem: QpProblem, start, legs: np.ndarray, taus: np.ndarray,
         leave(key)
         release(key)
         face = _next_face(problem, face, key, working, side)
-    raise QpIterationLimitError(f"event cap {max_events} exceeded")
+    else:
+        settle()
+        raise QpIterationLimitError(f"event cap {max_events} exceeded")
+    settle()
+    return path
 
 
 def solve_qp_path(problem: QpProblem, db_in, taus, *, start,
@@ -1115,19 +1195,25 @@ def solve_qp_path(problem: QpProblem, db_in, taus, *, start,
     rounding, ends at such a vertex), and the next leg starts from it; any
     other raises QpError.  Nothing is retried.
 
-    The taus that fall on one face, before the next event or the leg's
-    end, are verified together, each still by the restore step and KKT
-    check at its own tau and bit for bit as it is when requested alone, so
-    a point does not depend on the other taus.  Its iterations count the
-    events from start to it, so the returned QpPath's iterations are those
-    of its last point.  Where Q leaves a face of optima, the path returns
-    the points it reaches.
+    Without stop, every point waits until the path exits, at its end,
+    where the rows cannot be met or at the event cap, and all are then
+    verified together, in one batch; a point waits as x, its multipliers,
+    b_in, its face's bound sides and a reference to its face's multiplier
+    map, so the path holds O(len(taus) * (n + m)) floats more, the maps
+    aside.  Each is still verified by the restore step and KKT check at its
+    own tau and on its own face, bit for bit as it is when requested alone,
+    so a point does not depend on the other taus.  A point that fails its
+    check raises QpError before any error of the path past it.  Its
+    iterations count the events from start to it, so the returned QpPath's
+    iterations are those of its last point.  Where Q leaves a face of
+    optima, the path returns the points it reaches.
 
     stop, when given, is called on each point in tau order once it is
-    verified; once it returns True the path ends there and returns the
-    points so far, the last one included, each bit for bit the point the
-    full path returns.  A point that fails its check raises QpError only
-    if stop has not ended the path at an earlier one.
+    verified, and the points of each face are verified as the path
+    reaches them; once stop returns True the path ends there and returns
+    the points so far, the last one included, each bit for bit the point
+    the full path returns.  A point that fails its check raises QpError
+    only if stop has not ended the path at an earlier one.
 
     Raises QpInputError for a malformed db_in, taus or start (QpProblem's
     constructor rejects a Q that is not positive semidefinite), QpError if

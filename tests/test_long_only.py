@@ -219,20 +219,20 @@ def test_gmv_is_the_target_qp_at_the_least_mean(n, seed):
 
 
 def test_sample_frontier_verifies_each_segment_in_one_batch():
-    # the path's weights are affine in the target between turning points,
-    # so the targets on one segment are verified in one _finish call
+    # the critical-line pass has no stop, so its targets wait for the
+    # path's end and are verified in one _finish call, whatever segment
+    # each falls on
     stats = estimate_stats(load_returns(SAMPLE_RETURNS, 12))
     batches, finish = [], qp._finish
 
-    def recording(problem, b_in, xs, *args):
-        batches.append(xs.shape[0])
-        return finish(problem, b_in, xs, *args)
+    def recording(problem, points):
+        batches.append(sum(group.xs.shape[0] for group in points))
+        return finish(problem, points)
 
     with mock.patch("longplan.qp._finish", recording):
         trace_frontier(stats, 30)
     # the GMV's solve_qp is a batch of one, and the path's 29 points follow
-    assert batches[0] == 1 and sum(batches[1:]) == 29
-    assert len(batches[1:]) < 29
+    assert batches == [1, 29]
 
 
 def _uniform_start_gmv(stats):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +127,102 @@ def test_a_bad_cell_anywhere_is_named_by_row_and_column(matrix, data, bad):
         _load_cells(cells)
     assert str(err.value).endswith(
         f"returns.csv: row {i + 2}, column {j + 1}: not a finite number: {bad.strip()!r}")
+
+
+def _oracle(path):
+    """(asset ids, data) of a returns file as the csv module and float()
+    read it, row by row, or the ReturnsFormatError message due: the first
+    ragged row or bad cell in reading order, then too few rows."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        return f"{path}: file is empty"
+    ids = [name.strip() for name in rows[0]]
+    if not all(ids):
+        return f"{path}: row 1: empty asset id in header"
+    for col, name in enumerate(ids, start=1):
+        if ids.index(name) + 1 < col:
+            return (f"{path}: row 1: asset id {name!r} repeated in columns "
+                    f"{ids.index(name) + 1} and {col}")
+    data = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(ids):
+            return f"{path}: row {lineno}: expected {len(ids)} fields, got {len(row)}"
+        for col, cell in enumerate(row, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                return (f"{path}: row {lineno}, column {col}: "
+                        f"not a finite number: {cell.strip()!r}")
+            data.append(value)
+    if len(data) < 2 * len(ids):
+        return f"{path}: need at least 2 data rows, got {len(data) // len(ids)}"
+    return tuple(ids), np.array(data).reshape(-1, len(ids))
+
+
+# numbers, and cells that are padded, quoted or faulty, or that the
+# one-pass parser must leave to the cell-by-cell reader
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.floats(-1.0, 1.0).map(repr), st.integers(-10**6, 10**6).map(str))
+_ODD_CELLS = st.sampled_from([
+    " 0.25", "0.25 ", "\t-1.5", "\x0b2", "\x0c3", '"0.5"', '"1,5"', "#", "#1", "1_000", "nan",
+    "inf", "-inf", "1e999", "", " ", "x", "0x10", "1e5", "+.5", "5.", "-0",
+    "\x1c0.5", "0.5\x1d", "\x1e1", "2\x1f"])
+
+
+@st.composite
+def returns_files(draw):
+    """The text of an ASCII returns CSV: a header, then data rows, blank
+    and whitespace-only lines among them, some rows ragged and some with
+    an odd cell, with LF, CRLF or CR line ends, maybe a byte-order mark and
+    maybe no final newline; an odd header id may be quoted."""
+    n = draw(st.integers(1, 4))
+    ids = [f"A{j}" for j in range(n)]
+    if draw(st.integers(0, 9)) == 0:
+        ids[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            ["A0", " ", " A1 ", '"A2"', '"A\n3"', '"A,4"']))
+    lines = [",".join(ids)]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  "])))
+            continue
+        width = n + (draw(st.sampled_from([-1, 1])) if kind == 1 else 0)
+        cells = draw(st.lists(_NUMBERS, min_size=width, max_size=width))
+        if cells and draw(st.booleans()):
+            cells[draw(st.integers(0, width - 1))] = draw(_ODD_CELLS)
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""])), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(returns_files())
+def test_load_returns_reads_as_csv_and_float_do(case):
+    # the one-pass body parser returns what the cell-by-cell reader would,
+    # bit for bit, and leaves every fault to it, so each message is the one
+    # the csv module and float() lead to; no warning escapes either way
+    text, bom = case
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "returns.csv"
+        path.write_bytes(text.encode("utf-8-sig" if bom else "utf-8"))
+        expected = _oracle(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, str):
+                with pytest.raises(ReturnsFormatError) as err:
+                    load_returns(path, 12)
+                assert str(err.value) == expected
+                return
+            returns = load_returns(path, 12)
+    ids, data = expected
+    assert returns.asset_ids == ids
+    assert returns.data.shape == data.shape
+    assert returns.data.tobytes() == data.tobytes()
 
 
 def test_too_few_rows(tmp_path):

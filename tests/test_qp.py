@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from longplan import lifecycle, qp
 from longplan.insurance import HazardModel
@@ -114,8 +115,8 @@ def test_finish_rejects_a_non_finite_point():
     face = qp._open_face(problem, [], side)
     for x in ([np.nan, 0.0], [np.inf, 0.0]):
         with pytest.raises(QpError, match="non-finite"), np.errstate(invalid="ignore"):
-            list(qp._finish(problem, problem.b_in[None], np.array([x]), side, face,
-                            np.zeros((1, 0)), 1))
+            list(qp._finish(problem, [qp._Points(problem.b_in[None], np.array([x]),
+                                                 np.zeros((1, 0)), side, face.t, 1)]))
 
 
 def test_finish_rejects_a_point_that_breaks_a_row():
@@ -126,7 +127,8 @@ def test_finish_rejects_a_point_that_breaks_a_row():
     side = np.zeros(2)
     face = qp._open_face(problem, [], side)
     with pytest.raises(QpError, match="max_violation=6.000e-01"):
-        list(qp._finish(problem, problem.b_in[None], x[None], side, face, np.zeros((1, 1)), 1))
+        list(qp._finish(problem, [qp._Points(problem.b_in[None], x[None], np.zeros((1, 1)),
+                                             side, face.t, 1)]))
 
 
 def test_finish_yields_each_point_before_a_later_one_fails():
@@ -137,8 +139,9 @@ def test_finish_yields_each_point_before_a_later_one_fails():
     problem = QpProblem(Q=np.eye(2), c=np.full(2, -0.2), a_in=np.ones((1, 2)), b_in=[1.0])
     side = np.zeros(2)
     face = qp._open_face(problem, [0], side)
-    points = qp._finish(problem, np.array([[1.0], [0.2]]), np.array([[0.5, 0.5], [0.1, 0.1]]),
-                        side, face, np.zeros((2, 1)), 1)
+    points = qp._finish(problem, [qp._Points(np.array([[1.0], [0.2]]),
+                                             np.array([[0.5, 0.5], [0.1, 0.1]]),
+                                             np.zeros((2, 1)), side, face.t, 1)])
     first = next(points)
     np.testing.assert_allclose(first.x, [0.5, 0.5], rtol=0, atol=1e-15)
     assert first.in_multipliers[0] == pytest.approx(0.3)
@@ -1022,6 +1025,33 @@ def test_path_goes_on_from_a_leg_end_met_within_tolerance():
         assert all(sol.in_multipliers[0] == pytest.approx(sol.x[0], rel=1e-9) for sol in path)
 
 
+@pytest.mark.parametrize("max_events, error", [
+    (3, "event cap 3 exceeded"), (10, "the rows cannot be met past tau = 1.66")])
+def test_a_point_reached_before_the_path_fails_is_verified_first(max_events, error):
+    # the points at tau = 0, 0.5 and 1 are reached before the path runs
+    # into its event cap or, with a larger cap, into rows it cannot meet.
+    # Without stop they are still pending there and are verified before
+    # the path's own error is raised, so a point that fails its check
+    # raises first, as it does when stop verifies it on its face
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((5, 4))
+    problem = QpProblem(Q=g.T @ g + 0.1 * np.eye(4), c=rng.standard_normal(4),
+                        a_eq=np.ones((1, 4)), b_eq=[1.0], a_in=rng.standard_normal((2, 4)),
+                        b_in=np.array([-1.0, -1.5]), lb=np.zeros(4))
+    legs, taus = np.array([[0.5, 0.2], [-3.0, 2.0]]), np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+
+    def failing(problem, points):
+        raise QpError("a point fails")
+        yield
+
+    for stop in (None, lambda sol: False):
+        with pytest.raises(QpError, match=f"^{error}"):
+            qp._solve(problem, np.full(4, 0.25), legs, taus, max_events, stop)
+        with mock.patch("longplan.qp._finish", failing), \
+                pytest.raises(QpError, match="^a point fails$"):
+            qp._solve(problem, np.full(4, 0.25), legs, taus, max_events, stop)
+
+
 @st.composite
 def qps_on_a_degenerate_path(draw):
     """(problem, db_in, start): a boxed QP whose rows, more than its
@@ -1092,6 +1122,38 @@ def test_path_points_do_not_depend_on_the_other_taus(case, grid):
             np.testing.assert_array_equal(getattr(sol, field), getattr(alone, field))
         assert (sol.objective, sol.max_violation, sol.iterations) == \
             (alone.objective, alone.max_violation, alone.iterations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(qps_on_a_feasible_path().map(lambda case: case[1:]), qps_on_a_degenerate_path()),
+       st.lists(st.integers(0, 16), min_size=1, max_size=8))
+def test_a_path_without_stop_verifies_its_points_in_one_batch(case, grid):
+    # without stop every requested point waits for the path's exit and is
+    # verified in one _finish call; a stop that never fires verifies each
+    # face's points as the path reaches them.  Both give the same points,
+    # bit for bit, or the same error
+    problem, db_in, start = case
+    taus = np.sort(grid) / 16.0
+    outcomes, calls = [], []
+    for stop in (None, lambda sol: False):
+        with mock.patch("longplan.qp._finish", wraps=qp._finish) as finish:
+            try:
+                outcomes.append(solve_qp_path(problem, db_in, taus, start=start, stop=stop))
+            except QpError as exc:
+                outcomes.append(str(exc))
+        calls.append(finish.call_count)
+    batched, by_face = outcomes
+    if isinstance(batched, str) or isinstance(by_face, str):
+        assert batched == by_face
+        return
+    assert calls[0] == 1 <= calls[1]
+    assert len(batched) == len(by_face) == taus.size
+    for sol, ref in zip(batched, by_face):
+        for field in ("x", "eq_multipliers", "in_multipliers", "lower_multipliers",
+                      "upper_multipliers"):
+            np.testing.assert_array_equal(getattr(sol, field), getattr(ref, field))
+        assert (sol.objective, sol.max_violation, sol.iterations) == \
+            (ref.objective, ref.max_violation, ref.iterations)
 
 
 # Four M=30 lifecycle plans: the default config with these changes, the
@@ -1458,6 +1520,35 @@ def test_start_at_a_vertex_with_more_active_rows_than_free_variables():
         assert report["stationarity"] <= 1e-9
         assert report["complementarity"] <= 1e-9
         assert report["dual_feasibility"] >= -1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=QpError,
+                   reason="from this degenerate start the tau = 0 point breaks a row by 5.15")
+def test_a_start_where_every_row_is_tight_reaches_the_optimum():
+    # A hypothesis draw of test_path_through_degenerate_vertices_matches_cold_solves,
+    # to 8 digits: n = 4, all six rows tight at the start, and Q curved only
+    # on x0, which its bounds pin, so the rest is an LP.  HiGHS solves it.
+    # Both the cold solve and the path's tau = 0 point fail their KKT check
+    # with max_violation=5.150e+00
+    problem = QpProblem(
+        Q=np.diag([2.61949202, 0.0, 0.0, 0.0]),
+        c=np.array([-0.17126628, -0.18067089, 2.40011369, -0.08784495]),
+        a_in=np.array([[0.0, 3, -1, 2], [0, 2, 1, -1], [0, 3, -2, -3], [-3, -3, 1, 3],
+                       [-2, 2, 0, 1], [3, 0, 2, 0]]),
+        b_in=np.array([2.0, -5, -7, 8, 0, -2]),
+        lb=np.array([0.0, -1.0, -1.73297412, 0.19951353]),
+        ub=np.array([0.0, 1.7167461, 0.0, 3.0]))
+    start, db_in = np.array([0.0, -1.0, -1.0, 2.0]), np.array([7.0, 4, 1, -2, 5, 2])
+    highs = linprog(problem.c, A_ub=-problem.a_in, b_ub=-problem.b_in,
+                    bounds=list(zip(problem.lb, problem.ub)), method="highs")
+    assert highs.status == 0 and highs.fun == pytest.approx(-2.66364854, rel=1e-8)
+    np.testing.assert_allclose(highs.x, [0.0, 0.0, -1.0, 3.0], rtol=0, atol=1e-12)
+    for solve in (lambda: solve_qp(problem),
+                  lambda: solve_qp_path(problem, db_in, [0.0], start=start)[0]):
+        sol = solve()
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(highs.fun, rel=1e-9)
+        np.testing.assert_allclose(sol.x, highs.x, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("data, message", [
